@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .coset import CapExceeded, Finite, coset_table, enumerate_cosets
+from .coset import CapExceeded, coset_table, enumerate_cosets
 from .corpus import all_entries, check_entry, higman_presentation
 from .dual import align, dualize, write_bundle
 from .intmatrix import (
@@ -29,14 +29,8 @@ from .intmatrix import (
     smith_normal_form,
 )
 from .lemma2 import presentation_from_matrix
-from .moves import (
-    CertificateError,
-    format_certificate,
-    parse_certificate,
-    replay_trace,
-)
+from .moves import format_certificate, parse_certificate, replay_trace
 from .presentation import (
-    ParseError,
     format_presentation,
     is_balanced,
     parse_presentation,
@@ -204,17 +198,16 @@ def cmd_theorem3(args) -> int:
 def cmd_order(args) -> int:
     out = _Output(args)
     p = _load_presentation(args.file)
-    result = enumerate_cosets(p, args.max_cosets)
-    if isinstance(result, Finite):
-        lines = [f"ORDER {result.order}"]
-        if args.table:
-            t = coset_table(p, args.max_cosets)
-            for i, row in enumerate(t.rows):
-                lines.append(f"{i + 1}: " + " ".join(str(x + 1) for x in row))
-        out.emit("order", lines, {"order": result.order})
-        return 0
-    out.emit("cap-exceeded", [f"CAP-EXCEEDED {result.cosets}"], {"cosets": result.cosets})
-    return 1
+    result = (coset_table if args.table else enumerate_cosets)(p, args.max_cosets)
+    if isinstance(result, CapExceeded):
+        out.emit("cap-exceeded", [f"CAP-EXCEEDED {result.cosets}"], {"cosets": result.cosets})
+        return 1
+    lines = [f"ORDER {result.order}"]
+    if args.table:
+        for i, row in enumerate(result.rows):
+            lines.append(f"{i + 1}: " + " ".join(str(x + 1) for x in row))
+    out.emit("order", lines, {"order": result.order})
+    return 0
 
 
 def cmd_quotient(args) -> int:
@@ -395,10 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CertificateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ParseError and CertificateError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,9 @@ immediate queue draining).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Deque, List, NamedTuple, Optional, Tuple, Union
 
 from .presentation import Presentation
 
@@ -65,6 +66,8 @@ class CosetTable:
 
 class _Enumerator:
     def __init__(self, p: Presentation, max_cosets: int):
+        if max_cosets < 1:
+            raise ValueError("max_cosets must be >= 1")
         self.ngens = len(p.generators)
         self.ncols = 2 * self.ngens
         # relators as column-index words
@@ -103,7 +106,7 @@ class _Enumerator:
         self.table[beta][self.inv_col[col]] = alpha
         return True
 
-    def merge(self, k: int, lam: int, queue: List[int]):
+    def merge(self, k: int, lam: int, queue: Deque[int]):
         phi, psi = self.rep(k), self.rep(lam)
         if phi != psi:
             mu, nu = min(phi, psi), max(phi, psi)
@@ -112,10 +115,10 @@ class _Enumerator:
             queue.append(nu)
 
     def coincidence(self, alpha: int, beta: int):
-        queue: List[int] = []
+        queue: Deque[int] = deque()
         self.merge(alpha, beta, queue)
         while queue:
-            gamma = queue.pop(0)
+            gamma = queue.popleft()
             for col in range(self.ncols):
                 delta = self.table[gamma][col]
                 if delta is None:
@@ -194,16 +197,18 @@ def enumerate_cosets(
     p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> EnumerationResult:
     """Group order by coset enumeration, or CapExceeded (inconclusive)."""
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
     return _Enumerator(p, max_cosets).run()
 
 
-def coset_table(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Optional[CosetTable]:
-    """The closed, renumbered table on success; None when the cap is hit."""
+def coset_table(
+    p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
+) -> Union[CosetTable, CapExceeded]:
+    """The closed, renumbered table (its ``order`` is the group order) from
+    the same single enumeration, or CapExceeded (inconclusive)."""
     e = _Enumerator(p, max_cosets)
-    if isinstance(e.run(), CapExceeded):
-        return None
+    result = e.run()
+    if isinstance(result, CapExceeded):
+        return result
     return e.compressed()
 
 

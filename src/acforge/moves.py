@@ -12,9 +12,20 @@ Two consequences of eager reduction are deliberate and documented:
   loses information; such a move has no inverse, and invert_certificate
   raises if asked to invert through one.
 
+A move costs one edit, not a rebuild: apply_move assembles its result with
+``_trusted``, which skips the validating ``Presentation`` constructor.  That
+is sound because every relator it stores is built from relators of a valid
+presentation in a way that keeps them freely reduced and in range (concat
+and invert of reduced words, a re-reduced rotation, a reduced and
+range-checked stabilizing word, a subset of the relators), and a new
+generator name comes from ``fresh_generator_name``.
+
 Certificate files are line-based: ``START <presentation>``, one move per
 line, ``END <presentation>``.  Indices are 1-based; insertion positions are
-0-based insertion points into the stored relator.
+0-based insertion points into the stored relator.  STAB words are written
+with generator names, which reading and writing follow from the START
+names alone (STAB appends ``fresh_generator_name``, DESTAB drops the last
+name); neither replays the moves.
 """
 
 from __future__ import annotations
@@ -139,10 +150,20 @@ def _check_relator_index(p: Presentation, i: int):
         raise MoveError(f"relator index {i} out of range 1..{len(p.relators)}")
 
 
+def _trusted(generators: Tuple[str, ...], relators: Tuple[Word, ...]) -> Presentation:
+    """A Presentation from parts that already meet its invariants (unique
+    valid names; freely reduced relators with letters in range), built
+    without re-checking them."""
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "generators", generators)
+    object.__setattr__(p, "relators", relators)
+    return p
+
+
 def _replace(p: Presentation, i: int, w: Word) -> Presentation:
     rels = list(p.relators)
     rels[i - 1] = w
-    return Presentation(p.generators, tuple(rels))
+    return _trusted(p.generators, tuple(rels))
 
 
 def apply_move(p: Presentation, move: AcMove) -> Presentation:
@@ -154,10 +175,9 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
             raise MoveError(f"insertion point {move.position} out of range 0..{len(r)}")
         if not 1 <= move.generator <= len(p.generators):
             raise MoveError(f"generator {move.generator} out of range")
-        g = move.generator
-        pair = (-g, g) if move.inverse_first else (g, -g)
-        raw = r[: move.position] + pair + r[move.position :]
-        return _replace(p, move.relator, free_reduce(raw))
+        # free reduction is confluent: a pair spliced into a reduced word
+        # cancels again, leaving the stored relator as it was
+        return p
     if isinstance(move, DeletePair):
         _check_relator_index(p, move.relator)
         r = p.relators[move.relator - 1]
@@ -187,7 +207,7 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
             if abs(x) > m:
                 raise MoveError(f"stabilizing word letter {x} exceeds generator count {m}")
         name = fresh_generator_name(p.generators)
-        return Presentation(p.generators + (name,), p.relators + ((m + 1,) + w,))
+        return _trusted(p.generators + (name,), p.relators + ((m + 1,) + w,))
     if isinstance(move, Destabilize):
         m = len(p.generators)
         g, i = move.generator, move.relator
@@ -203,7 +223,7 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
             if k != i and any(abs(x) == g for x in other):
                 raise MoveError(f"removed generator occurs in relator {k}")
         rels = tuple(r2 for k, r2 in enumerate(p.relators, start=1) if k != i)
-        return Presentation(p.generators[:-1], rels)
+        return _trusted(p.generators[:-1], rels)
     raise MoveError(f"unknown move {move!r}")
 
 
@@ -283,11 +303,27 @@ def invert_certificate(cert: AcCertificate) -> AcCertificate:
 # --- certificate files -------------------------------------------------------
 
 
+def _names_after(names: Optional[Tuple[str, ...]], move: AcMove) -> Optional[Tuple[str, ...]]:
+    """Generator names after ``move``, followed without applying it.
+
+    Exact for every move that applies.  None once the names cannot be
+    followed: after a DESTAB of a generator other than the last, a move
+    that never applies.
+    """
+    if names is None:
+        return None
+    if isinstance(move, Stabilize):
+        return names + (fresh_generator_name(names),)
+    if isinstance(move, Destabilize):
+        return names[:-1] if move.generator == len(names) else None
+    return names
+
+
 def format_certificate(cert: AcCertificate) -> str:
-    """Serialize; replays internally so STAB words print with live names."""
+    """Serialize; STAB words print with the generator names live at that step."""
     lines = [f"START {format_presentation(cert.start)}"]
-    current = cert.start
-    for move in cert.moves:
+    names: Optional[Tuple[str, ...]] = cert.start.generators
+    for step, move in enumerate(cert.moves):
         if isinstance(move, InsertPair):
             flag = "-" if move.inverse_first else "+"
             lines.append(f"INSPAIR {move.relator} {move.position} {move.generator} {flag}")
@@ -302,18 +338,21 @@ def format_certificate(cert: AcCertificate) -> str:
         elif isinstance(move, MultiplyRightInverse):
             lines.append(f"MULRI {move.relator} {move.other}")
         elif isinstance(move, Stabilize):
-            lines.append(f"STAB {format_word(move.word, current.generators)}")
+            if names is None or any(abs(x) > len(names) for x in move.word):
+                raise CertificateError(f"step {step}: cannot name the letters of the STAB word")
+            lines.append(f"STAB {format_word(move.word, names)}")
         elif isinstance(move, Destabilize):
             lines.append(f"DESTAB {move.generator} {move.relator}")
         else:
             raise CertificateError(f"unknown move {move!r}")
-        current = apply_move(current, move)
+        names = _names_after(names, move)
     lines.append(f"END {format_presentation(cert.end)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> AcCertificate:
-    """Parse a certificate file; moves are replayed to resolve STAB words."""
+    """Parse a certificate file; STAB words resolve against the generator
+    names followed from START, without replaying the moves."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -330,7 +369,7 @@ def parse_certificate(text: str) -> AcCertificate:
     start = _pres(lines[0][1], "START")
     end = _pres(lines[-1][1], "END")
     moves: List[AcMove] = []
-    current: Optional[Presentation] = start
+    names: Optional[Tuple[str, ...]] = start.generators
     for lineno, line in lines[1:-1]:
         fields = line.split()
         op, args = fields[0], fields[1:]
@@ -352,11 +391,12 @@ def parse_certificate(text: str) -> AcCertificate:
             elif op == "MULRI":
                 move = MultiplyRightInverse(int(args[0]), int(args[1]))
             elif op == "STAB":
-                if current is None:
-                    raise CertificateError(
-                        f"line {lineno}: cannot resolve STAB word after an invalid move"
+                if names is None:
+                    raise ValueError(
+                        "cannot resolve STAB word after a DESTAB of a generator "
+                        "other than the last"
                     )
-                move = Stabilize(parse_word(line[len("STAB") :].strip(), current.generators))
+                move = Stabilize(parse_word(line[len("STAB") :].strip(), names))
             elif op == "DESTAB":
                 move = Destabilize(int(args[0]), int(args[1]))
             else:
@@ -364,9 +404,5 @@ def parse_certificate(text: str) -> AcCertificate:
         except (IndexError, ValueError) as e:
             raise CertificateError(f"line {lineno}: {e}")
         moves.append(move)
-        if current is not None:
-            try:
-                current = apply_move(current, move)
-            except MoveError:
-                current = None
+        names = _names_after(names, move)
     return AcCertificate(start, tuple(moves), end)

@@ -11,6 +11,8 @@ Grammar (comments run from ``#`` to end of line, whitespace is free):
 Names match ``[A-Za-z][A-Za-z0-9_]*``.  ``< | >`` is the empty (trivial)
 presentation.  Relators are stored freely reduced; generator order is the
 declaration order and is significant (matrices and duals index by it).
+Powers are expanded, so one parsed text may expand to at most
+``MAX_LETTERS`` letters; longer input is a ParseError.
 Relators are NOT cyclically reduced on input: cyclic permutation is an
 explicit move, so silently rotating words would corrupt certificates.
 """
@@ -24,6 +26,10 @@ from typing import List, Sequence, Tuple
 from .words import Word, free_reduce
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"-?\d+")
+
+# bounds memory: checked before a power is expanded
+MAX_LETTERS = 10**6
 
 
 class ParseError(ValueError):
@@ -104,7 +110,7 @@ def _tokenize(text: str):
             col += m.end() - i
             i = m.end()
         elif c.isdigit() or c == "-":
-            m = re.compile(r"-?\d+").match(text, i)
+            m = _INT_RE.match(text, i)
             if not m or m.group() == "-":
                 raise ParseError(f"unexpected character {c!r}", line, col)
             yield ("int", m.group(), line, col)
@@ -119,6 +125,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.letters = 0  # expanded so far, across all words
 
     def peek(self):
         return self.tokens[self.pos]
@@ -163,6 +170,9 @@ def _parse_word_tokens(p: _Parser, gen_index: dict) -> List[int]:
             exp = int(val3)
             if exp == 0:
                 raise ParseError("zero exponent", line3, col3)
+        p.letters += abs(exp)
+        if p.letters > MAX_LETTERS:
+            raise ParseError(f"input expands to more than {MAX_LETTERS} letters", line, col)
         letters.extend([g if exp > 0 else -g] * abs(exp))
         saw_term = True
     if not saw_term:

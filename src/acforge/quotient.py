@@ -103,6 +103,34 @@ def verify_witness(p: Presentation, w: FiniteQuotientWitness) -> bool:
     return permutation_group_order(w.images, w.degree) == w.image_order
 
 
+def _first_images(by_last: List[List], m: int, degree: int) -> Optional[Tuple[Permutation, ...]]:
+    """Depth-first over image tuples in canonical order.  The stack holds one
+    candidate iterator per assigned generator, so the depth (the generator
+    count) is not bounded by the interpreter's recursion limit."""
+    perms = list(itertools.permutations(range(degree)))
+    identity = perms[0]
+    images: List[Permutation] = []
+    stack = [iter(perms)]
+    while stack:
+        for cand in stack[-1]:
+            images.append(cand)
+            if all(evaluate_word(r, images, degree) == identity for r in by_last[len(images)]):
+                break
+            images.pop()
+        else:  # candidates exhausted: back up to the previous generator
+            stack.pop()
+            if images:
+                images.pop()
+            continue
+        if len(images) < m:
+            stack.append(iter(perms))
+        elif any(img != identity for img in images):
+            return tuple(images)
+        else:
+            images.pop()
+    return None
+
+
 def find_nontrivial_quotient(
     p: Presentation, max_degree: int = 7
 ) -> Optional[FiniteQuotientWitness]:
@@ -117,32 +145,8 @@ def find_nontrivial_quotient(
     for r in p.relators:
         top = max((abs(x) for x in r), default=0)
         by_last[top].append(r)
-    if any(len(r) for r in by_last[0]):
-        pass  # empty relators are vacuous; nothing to check
-
     for degree in range(2, max_degree + 1):
-        perms = list(itertools.permutations(range(degree)))
-        identity = perms[0]
-        images: List[Permutation] = []
-
-        def extend() -> Optional[Tuple[Permutation, ...]]:
-            t = len(images)
-            if t == m:
-                if any(img != identity for img in images):
-                    return tuple(images)
-                return None
-            for cand in perms:
-                images.append(cand)
-                if all(
-                    evaluate_word(r, images, degree) == identity for r in by_last[t + 1]
-                ):
-                    found = extend()
-                    if found is not None:
-                        return found
-                images.pop()
-            return None
-
-        found = extend()
+        found = _first_images(by_last, m, degree)
         if found is not None:
             return FiniteQuotientWitness(
                 degree=degree,

@@ -267,7 +267,7 @@ def search_trivialization(
         prefix_moves.extend(more)
     start: _State = (len(current.generators), current.relators)
 
-    def finish(goal: _State, path_edges, depth: int, seen: int, expanded: int):
+    def finish(path_edges, depth: int, seen: int, expanded: int):
         pres = current
         moves = list(prefix_moves)
         for edge in path_edges:
@@ -281,7 +281,7 @@ def search_trivialization(
         return SearchResult(cert, depth, seen, expanded, None)
 
     if _collapsible(start):
-        return finish(start, [], 0, 1, 0)
+        return finish([], 0, 1, 0)
 
     seen = {_state_key(start)}
     parent: Dict[_State, Tuple[_State, tuple]] = {}
@@ -322,7 +322,7 @@ def search_trivialization(
             parent[t] = (s, edge)
             depth[t] = d + 1
             if _collapsible(t):
-                return finish(t, path_to(t), d + 1, len(seen), expanded)
+                return finish(path_to(t), d + 1, len(seen), expanded)
             queue.append(t)
         else:
             continue

@@ -1,0 +1,110 @@
+"""The CLI contract, run in-process through ``main(argv)``: exit code 0 for
+success, 1 for a negative or inconclusive verdict, 2 for usage or parse
+errors."""
+
+import pytest
+
+from acforge import coset
+from acforge.cli import main
+from acforge.presentation import MAX_LETTERS
+
+
+@pytest.fixture
+def run(capsys):
+    def _run(*argv):
+        rc = main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    return _run
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+@pytest.fixture
+def build_cert(tmp_path, run):
+    """``lemma2 -o`` on a small shear; the path of its build.cert."""
+    matrix = write(tmp_path, "shear.mat", "2 2\n1 7\n0 1\n")
+    rc, _, _ = run("lemma2", matrix, "-o", tmp_path / "out")
+    assert rc == 0
+    return tmp_path / "out" / "build.cert"
+
+
+def test_verify_cert_ok(run, build_cert):
+    assert run("verify-cert", build_cert) == (0, "OK\n", "")
+
+
+def test_verify_cert_tampered_move(run, build_cert, tmp_path):
+    lines = build_cert.read_text().splitlines()
+    lines[4] = "INV 9"  # START, two STABs, one move, then the tampered move
+    rc, out, _ = run("verify-cert", write(tmp_path, "bad.cert", "\n".join(lines) + "\n"))
+    assert (rc, out) == (1, "FAILED step 3\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "START < a | a >\nWIBBLE 1\nEND < a | a >\n",
+        "START < a | a >\nMULR 1\nEND < a | a >\n",
+        "START < a | a >\nSTAB b\nEND < a | a >\n",
+        "INV 1\nEND < | >\n",
+    ],
+)
+def test_verify_cert_malformed(run, tmp_path, text):
+    rc, out, err = run("verify-cert", write(tmp_path, "m.cert", text))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_verify_cert_stab_after_invalid_move_is_a_failed_step(run, tmp_path):
+    # STAB names are followed from START without replay, so an invalid move
+    # before a STAB no longer makes the file unreadable
+    text = "START < a | a >\nINV 2\nSTAB a\nEND < a, x1 | a, x1 a >\n"
+    assert run("verify-cert", write(tmp_path, "c.cert", text)) == (1, "FAILED step 0\n", "")
+
+
+def test_verify_cert_stab_after_destab_of_inner_generator(run, tmp_path):
+    # which name such a DESTAB would drop is unknown, so the STAB cannot be read
+    text = "START < a, b | a, b >\nDESTAB 1 1\nSTAB b\nEND < b | b >\n"
+    rc, out, err = run("verify-cert", write(tmp_path, "c.cert", text))
+    assert (rc, out) == (2, "")
+    assert "cannot resolve STAB word" in err
+
+
+def test_quotient_many_generators_exhausts(run, tmp_path):
+    names = [f"a{i}" for i in range(1, 1101)]
+    path = write(tmp_path, "many.pres", f"< {', '.join(names)} | {', '.join(names)} >")
+    assert run("quotient", path, "--max-degree", 2) == (1, "EXHAUSTED 2\n", "")
+
+
+def test_parse_letter_cap(run, tmp_path):
+    rc, out, err = run("parse", write(tmp_path, "big.pres", f"< a | a^{10 * MAX_LETTERS} >"))
+    assert (rc, out) == (2, "")
+    assert "letters" in err
+
+
+def test_order_table_enumerates_once(run, tmp_path, monkeypatch):
+    runs = []
+    enumerate_run = coset._Enumerator.run
+
+    def counting(self):
+        runs.append(1)
+        return enumerate_run(self)
+
+    monkeypatch.setattr(coset._Enumerator, "run", counting)
+    path = write(tmp_path, "s3.pres", "< a, b | a^2, b^3, a b a b >")
+    rc, out, _ = run("order", path, "--table")
+    assert rc == 0 and len(runs) == 1
+    lines = out.splitlines()
+    assert lines[0] == "ORDER 6" and len(lines) == 7
+    assert run("order", write(tmp_path, "z.pres", "< a | >"), "--table", "--max-cosets", 50) == (
+        1,
+        "CAP-EXCEEDED 50\n",
+        "",
+    )
+    rc, _, err = run("order", path, "--table", "--max-cosets", 0)
+    assert rc == 2 and "max_cosets" in err

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from acforge.intmatrix import exponent_matrix, nonunit_factors
+from acforge.intmatrix import IntMatrix, exponent_matrix, nonunit_factors
+from acforge.lemma2 import presentation_from_matrix
 from acforge.moves import (
     AcCertificate,
     CertificateError,
@@ -269,3 +270,69 @@ def test_parse_certificate_errors():
         parse_certificate("START < a | a >\nWIBBLE 1\nEND < a | a >\n")
     with pytest.raises(CertificateError):
         parse_certificate("START < a | a >\nMULR 1\nEND < a | a >\n")
+
+
+def test_trusted_results_equal_validated_ones():
+    # apply_move skips the validating constructor; its results must be exactly
+    # what that constructor would store, along whole chains of moves
+    rng = random.Random(59)
+    for _ in range(300):
+        cur = random_presentation(rng)
+        for _ in range(rng.randint(1, 8)):
+            mv = random_move(rng, cur)
+            nxt = apply_move(cur, mv)
+            assert nxt == Presentation(nxt.generators, nxt.relators), (cur, mv, nxt)
+            if isinstance(mv, Stabilize) and rng.random() < 0.5:
+                back = apply_move(nxt, inverse_move(mv, cur))
+                assert back == Presentation(back.generators, back.relators) == cur
+                nxt = back
+            cur = nxt
+        n, m = len(cur.relators), len(cur.generators)
+        for bad in (
+            InvertRelator(n + 1),
+            CyclicPermute(0, 1),
+            MultiplyRight(1, 1),
+            InsertPair(1, len(cur.relators[0]) + 1, 1),
+            Stabilize((m + 1,)),
+            Destabilize(m + 1, 1),
+        ):
+            with pytest.raises(MoveError):
+                apply_move(cur, bad)
+
+
+def test_replay_does_not_revalidate(monkeypatch):
+    _, cert = presentation_from_matrix(IntMatrix(((1, 5000), (0, 1))))
+    calls = []
+    validate = Presentation.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        validate(self)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting)
+    assert replay_trace(cert)[0]
+    assert len(calls) <= sum(isinstance(mv, (Stabilize, Destabilize)) for mv in cert.moves)
+
+
+@pytest.mark.parametrize(
+    "start, moves, stab_lines",
+    [
+        # x1 is created, removed and created again
+        (
+            "< a | a >",
+            (Stabilize((1,)), Destabilize(2, 2), Stabilize((-1,)), Stabilize((2, 1))),
+            ["STAB a", "STAB a^-1", "STAB x1 a"],
+        ),
+        # the start already has an x1, so the fresh names are x2 and x3
+        ("< x1 | x1 >", (Stabilize((1,)), Stabilize((2, -1))), ["STAB x1", "STAB x2 x1^-1"]),
+    ],
+)
+def test_certificate_text_follows_reused_names(start, moves, stab_lines):
+    cur = pres(start)
+    for mv in moves:
+        cur = apply_move(cur, mv)
+    cert = AcCertificate(pres(start), moves, cur)
+    text = format_certificate(cert)
+    assert [ln for ln in text.splitlines() if ln.startswith("STAB")] == stab_lines
+    assert parse_certificate(text) == cert
+    assert replay(parse_certificate(text))

@@ -81,6 +81,8 @@ def test_is_balanced():
         "< a, | a >",  # dangling comma
         "< a | a > junk",  # trailing input
         "< a | a ^ >",  # missing exponent
+        "< a | a^1000001 >",  # expands past MAX_LETTERS
+        "< a | a^600000, a^-600000 >",  # the cap counts every word of the text
     ],
 )
 def test_parse_errors(text):
