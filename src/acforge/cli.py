@@ -247,6 +247,7 @@ def cmd_acsearch(args) -> int:
         "states_seen": r.states_seen,
         "states_expanded": r.states_expanded,
         "limit_hit": r.limit_hit,
+        "frontier": list(r.frontier),
     }
     if r.found:
         cert_text = format_certificate(r.certificate)

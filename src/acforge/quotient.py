@@ -105,12 +105,12 @@ def verify_witness(p: Presentation, w: FiniteQuotientWitness) -> bool:
 
 def _first_images(by_last: List[List], m: int, degree: int) -> Optional[Tuple[Permutation, ...]]:
     """Depth-first over image tuples in canonical order.  The stack holds one
-    candidate iterator per assigned generator, so the depth (the generator
-    count) is not bounded by the interpreter's recursion limit."""
-    perms = list(itertools.permutations(range(degree)))
-    identity = perms[0]
+    lazy candidate iterator per assigned generator, so the depth (the
+    generator count) is not bounded by the interpreter's recursion limit and
+    no list of all degree! permutations is held."""
+    identity = identity_perm(degree)
     images: List[Permutation] = []
-    stack = [iter(perms)]
+    stack = [itertools.permutations(identity)]
     while stack:
         for cand in stack[-1]:
             images.append(cand)
@@ -123,7 +123,7 @@ def _first_images(by_last: List[List], m: int, degree: int) -> Optional[Tuple[Pe
                 images.pop()
             continue
         if len(images) < m:
-            stack.append(iter(perms))
+            stack.append(itertools.permutations(identity))
         elif any(img != identity for img in images):
             return tuple(images)
         else:

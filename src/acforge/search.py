@@ -21,13 +21,22 @@ re-canonicalize relator i with unit rotations and one inversion).  A state
 collapses when its relators are single positive letters covering each
 generator exactly once; destabilizations finish the certificate.
 
+Inside the search a relator is a tuple in the letter code ``2g`` for
+generator g and ``2g + 1`` for its inverse.  The code preserves the letter
+order, so tuple comparison is the canonical order, a state's visited key is
+its sorted relator tuple, and inversion is ``x ^ 1`` over the reversed
+word.  Words are coded once at the start state and decoded only through
+the signed-word ``canonical_relator`` used to reconstruct certificates.
+Successors are pruned length first: the canonical length of a product is
+the length of its cyclic reduction, so a candidate over the letter caps is
+dropped before its least rotation is computed.
+
 NotFound only means the limits were exhausted; it is never evidence that
 no trivialization exists.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -41,15 +50,7 @@ from .moves import (
     replay,
 )
 from .presentation import EMPTY_PRESENTATION, Presentation, is_balanced
-from .words import (
-    Word,
-    concat,
-    cyclic_reduce,
-    invert,
-    is_cyclically_reduced,
-    rotate,
-    word_key,
-)
+from .words import Word, cyclic_reduce, invert, is_cyclically_reduced, rotate
 
 
 @dataclass(frozen=True)
@@ -71,41 +72,33 @@ class SearchLimits:
             raise ValueError("all search limits must be positive")
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Deduplication key: normalized relators, sorted."""
-
-    generators: Tuple[str, ...]
-    relators: Tuple[Word, ...]
+# a word in the search's letter code: 2g is generator g, 2g + 1 its inverse
+Code = Tuple[int, ...]
 
 
-def _encode(w: Word) -> Tuple[int, ...]:
-    # order-preserving letter code: a < a^-1 < b < b^-1 < ... as plain ints
+def _code(w: Word) -> Code:
     return tuple((x << 1) if x > 0 else ((-x << 1) | 1) for x in w)
+
+
+def _signed(c: Code) -> Word:
+    return tuple(-(y >> 1) if y & 1 else y >> 1 for y in c)
+
+
+def _rotations(r: Code) -> List[Code]:
+    """Every rotation of r, b ascending, then the inverse of each in the same
+    order: rot_b(r)^delta in edge order (delta 1 then -1).  The least of them
+    is the canonical form of a cyclically reduced r."""
+    n = len(r)
+    twice = r + r
+    inv = tuple([y ^ 1 for y in reversed(r)])
+    inv_twice = inv + inv
+    # the inverse of rot_b(r) is the rotation of inv(r) by n - b
+    return [twice[b : b + n] for b in range(n)] + [inv_twice[n - b : 2 * n - b] for b in range(n)]
 
 
 def canonical_relator(w: Word) -> Word:
     """Lex-least word among rotations of the cyclic reduction and of its inverse."""
-    core, _ = cyclic_reduce(w)
-    length = len(core)
-    if length == 0:
-        return core
-    best_enc = None
-    best_word = core
-    for cand in (core, invert(core)):
-        enc2 = _encode(cand) * 2
-        cand2 = cand * 2
-        for k in range(length):
-            rot_enc = enc2[k : k + length]
-            if best_enc is None or rot_enc < best_enc:
-                best_enc = rot_enc
-                best_word = cand2[k : k + length]
-    return best_word
-
-
-def canonical_form(p: Presentation) -> CanonicalForm:
-    rels = tuple(sorted((canonical_relator(r) for r in p.relators), key=word_key))
-    return CanonicalForm(p.generators, rels)
+    return _signed(min(_rotations(_code(cyclic_reduce(w)[0])), default=()))
 
 
 @dataclass(frozen=True)
@@ -115,60 +108,60 @@ class SearchResult:
     states_seen: int
     states_expanded: int
     limit_hit: Optional[str]  # "depth" | "states" | None (None + no cert: space exhausted)
+    frontier: Tuple[int, ...]  # states first reached at each depth; sums to states_seen
 
     @property
     def found(self) -> bool:
         return self.certificate is not None
 
 
-# internal state: (generator_count, relator tuple); names recoverable from the start
-_State = Tuple[int, Tuple[Word, ...]]
+# internal state: coded relators; a balanced search has one generator per
+# relator, and names are recoverable from the start
+_State = Tuple[Code, ...]
 
 
-def _state_key(s: _State):
-    m, rels = s
-    return m, tuple(sorted(rels, key=_encode))
+def _collapsible(rels: _State) -> bool:
+    return all(len(r) == 1 for r in rels) and sorted(r[0] for r in rels) == list(
+        range(2, 2 * len(rels) + 1, 2)
+    )
 
 
-def _collapsible(s: _State) -> bool:
-    m, rels = s
-    if len(rels) != m:
-        return False
-    if any(len(r) != 1 or r[0] < 0 for r in rels):
-        return False
-    return sorted(r[0] for r in rels) == list(range(1, m + 1))
-
-
-def _successors(s: _State, limits: SearchLimits):
-    m, rels = s
+def _successors(rels: _State, limits: SearchLimits):
     n = len(rels)
-    total = sum(len(r) for r in rels)
     out = []
-    if m:
-        for idx in range(n):
-            if rels[idx] == (m,) and all(
-                all(abs(x) != m for x in r) for k, r in enumerate(rels) if k != idx
-            ):
-                rest = tuple(r for k, r in enumerate(rels) if k != idx)
-                out.append((("destab", idx), (m - 1, rest)))
-    for i in range(n):
-        ri = rels[i]
-        for j in range(n):
-            if j == i or not rels[j]:
+    top = 2 * n  # the last generator, the only one a destabilization removes
+    for idx, r in enumerate(rels):
+        if r == (top,) and all(
+            top not in s and top + 1 not in s for k, s in enumerate(rels) if k != idx
+        ):
+            out.append((("destab", idx), rels[:idx] + rels[idx + 1 :]))
+    total = sum(map(len, rels))
+    mults = [_rotations(r) for r in rels]
+    for i, u in enumerate(rels):
+        lu = len(u)
+        # the product's canonical length is that of its cyclic reduction
+        cap = min(limits.max_relator_letters, limits.max_total_letters - total + lu)
+        for j, vs in enumerate(mults):
+            if j == i or not vs:
                 continue
-            rj = rels[j]
-            for delta in (1, -1):
-                for b in range(len(rj)):
-                    mult = rotate(rj, b)
-                    if delta == -1:
-                        mult = invert(mult)
-                    cw = canonical_relator(concat(ri, mult))
-                    if len(cw) > limits.max_relator_letters:
-                        continue
-                    if total - len(ri) + len(cw) > limits.max_total_letters:
-                        continue
-                    replaced = rels[:i] + (cw,) + rels[i + 1 :]
-                    out.append((("mul", i, j, b, delta), (m, replaced)))
+            lv = len(vs) // 2
+            seam = min(lu, lv)
+            for e, v in enumerate(vs):
+                k = 0
+                while k < seam and u[lu - 1 - k] ^ v[k] == 1:
+                    k += 1
+                if lu + lv - 2 * k > cap and k < seam and u[0] ^ v[-1] != 1:
+                    continue  # the ends do not cancel either: too long as it is
+                w = u[: lu - k] + v[k:]
+                lo, hi = 0, len(w)
+                while hi - lo >= 2 and w[lo] ^ w[hi - 1] == 1:
+                    lo += 1
+                    hi -= 1
+                if hi - lo > cap:
+                    continue
+                cw = min(_rotations(w[lo:hi]), default=())
+                edge = ("mul", i, j, e, 1) if e < lv else ("mul", i, j, e - lv, -1)
+                out.append((edge, rels[:i] + (cw,) + rels[i + 1 :]))
     return out
 
 
@@ -265,9 +258,9 @@ def search_trivialization(
     for i in range(1, len(p.relators) + 1):
         more, current = _normalize_relator(current, i)
         prefix_moves.extend(more)
-    start: _State = (len(current.generators), current.relators)
+    start: _State = tuple(_code(r) for r in current.relators)
 
-    def finish(path_edges, depth: int, seen: int, expanded: int):
+    def finish(path_edges, depth: int, seen: int, expanded: int, frontier):
         pres = current
         moves = list(prefix_moves)
         for edge in path_edges:
@@ -278,54 +271,52 @@ def search_trivialization(
         assert pres == EMPTY_PRESENTATION
         cert = AcCertificate(p, tuple(moves), EMPTY_PRESENTATION)
         assert replay(cert), "reconstructed certificate must replay"
-        return SearchResult(cert, depth, seen, expanded, None)
+        return SearchResult(cert, depth, seen, expanded, None, tuple(frontier))
 
     if _collapsible(start):
-        return finish([], 0, 1, 0)
+        return finish([], 0, 1, 0, (1,))
 
-    seen = {_state_key(start)}
-    parent: Dict[_State, Tuple[_State, tuple]] = {}
-    depth: Dict[_State, int] = {start: 0}
-    queue = deque([start])
+    # visited key (sorted relators) -> (parent state, edge); None at the start
+    parent: Dict[_State, Optional[Tuple[_State, tuple]]] = {tuple(sorted(start)): None}
     expanded_keys = set()
     expanded = 0
-    limit_hit = None
+    frontier = [1]
 
     def path_to(t: _State):
         edges = []
-        node = t
-        while node in parent:
-            node, edge = parent[node]
+        entry = parent[tuple(sorted(t))]
+        while entry is not None:
+            s, edge = entry
             edges.append(edge)
+            entry = parent[tuple(sorted(s))]
         edges.reverse()
         return edges
 
-    while queue:
-        s = queue.popleft()
-        d = depth[s]
-        if d >= limits.max_depth:
-            limit_hit = limit_hit or "depth"
-            continue
-        key = _state_key(s)
-        assert key not in expanded_keys, "a canonical form was expanded twice"
-        expanded_keys.add(key)
-        expanded += 1
-        for edge, t in _successors(s, limits):
-            k = _state_key(t)
-            if k in seen:
-                continue
-            if len(seen) >= limits.max_states:
-                limit_hit = "states"
-                queue.clear()
-                break
-            seen.add(k)
-            parent[t] = (s, edge)
-            depth[t] = d + 1
-            if _collapsible(t):
-                return finish(path_to(t), d + 1, len(seen), expanded)
-            queue.append(t)
-        else:
-            continue
-        break
-
-    return SearchResult(None, None, len(seen), expanded, limit_hit)
+    # breadth first, one depth at a time; each level keeps insertion order
+    level = [start]
+    for d in range(limits.max_depth):
+        nxt: List[_State] = []
+        for s in level:
+            key = tuple(sorted(s))
+            assert key not in expanded_keys, "a canonical form was expanded twice"
+            expanded_keys.add(key)
+            expanded += 1
+            for edge, t in _successors(s, limits):
+                k = tuple(sorted(t))
+                if k in parent:
+                    continue
+                if len(parent) >= limits.max_states:
+                    return SearchResult(
+                        None, None, len(parent), expanded, "states", tuple(frontier)
+                    )
+                parent[k] = (s, edge)
+                if len(frontier) == d + 1:
+                    frontier.append(0)
+                frontier[d + 1] += 1
+                if _collapsible(t):
+                    return finish(path_to(t), d + 1, len(parent), expanded, frontier)
+                nxt.append(t)
+        if not nxt:
+            return SearchResult(None, None, len(parent), expanded, None, tuple(frontier))
+        level = nxt
+    return SearchResult(None, None, len(parent), expanded, "depth", tuple(frontier))

@@ -84,8 +84,3 @@ def exponent_vector(w: Sequence[int], n_gens: int) -> Tuple[int, ...]:
         vec[g - 1] += 1 if x > 0 else -1
     return tuple(vec)
 
-
-def word_key(w: Sequence[int]) -> Tuple[Tuple[int, bool], ...]:
-    """Sort key ordering letters a < a^-1 < b < b^-1 < ...; use for any
-    lexicographic comparison of words."""
-    return tuple((abs(x), x < 0) for x in w)

@@ -2,11 +2,16 @@
 success, 1 for a negative or inconclusive verdict, 2 for usage or parse
 errors."""
 
+import json
+
 import pytest
 
 from acforge import coset
 from acforge.cli import main
 from acforge.presentation import MAX_LETTERS
+
+DUAL_POINCARE = "< alpha, beta | alpha^2 beta^3, alpha^-1 beta^-2 >"
+AK2 = "< x, y | x^2 y^-3, x y x y^-1 x^-1 y^-1 >"
 
 
 @pytest.fixture
@@ -108,3 +113,44 @@ def test_order_table_enumerates_once(run, tmp_path, monkeypatch):
     )
     rc, _, err = run("order", path, "--table", "--max-cosets", 0)
     assert rc == 2 and "max_cosets" in err
+
+
+def test_acsearch_found_writes_a_certificate_that_verifies(run, tmp_path):
+    path = write(tmp_path, "dp.pres", DUAL_POINCARE)
+    cert = tmp_path / "dp.cert"
+    rc, out, err = run("acsearch", path, "-o", cert)
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("FOUND depth=3 ") and lines[1] == f"WROTE {cert}"
+    assert run("verify-cert", cert) == (0, "OK\n", "")
+
+
+def test_acsearch_not_found_under_state_cap(run, tmp_path):
+    path = write(tmp_path, "ak2.pres", AK2)
+    assert run("acsearch", path, "--max-states", 3000) == (
+        1,
+        "NOT-FOUND\nSTATES-SEEN 3000\nSTATES-EXPANDED 698\nLIMIT states\n",
+        "",
+    )
+    rc, out, _ = run("acsearch", path, "--max-states", 3000, "--format", "json")
+    data = json.loads(out)["data"]
+    assert rc == 1 and data["limit_hit"] == "states"
+    assert data["frontier"][0] == 1 and sum(data["frontier"]) == data["states_seen"] == 3000
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [("< a, b | a >", ()), (DUAL_POINCARE, ("--max-states", 0))],
+    ids=["unbalanced", "zero-states"],
+)
+def test_acsearch_usage_errors(run, tmp_path, text, flags):
+    rc, out, err = run("acsearch", write(tmp_path, "p.pres", text), *flags)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_acsearch_stdout_is_deterministic(run, tmp_path):
+    path = write(tmp_path, "dp.pres", DUAL_POINCARE)
+    first = run("acsearch", path)
+    assert first[0] == 0 and first[1].startswith("FOUND ")
+    assert run("acsearch", path) == first

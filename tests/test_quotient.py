@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -78,6 +79,18 @@ def test_first_witness_is_canonically_least():
     assert w.degree == 2  # found at the smallest degree first
     # at degree 2 the only candidates are () and (1 2); identity is skipped
     assert w.images == ((1, 0),)
+
+
+def test_memory_does_not_grow_with_degree_factorial():
+    # every candidate of degree 8 is tried (only the identity satisfies a);
+    # a list of all 8! = 40320 image tuples alone would take about 5 MB
+    tracemalloc.start()
+    try:
+        assert find_nontrivial_quotient(parse_presentation("< a | a >"), 8) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_max_degree_validation():

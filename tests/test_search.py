@@ -5,22 +5,33 @@ import pytest
 from acforge.moves import Destabilize, replay
 from acforge.presentation import EMPTY_PRESENTATION, Presentation, parse_presentation
 from acforge.search import (
-    CanonicalForm,
     SearchLimits,
-    canonical_form,
+    _code,
+    _signed,
+    _successors,
     canonical_relator,
     search_trivialization,
 )
-from acforge.words import free_reduce, invert, rotate
+from acforge.words import concat, cyclic_reduce, free_reduce, invert, rotate
 
 DUAL_RAPAPORT = parse_presentation(
     "< alpha, beta, gamma | alpha^3 alpha^-2, beta^3 beta^-2, gamma^3 gamma^-2 >"
 )
 DUAL_POINCARE = parse_presentation("< alpha, beta | alpha^2 beta^3, alpha^-1 beta^-2 >")
 TRIVIAL23 = parse_presentation("< a, b | a^-1 b^-2 a b^3, b^-1 a^-2 b a^3 >")
+AK2 = parse_presentation("< x, y | x^2 y^-3, x y x y^-1 x^-1 y^-1 >")
 
 # regression constants, recorded from the first exhaustive run
 DUAL_POINCARE_DEPTH = 3
+
+
+def letter_key(w):
+    """The documented letter order a < a^-1 < b < b^-1 < ..., spelled out."""
+    return tuple((abs(x), x < 0) for x in w)
+
+
+def canonical_relators(p):
+    return tuple(sorted((canonical_relator(r) for r in p.relators), key=letter_key))
 
 
 def test_canonical_relator_brute_force():
@@ -30,14 +41,12 @@ def test_canonical_relator_brute_force():
         got = canonical_relator(w)
         # oracle: enumerate every rotation of the cyclic reduction and of its
         # inverse, order by the documented letter order
-        from acforge.words import cyclic_reduce, word_key
-
         core, _ = cyclic_reduce(w)
         candidates = {core}
         for cand in (core, invert(core)):
             for k in range(len(cand)):
                 candidates.add(rotate(cand, k))
-        assert got == min(candidates, key=word_key)
+        assert got == min(candidates, key=letter_key)
 
 
 def test_canonical_relator_idempotent():
@@ -49,25 +58,107 @@ def test_canonical_relator_idempotent():
 
 
 def test_canonical_form_inversion_symmetry():
-    assert canonical_form(parse_presentation("< a | a^-1 >")) == canonical_form(
+    assert canonical_relators(parse_presentation("< a | a^-1 >")) == canonical_relators(
         parse_presentation("< a | a >")
     )
 
 
 def test_canonical_form_rotation_symmetry_keeps_duplicates():
-    cf = canonical_form(parse_presentation("< a, b | b a, a b >"))
-    assert cf.relators == ((1, 2), (1, 2))
+    assert canonical_relators(parse_presentation("< a, b | b a, a b >")) == ((1, 2), (1, 2))
 
 
 def test_canonical_form_inverse_rotation():
-    cf = canonical_form(parse_presentation("< a, b | b^-1 a^-1, a b >"))
-    assert cf.relators == ((1, 2), (1, 2))
+    assert canonical_relators(parse_presentation("< a, b | b^-1 a^-1, a b >")) == ((1, 2), (1, 2))
 
 
 def test_canonical_form_sorts_relators():
-    cf = canonical_form(parse_presentation("< a, b | b, a >"))
-    assert cf.relators == ((1,), (2,))
-    assert isinstance(cf, CanonicalForm)
+    assert canonical_relators(parse_presentation("< a, b | b, a >")) == ((1,), (2,))
+
+
+def test_letter_code_orders_like_the_letter_key():
+    rng = random.Random(109)
+    words = [
+        free_reduce([rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(rng.randint(0, 6))])
+        for _ in range(200)
+    ]
+    assert sorted(words, key=_code) == sorted(words, key=letter_key)
+    assert all(_signed(_code(w)) == w for w in words)
+
+
+def reference_successors(rels, limits):
+    """The search's transitions on signed words, pruned after canonicalizing."""
+    m, n = len(rels), len(rels)
+    total = sum(len(r) for r in rels)
+    out = []
+    for idx in range(n):
+        if rels[idx] == (m,) and all(
+            all(abs(x) != m for x in r) for k, r in enumerate(rels) if k != idx
+        ):
+            out.append((("destab", idx), tuple(r for k, r in enumerate(rels) if k != idx)))
+    for i in range(n):
+        for j in range(n):
+            if j == i or not rels[j]:
+                continue
+            for delta in (1, -1):
+                for b in range(len(rels[j])):
+                    mult = rotate(rels[j], b)
+                    if delta == -1:
+                        mult = invert(mult)
+                    cw = canonical_relator(concat(rels[i], mult))
+                    if len(cw) > limits.max_relator_letters:
+                        continue
+                    if total - len(rels[i]) + len(cw) > limits.max_total_letters:
+                        continue
+                    out.append((("mul", i, j, b, delta), rels[:i] + (cw,) + rels[i + 1 :]))
+    return out
+
+
+def coded_successors(rels, limits):
+    return [
+        (edge, tuple(_signed(r) for r in t))
+        for edge, t in _successors(tuple(_code(r) for r in rels), limits)
+    ]
+
+
+def test_successors_match_signed_reference():
+    rng = random.Random(113)
+    for trial in range(300):
+        rels = tuple(
+            canonical_relator(
+                free_reduce([rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(0, 9))])
+            )
+            for _ in range(2)
+        )
+        if trial % 3 == 0:  # destabilizable: b alone, and no b in the other relator
+            rels = ((2,), canonical_relator(free_reduce(x for x in rels[1] if abs(x) == 1)))
+        limits = SearchLimits(
+            max_relator_letters=rng.randint(1, 12), max_total_letters=rng.randint(4, 20)
+        )
+        assert coded_successors(rels, limits) == reference_successors(rels, limits)
+
+
+def test_successors_keep_product_whose_cyclic_reduction_fits():
+    # a b^6 . (a b^-6)^-1 = a b^12 a^-1: 14 letters raw, b^12 after cyclic reduction
+    rels = ((1,) + (2,) * 6, (1,) + (-2,) * 6)
+    limits = SearchLimits(max_relator_letters=12)
+    assert len(concat(rels[0], invert(rels[1]))) > limits.max_relator_letters
+    succ = coded_successors(rels, limits)
+    assert (("mul", 0, 1, 0, -1), ((2,) * 12, rels[1])) in succ
+    assert succ == reference_successors(rels, limits)
+    assert (("mul", 0, 1, 0, -1), ((2,) * 12, rels[1])) not in coded_successors(
+        rels, SearchLimits(max_relator_letters=11)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, cap, counts",
+    [(AK2, 3000, (3000, 698)), (TRIVIAL23, 1000, (1000, 495))],
+    ids=["ak2", "trivial23"],
+)
+def test_search_state_counts_pinned(p, cap, counts):
+    r = search_trivialization(p, SearchLimits(max_states=cap))
+    assert (r.states_seen, r.states_expanded, r.limit_hit) == counts + ("states",)
+    assert sum(r.frontier) == r.states_seen
 
 
 def test_search_requires_balanced():
@@ -145,3 +236,14 @@ def test_search_stats_monotone():
     r = search_trivialization(DUAL_POINCARE)
     assert r.states_expanded <= r.states_seen
     assert r.states_seen >= 1
+
+
+def test_search_frontier_counts_states_by_depth():
+    r = search_trivialization(DUAL_POINCARE)
+    assert r.frontier[0] == 1
+    assert len(r.frontier) == r.found_depth + 1
+    assert sum(r.frontier) == r.states_seen
+    assert search_trivialization(EMPTY_PRESENTATION).frontier == (1,)
+    shallow = search_trivialization(TRIVIAL23, SearchLimits(max_depth=2))
+    assert shallow.limit_hit == "depth" and len(shallow.frontier) == 3
+    assert sum(shallow.frontier) == shallow.states_seen
