@@ -12,6 +12,7 @@ algorithm here is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -188,8 +189,7 @@ def cmd_theorem3(args) -> int:
             "bundle": str(d),
             "dual": dual_text,
             "moves": len(kc.trivialization.moves),
-            "insertions": len(kc.augmented.relators)
-            and sum(len(a) - len(s) for a, s in zip(kc.augmented.relators, kc.source.relators)) // 2,
+            "insertions": sum(len(a) - len(s) for a, s in zip(kc.augmented.relators, kc.source.relators)) // 2,
         },
     )
     return 0
@@ -315,7 +315,9 @@ def cmd_corpus(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="acforge",
         description="Andrews-Curtis move calculus on balanced group presentations: "

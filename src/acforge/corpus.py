@@ -98,7 +98,7 @@ ENTRIES: Tuple[CorpusEntry, ...] = (
         text=TRIVIAL23_TEXT,
         order_expectation=TRIVIAL_OR_CAP,
         # the search is expected to fail; a reduced depth keeps the corpus
-        # fast, the full default-limit run lives in the acceptance suite
+        # fast, and no test runs it to the default limits
         ac_trivializable=False,
         search_depth=4,
     ),

@@ -14,7 +14,10 @@ both freedoms: it builds a trivial-group presentation Q realizing the
 transposed matrix (with its trivializing certificate), pads whichever side
 has too few occurrences, and picks the order making the dual of the padded
 P agree with Q letter for letter.  The result certifies that the chosen
-dual presents the trivial group.
+dual presents the trivial group.  P-side pads are appended to the relators
+of the augmented presentation; Q-side surplus is recorded in the witness
+only, as cancelling dual-generator pairs that free reduction removes from
+the dual, so the trivialization is Q's certificate unchanged.
 
 Augmented presentations keep relators as raw (unreduced) letter sequences:
 inserted pairs must stay addressable as occurrences.
@@ -23,10 +26,10 @@ inserted pairs must stay addressable as occurrences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .intmatrix import IntMatrix, exponent_matrix, invariant_factors, determinant
-from .moves import AcCertificate, InsertPair, apply_move
+from .moves import AcCertificate
 from .presentation import (
     NAME_RE,
     Presentation,
@@ -78,17 +81,6 @@ class AugmentedPresentation:
 
     def reduced(self) -> Presentation:
         return Presentation(self.generators, tuple(free_reduce(r) for r in self.relators))
-
-
-@dataclass(frozen=True)
-class PairInsertion:
-    """Splice ``count`` copies of a_gen a_gen^-1 into relator ``relator`` at
-    ``position`` (0-based point in the current raw sequence)."""
-
-    relator: int
-    generator: int
-    count: int
-    position: int
 
 
 @dataclass(frozen=True)
@@ -175,31 +167,6 @@ def transpose_check(p) -> bool:
     return dual_matrix == a.transpose()
 
 
-def insert_pairs(p, insertions: Iterable[PairInsertion]) -> AugmentedPresentation:
-    """Splice cancelling pairs into relators, keeping raw sequences.
-
-    Insertions apply in list order; each position refers to the relator's
-    raw sequence as already augmented by earlier insertions.
-    """
-    gens = p.generators
-    rels = [list(r) for r in p.relators]
-    for ins in insertions:
-        if not 1 <= ins.relator <= len(rels):
-            raise ValueError(f"relator index {ins.relator} out of range")
-        if not 1 <= ins.generator <= len(gens):
-            raise ValueError(f"generator index {ins.generator} out of range")
-        if ins.count < 0:
-            raise ValueError("negative insertion count")
-        r = rels[ins.relator - 1]
-        if not 0 <= ins.position <= len(r):
-            raise ValueError(
-                f"position {ins.position} out of range 0..{len(r)} in relator {ins.relator}"
-            )
-        pair = [ins.generator, -ins.generator] * ins.count
-        rels[ins.relator - 1] = r[: ins.position] + pair + r[ins.position :]
-    return AugmentedPresentation(tuple(gens), tuple(tuple(r) for r in rels))
-
-
 def _signed_counts(relators: Sequence[Word], m: int):
     """plus[g-1][j-1], minus[g-1][j-1]: occurrence counts of generator g in
     relator j by sign."""
@@ -230,54 +197,22 @@ def align(p: Presentation) -> KnotCertificate:
         )
     q, cert = presentation_from_matrix(a.transpose())
 
-    plus_p, minus_p = _signed_counts(p.relators, n)
-    plus_q = [[0] * n for _ in range(n)]  # [i][j]: +j letters in q_i
-    minus_q = [[0] * n for _ in range(n)]
-    for i, r in enumerate(q.relators):
-        for x in r:
-            (plus_q if x > 0 else minus_q)[i][abs(x) - 1] += 1
+    plus_p, minus_p = _signed_counts(p.relators, n)  # [i][j]: a_i in r_j
+    plus_q, minus_q = _signed_counts(q.relators, n)  # [j][i]: x_j in q_i
 
-    # P-side deficits: splice pairs at the end of the short relators
-    insertions: List[PairInsertion] = []
-    extra = [0] * n  # letters appended to relator j so far
+    # s < 0: r_j has -s too few a_i, so append (a_i a_i^-1)^-s to it;
+    # s > 0: q_i has s too few x_j, padded in the witness only
+    rels = [list(r) for r in p.relators]
+    surplus = [[0] * n for _ in range(n)]
     for j in range(n):
         for i in range(n):
-            deficit = plus_q[i][j] - plus_p[i][j]
-            if deficit > 0:
-                assert minus_q[i][j] - minus_p[i][j] == deficit
-                insertions.append(
-                    PairInsertion(
-                        relator=j + 1,
-                        generator=i + 1,
-                        count=deficit,
-                        position=len(p.relators[j]) + extra[j],
-                    )
-                )
-                extra[j] += 2 * deficit
-    augmented = insert_pairs(p, insertions)
-
-    # Q-side surpluses: pad rho_i with cancelling dual-generator pairs.
-    # The moves are identities on stored (reduced) relators, so the dual
-    # presentation is unchanged; they record the padding in the certificate.
-    moves = list(cert.moves)
-    current = q
-    surplus = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = plus_p[i][j] - plus_q[i][j]
-            if s > 0:
-                assert minus_p[i][j] - minus_q[i][j] == s
+            s = plus_p[i][j] - plus_q[j][i]
+            assert minus_p[i][j] - minus_q[j][i] == s
+            if s < 0:
+                rels[j] += [i + 1, -(i + 1)] * -s
+            else:
                 surplus[i][j] = s
-                for _ in range(s):
-                    move = InsertPair(
-                        relator=i + 1,
-                        position=len(current.relators[i]),
-                        generator=j + 1,
-                    )
-                    current = apply_move(current, move)
-                    moves.append(move)
-    assert current == q
-    trivialization = AcCertificate(cert.start, tuple(moves), current)
+    augmented = AugmentedPresentation(p.generators, tuple(tuple(r) for r in rels))
 
     # Witness: realize q_i followed by the surplus pads, consuming each
     # (generator, relator, sign) occurrence class in scan order.
@@ -302,14 +237,14 @@ def align(p: Presentation) -> KnotCertificate:
     witness = OrderingWitness(tuple(per_generator))
 
     dual = dualize(augmented, witness)
-    if dual != current:
+    if dual != q:
         raise AssertionError("alignment failed: dual does not match the built presentation")
     kc = KnotCertificate(
         source=p,
         augmented=augmented,
         witness=witness,
         dual=dual,
-        trivialization=trivialization,
+        trivialization=cert,
     )
     problems = verify_knot_certificate(kc)
     if problems:

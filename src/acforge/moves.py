@@ -1,16 +1,17 @@
 """Executable Andrews-Curtis move calculus with replayable certificates.
 
-The eight moves (five primitives and the inverses that need their own
-encoding) act on presentations whose relators are stored freely reduced.
-Two consequences of eager reduction are deliberate and documented:
+The six moves (four primitives, plus MultiplyRightInverse and Destabilize,
+the inverses that need their own encoding) act on presentations whose
+relators are stored freely reduced.  Inserting or deleting a cancelling
+pair a a^-1 is not a move: on a freely reduced relator it changes nothing,
+so a certificate has nothing to record.  Where such pads matter (the
+occurrences of Theorem 3), they live in the augmented presentation and the
+occurrence witness of the bundle, not here.
 
-* InsertPair/DeletePair are identity maps on stored values (an adjacent
-  cancelling pair reduces away immediately); they carry range checks only
-  and exist so certificates can record pair bookkeeping.
-* CyclicPermute stores the free reduction of the rotated word.  Rotating a
-  relator that is not cyclically reduced strips a conjugating pair, which
-  loses information; such a move has no inverse, and invert_certificate
-  raises if asked to invert through one.
+CyclicPermute stores the free reduction of the rotated word.  Rotating a
+relator that is not cyclically reduced strips a conjugating pair, which
+loses information; such a move has no inverse, and invert_certificate
+raises if asked to invert through one.
 
 A move costs one edit, not a rebuild: apply_move assembles its result with
 ``_trusted``, which skips the validating ``Presentation`` constructor.  That
@@ -21,11 +22,11 @@ range-checked stabilizing word, a subset of the relators), and a new
 generator name comes from ``fresh_generator_name``.
 
 Certificate files are line-based: ``START <presentation>``, one move per
-line, ``END <presentation>``.  Indices are 1-based; insertion positions are
-0-based insertion points into the stored relator.  STAB words are written
+line, ``END <presentation>``.  Indices are 1-based.  STAB words are written
 with generator names, which reading and writing follow from the START
 names alone (STAB appends ``fresh_generator_name``, DESTAB drops the last
-name); neither replays the moves.
+name); neither replays the moves.  Any other keyword, including the pair
+insertion and deletion lines of older files, is rejected as unknown.
 """
 
 from __future__ import annotations
@@ -49,27 +50,6 @@ class MoveError(ValueError):
 
 class CertificateError(ValueError):
     """A certificate is malformed or does not replay."""
-
-
-@dataclass(frozen=True)
-class InsertPair:
-    """Append-or-splice a cancelling pair a_j a_j^-1 into relator i.
-
-    ``inverse_first`` selects a_j^-1 a_j.  Identity on stored (reduced)
-    relators; position must be an insertion point 0..len."""
-
-    relator: int
-    position: int
-    generator: int
-    inverse_first: bool = False
-
-
-@dataclass(frozen=True)
-class DeletePair:
-    """Inverse of InsertPair; identity on stored relators."""
-
-    relator: int
-    position: int
 
 
 @dataclass(frozen=True)
@@ -117,8 +97,6 @@ class Destabilize:
 
 
 AcMove = Union[
-    InsertPair,
-    DeletePair,
     CyclicPermute,
     InvertRelator,
     MultiplyRight,
@@ -168,22 +146,6 @@ def _replace(p: Presentation, i: int, w: Word) -> Presentation:
 
 def apply_move(p: Presentation, move: AcMove) -> Presentation:
     """Apply one move; the edited relator is stored freely reduced."""
-    if isinstance(move, InsertPair):
-        _check_relator_index(p, move.relator)
-        r = p.relators[move.relator - 1]
-        if not 0 <= move.position <= len(r):
-            raise MoveError(f"insertion point {move.position} out of range 0..{len(r)}")
-        if not 1 <= move.generator <= len(p.generators):
-            raise MoveError(f"generator {move.generator} out of range")
-        # free reduction is confluent: a pair spliced into a reduced word
-        # cancels again, leaving the stored relator as it was
-        return p
-    if isinstance(move, DeletePair):
-        _check_relator_index(p, move.relator)
-        r = p.relators[move.relator - 1]
-        if not 0 <= move.position <= len(r):
-            raise MoveError(f"deletion point {move.position} out of range 0..{len(r)}")
-        return p
     if isinstance(move, CyclicPermute):
         _check_relator_index(p, move.relator)
         r = p.relators[move.relator - 1]
@@ -229,12 +191,6 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
 
 def inverse_move(move: AcMove, before: Presentation) -> AcMove:
     """The move undoing ``move``, given the presentation it was applied to."""
-    if isinstance(move, InsertPair):
-        return DeletePair(move.relator, move.position)
-    if isinstance(move, DeletePair):
-        if not before.generators:
-            raise MoveError("cannot invert DeletePair without any generator")
-        return InsertPair(move.relator, move.position, 1)
     if isinstance(move, CyclicPermute):
         return CyclicPermute(move.relator, -move.shift)
     if isinstance(move, InvertRelator):
@@ -324,12 +280,7 @@ def format_certificate(cert: AcCertificate) -> str:
     lines = [f"START {format_presentation(cert.start)}"]
     names: Optional[Tuple[str, ...]] = cert.start.generators
     for step, move in enumerate(cert.moves):
-        if isinstance(move, InsertPair):
-            flag = "-" if move.inverse_first else "+"
-            lines.append(f"INSPAIR {move.relator} {move.position} {move.generator} {flag}")
-        elif isinstance(move, DeletePair):
-            lines.append(f"DELPAIR {move.relator} {move.position}")
-        elif isinstance(move, CyclicPermute):
+        if isinstance(move, CyclicPermute):
             lines.append(f"CYC {move.relator} {move.shift}")
         elif isinstance(move, InvertRelator):
             lines.append(f"INV {move.relator}")
@@ -374,15 +325,8 @@ def parse_certificate(text: str) -> AcCertificate:
         fields = line.split()
         op, args = fields[0], fields[1:]
         try:
-            if op == "INSPAIR":
-                i, pos, g, flag = int(args[0]), int(args[1]), int(args[2]), args[3]
-                if flag not in "+-":
-                    raise ValueError(f"bad pair flag {flag!r}")
-                move: AcMove = InsertPair(i, pos, g, inverse_first=(flag == "-"))
-            elif op == "DELPAIR":
-                move = DeletePair(int(args[0]), int(args[1]))
-            elif op == "CYC":
-                move = CyclicPermute(int(args[0]), int(args[1]))
+            if op == "CYC":
+                move: AcMove = CyclicPermute(int(args[0]), int(args[1]))
             elif op == "INV":
                 (i,) = args
                 move = InvertRelator(int(i))

@@ -12,8 +12,6 @@ from typing import Iterable, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
-EMPTY: Word = ()
-
 
 def free_reduce(letters: Iterable[int]) -> Word:
     """Delete adjacent cancelling pairs until none remain.

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from acforge import coset
-from acforge.cli import main
+from acforge.cli import build_parser, main
 from acforge.presentation import MAX_LETTERS
 
 DUAL_POINCARE = "< alpha, beta | alpha^2 beta^3, alpha^-1 beta^-2 >"
@@ -57,12 +57,17 @@ def test_verify_cert_tampered_move(run, build_cert, tmp_path):
         "START < a | a >\nMULR 1\nEND < a | a >\n",
         "START < a | a >\nSTAB b\nEND < a | a >\n",
         "INV 1\nEND < | >\n",
+        # pair lines of older certificate files are no longer moves
+        "START < a | a >\nINSPAIR 1 0 1 +\nEND < a | a >\n",
+        "START < a | a >\nDELPAIR 1 0\nEND < a | a >\n",
     ],
 )
 def test_verify_cert_malformed(run, tmp_path, text):
     rc, out, err = run("verify-cert", write(tmp_path, "m.cert", text))
     assert (rc, out) == (2, "")
     assert err.startswith("error: ")
+    if "PAIR" in text:
+        assert "unknown move keyword" in err
 
 
 def test_verify_cert_stab_after_invalid_move_is_a_failed_step(run, tmp_path):
@@ -154,3 +159,7 @@ def test_acsearch_stdout_is_deterministic(run, tmp_path):
     first = run("acsearch", path)
     assert first[0] == 0 and first[1].startswith("FOUND ")
     assert run("acsearch", path) == first
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()

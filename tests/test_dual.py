@@ -6,12 +6,10 @@ from acforge.dual import (
     AugmentedPresentation,
     Occurrence,
     OrderingWitness,
-    PairInsertion,
     align,
     default_witness,
     dualize,
     format_witness,
-    insert_pairs,
     occurrence_lists,
     parse_witness,
     read_bundle,
@@ -19,12 +17,15 @@ from acforge.dual import (
     verify_knot_certificate,
     write_bundle,
 )
+from acforge.corpus import higman_presentation
 from acforge.coset import Finite, enumerate_cosets
 from acforge.intmatrix import exponent_matrix
-from acforge.moves import InsertPair, replay, invert_certificate
+from acforge.lemma2 import presentation_from_matrix
+from acforge.moves import replay, invert_certificate
 from acforge.presentation import (
     EMPTY_PRESENTATION,
     Presentation,
+    format_presentation,
     parse_presentation,
 )
 from acforge.words import free_reduce
@@ -140,46 +141,6 @@ def test_double_dual_matrix():
         assert exponent_matrix(dd) == exponent_matrix(p)
 
 
-def test_insert_pairs_zero_is_identity():
-    aug = insert_pairs(POINCARE, [])
-    assert aug.relators == POINCARE.relators
-    assert aug.reduced() == POINCARE
-
-
-def test_insert_pairs_keeps_raw_and_matrix():
-    p = parse_presentation("< a | a >")
-    aug = insert_pairs(p, [PairInsertion(relator=1, generator=1, count=1, position=1)])
-    assert aug.relators == ((1, 1, -1),)
-    assert exponent_matrix(aug).rows == ((1,),)
-    assert aug.reduced() == p
-
-
-def test_insert_pairs_rapaport_matrix_unchanged():
-    rng = random.Random(79)
-    for _ in range(50):
-        insertions = [
-            PairInsertion(
-                relator=rng.randint(1, 3),
-                generator=rng.randint(1, 3),
-                count=rng.randint(0, 2),
-                position=0,
-            )
-            for _ in range(rng.randint(0, 4))
-        ]
-        aug = insert_pairs(RAPAPORT, insertions)
-        assert exponent_matrix(aug).rows == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-        assert aug.reduced() == RAPAPORT
-
-
-def test_insert_pairs_validates():
-    with pytest.raises(ValueError):
-        insert_pairs(RAPAPORT, [PairInsertion(4, 1, 1, 0)])
-    with pytest.raises(ValueError):
-        insert_pairs(RAPAPORT, [PairInsertion(1, 4, 1, 0)])
-    with pytest.raises(ValueError):
-        insert_pairs(RAPAPORT, [PairInsertion(1, 1, 1, 99)])
-
-
 def test_align_single_generator():
     kc = align(parse_presentation("< a | a >"))
     assert kc.dual == Presentation(("x1",), ((1,),))
@@ -206,6 +167,42 @@ def test_align_rapaport():
     assert enumerate_cosets(kc.dual, max_cosets=10_000) == Finite(1)
 
 
+@pytest.mark.parametrize(
+    "p, augmented, witness",
+    [
+        (
+            POINCARE,
+            "< a, b | a b^2 a b^-1, a^4 b a^-1 b >",
+            "1:0:+ 2:0:+ 2:1:+ 1:3:+ 2:2:+ 2:3:+ 2:5:-\n2:4:+ 1:1:+ 2:6:+ 1:2:+ 1:4:-\n",
+        ),
+        (
+            RAPAPORT,
+            "< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >",
+            "2:4:+ 2:5:+ 2:1:- 2:6:+ 2:2:- 3:3:+ 3:0:-\n"
+            "3:4:+ 1:3:+ 1:0:- 3:5:+ 3:1:- 3:6:+ 3:2:-\n"
+            "2:0:- 1:4:+ 2:3:+ 1:5:+ 1:1:- 1:6:+ 1:2:-\n",
+        ),
+        # the only one of the three with P-side pads (appended to r_4)
+        (
+            higman_presentation(4),
+            "< a1, a2, a3, a4 | a1^-1 a2^-1 a1 a2^2, a2^-1 a3^-1 a2 a3^2, "
+            "a3^-1 a4^-1 a3 a4^2, a4^-1 a1^-1 a4 a1^2 a2 a2^-1 a3 a3^-1 >",
+            "4:3:+ 1:2:+ 1:0:- 4:4:+ 4:1:-\n"
+            "4:6:- 1:3:+ 4:5:+ 1:4:+ 1:1:- 2:2:+ 2:0:-\n"
+            "4:7:+ 2:3:+ 4:8:- 2:4:+ 2:1:- 3:2:+ 3:0:-\n"
+            "4:0:- 3:3:+ 4:2:+ 3:4:+ 3:1:-\n",
+        ),
+    ],
+    ids=["poincare", "rapaport", "higman4"],
+)
+def test_align_output_is_pinned(p, augmented, witness):
+    kc = align(p)
+    assert format_presentation(kc.augmented) == augmented
+    assert format_witness(kc.witness) == witness
+    # the trivialization is the Lemma 2 certificate of the transpose, unchanged
+    assert kc.trivialization == presentation_from_matrix(exponent_matrix(p).transpose())[1]
+
+
 def test_align_requires_perfect():
     with pytest.raises(ValueError, match="not perfect"):
         align(parse_presentation("< a, b | a b, a b >"))
@@ -221,7 +218,6 @@ def test_align_empty_presentation():
 
 def test_align_random_perfect_presentations():
     # start from duals of unimodular constructions, which are perfect by design
-    from acforge.lemma2 import presentation_from_matrix
     from tests.test_lemma2 import random_unimodular
 
     rng = random.Random(83)
