@@ -4,9 +4,6 @@ Exit codes: 0 success, 1 negative or inconclusive verdict (NOT-FOUND,
 CAP-EXCEEDED, EXHAUSTED, a false predicate, a failed check), 2 usage or
 parse errors.  All outputs are deterministic byte-for-byte for identical
 inputs and flags; timings appear in json output only with --timings.
-
-The environment variable FORGE_SEED is reserved and ignored: every
-algorithm here is deterministic.
 """
 
 from __future__ import annotations

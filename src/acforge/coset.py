@@ -37,6 +37,15 @@ class CapExceeded(NamedTuple):
 EnumerationResult = Union[Finite, CapExceeded]
 
 
+def column(x: int) -> int:
+    """Table column of the signed letter x: 2(g-1) for g, 2(g-1)+1 for g^-1.
+
+    A letter and its inverse differ in the lowest bit, so ``c ^ 1`` is the
+    inverse column of c.
+    """
+    return 2 * (abs(x) - 1) + (x < 0)
+
+
 @dataclass
 class CosetTable:
     """Closed table: per live coset, the successor under g and g^-1.
@@ -54,14 +63,8 @@ class CosetTable:
 
     def generator_permutation(self, g: int) -> Tuple[int, ...]:
         """Action of generator g (1-based) on cosets, as an image tuple."""
-        col = 2 * (g - 1)
+        col = column(g)
         return tuple(row[col] for row in self.rows)
-
-    def trace(self, coset: int, word) -> int:
-        for x in word:
-            col = 2 * (abs(x) - 1) + (0 if x > 0 else 1)
-            coset = self.rows[coset][col]
-        return coset
 
 
 class _Enumerator:
@@ -70,11 +73,7 @@ class _Enumerator:
             raise ValueError("max_cosets must be >= 1")
         self.ngens = len(p.generators)
         self.ncols = 2 * self.ngens
-        # relators as column-index words
-        self.relators = [
-            [2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in r] for r in p.relators
-        ]
-        self.inv_col = [c + 1 if c % 2 == 0 else c - 1 for c in range(self.ncols)]
+        self.relators = [[column(x) for x in r] for r in p.relators]
         self.max_cosets = max_cosets
         self.table: List[List[Optional[int]]] = [[None] * self.ncols]
         self.p: List[int] = [0]  # union-find parents, p[a] <= a
@@ -103,7 +102,7 @@ class _Enumerator:
         self.p.append(beta)
         self.live += 1
         self.table[alpha][col] = beta
-        self.table[beta][self.inv_col[col]] = alpha
+        self.table[beta][col ^ 1] = alpha
         return True
 
     def merge(self, k: int, lam: int, queue: Deque[int]):
@@ -124,15 +123,15 @@ class _Enumerator:
                 if delta is None:
                     continue
                 # drop the back-reference delta --inv(col)--> gamma
-                self.table[delta][self.inv_col[col]] = None
+                self.table[delta][col ^ 1] = None
                 mu, nu = self.rep(gamma), self.rep(delta)
                 if self.table[mu][col] is not None:
                     self.merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][self.inv_col[col]] is not None:
-                    self.merge(mu, self.table[nu][self.inv_col[col]], queue)
+                elif self.table[nu][col ^ 1] is not None:
+                    self.merge(mu, self.table[nu][col ^ 1], queue)
                 else:
                     self.table[mu][col] = nu
-                    self.table[nu][self.inv_col[col]] = mu
+                    self.table[nu][col ^ 1] = mu
 
     def scan_and_fill(self, alpha: int, word: List[int]) -> bool:
         """Scan relator ``word`` from alpha, defining cosets to close the gap.
@@ -150,15 +149,15 @@ class _Enumerator:
                 if f != b:
                     self.coincidence(f, b)
                 return True
-            while j >= i and table[b][self.inv_col[word[j]]] is not None:
-                b = table[b][self.inv_col[word[j]]]
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = table[b][word[j] ^ 1]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return True
             if j == i:  # deduction closes the scan
                 table[f][word[i]] = b
-                table[b][self.inv_col[word[i]]] = f
+                table[b][word[i] ^ 1] = f
                 return True
             if not self.define(f, word[i]):
                 return False
@@ -216,18 +215,24 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     """Soundness checks: inverse consistency, permutation columns, relator traces."""
     problems = []
     n = t.order
+    rows = t.rows
     for g in range(1, t.n_generators + 1):
         fwd = t.generator_permutation(g)
         if sorted(fwd) != list(range(n)):
             problems.append(f"generator {g} does not act as a permutation")
             continue
+        back = column(-g)
         for c in range(n):
-            if t.rows[fwd[c]][2 * (g - 1) + 1] != c:
+            if rows[fwd[c]][back] != c:
                 problems.append(f"g then g^-1 does not return to start (g={g}, coset={c})")
                 break
     for k, r in enumerate(p.relators, start=1):
+        word = [column(x) for x in r]
         for c in range(n):
-            if t.trace(c, r) != c:
+            d = c
+            for col in word:
+                d = rows[d][col]
+            if d != c:
                 problems.append(f"relator {k} does not fix coset {c}")
                 break
     return problems

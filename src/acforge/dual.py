@@ -160,13 +160,6 @@ def dualize(p, w: OrderingWitness | None = None) -> Presentation:
     return Presentation(dual_generator_names(n), relators)
 
 
-def transpose_check(p) -> bool:
-    """Self-check: the default dual's exponent matrix equals A^T exactly."""
-    a = exponent_matrix(p)  # raw and reduced relators count the same
-    dual_matrix = exponent_matrix(dualize(p, default_witness(p)))
-    return dual_matrix == a.transpose()
-
-
 def _signed_counts(relators: Sequence[Word], m: int):
     """plus[g-1][j-1], minus[g-1][j-1]: occurrence counts of generator g in
     relator j by sign."""

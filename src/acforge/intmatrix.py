@@ -241,11 +241,6 @@ def invariant_factors(a: IntMatrix) -> Tuple[int, ...]:
     return smith_normal_form(a)[0]
 
 
-def nonunit_factors(a: IntMatrix) -> Tuple[int, ...]:
-    """Invariant factors other than 1, sorted; the AC-move invariant."""
-    return tuple(sorted(f for f in invariant_factors(a) if f != 1))
-
-
 def is_perfect_presentation(p: Presentation) -> bool:
     """True iff the abelianization presented by the exponent matrix is trivial."""
     facs = invariant_factors(exponent_matrix(p))

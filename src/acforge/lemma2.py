@@ -37,23 +37,6 @@ class RowAdd:
 ElementaryOp = Union[RowNegate, RowAdd]
 
 
-def apply_ops(ops, n: int) -> IntMatrix:
-    """Apply elementary ops in order to the n x n identity."""
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for op in ops:
-        if isinstance(op, RowNegate):
-            i = op.row - 1
-            rows[i] = [-x for x in rows[i]]
-        elif isinstance(op, RowAdd):
-            s, t = op.source - 1, op.target - 1
-            if s == t:
-                raise ValueError("RowAdd with source == target")
-            rows[t] = [a + b for a, b in zip(rows[t], rows[s])]
-        else:
-            raise ValueError(f"unknown op {op!r}")
-    return IntMatrix(rows, ncols=n)
-
-
 def _require_unimodular(a: IntMatrix) -> int:
     if not a.is_square():
         raise ValueError(f"matrix is {a.nrows}x{a.ncols}, not square")

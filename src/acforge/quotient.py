@@ -1,22 +1,45 @@
-"""Nontriviality certificates via homomorphisms onto permutation groups.
+"""Nontriviality certificates via low-index subgroups.
 
-Backtracking over generator-image tuples in S_2, S_3, ..., S_d in a fixed
-canonical order (itertools.permutations is lexicographic over image
-tuples).  A partial assignment is pruned as soon as a relator whose
-generators are all assigned fails to evaluate to the identity.  The first
-surviving assignment with a non-identity image is the witness; exhaustion
-means only "no nontrivial quotient of degree <= d", never "trivial group".
+A group G has a homomorphism onto a nontrivial permutation group of degree
+at most d if and only if it has a subgroup of index 2..d.  Given such a map,
+the stabilizer of a point that the image moves has index equal to the size
+of that point's orbit, which is 2..d.  Conversely, G acts on the cosets of a
+subgroup of index k as a transitive, hence nontrivial, subgroup of S_k.  So
+the search runs over subgroups, not over image tuples (Sims, "Computation
+with Finitely Presented Groups", 1994; Holt, Eick, O'Brien, "Handbook of
+Computational Group Theory", ch. 5).
+
+For each bound k = 2, 3, ..., d a depth-first backtrack builds partial coset
+tables with at most k rows, coset 0 being the subgroup.  It fills the first
+undefined entry in row-major order with each existing coset whose inverse
+slot is free, then with the next new coset while fewer than k exist.  After
+each fill it scans, from the coset filled, the cyclic conjugates of the
+relators and of their inverses that start with the filled column; a scan
+with one gap left fills it (a deduction, scanned in turn), and a scan that
+closes on the wrong coset is a conflict.  Every entry set goes on a trail,
+and a conflict undoes the trail back to the choice.  New cosets are numbered
+in order of first appearance, so each subgroup has exactly one table and the
+search order is fixed.
+
+The first closed table with at least two rows is the witness: its generator
+columns are the images and its row count is the degree.  Bounds run upward,
+so the degree is the least degree of a nontrivial permutation image, and a
+larger d returns the same witness.  A bound that never refuses a new coset
+has seen every subgroup of finite index, so the search stops there.
+Exhaustion means only "no nontrivial quotient of degree <= d", never
+"trivial group".
 
 Permutations are image tuples over 0..d-1 internally; cycle notation is
-1-based for display.
+1-based for display.  The order of the image group is computed by
+Schreier-Sims, so it needs no list of the group's elements.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .coset import CosetTable, column
 from .presentation import Presentation
 
 Permutation = Tuple[int, ...]
@@ -47,20 +70,63 @@ def evaluate_word(word, images: Sequence[Permutation], degree: int) -> Permutati
 
 
 def permutation_group_order(gens: Sequence[Permutation], degree: int) -> int:
-    """Order of <gens> by multiplication-table closure; fine at degree <= 7."""
+    """Order of <gens>: the product of the basic orbit lengths of a base and
+    strong generating set built by deterministic Schreier-Sims (Holt, Eick,
+    O'Brien, "Handbook", sec. 4.4.2)."""
     identity = identity_perm(degree)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = multiply(p, q)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return len(seen)
+    base: List[int] = []
+    strong: List[List[Permutation]] = []  # strong[i] fixes base[:i] pointwise
+    orbits: List[Dict[int, Permutation]] = []  # point -> element taking base[i] there
+
+    def add_generator(h: Permutation, top: int, level: int) -> None:
+        """Add h (it fixes base[:top]) to levels level..top and refresh them."""
+        if top == len(base):
+            base.append(next(x for x in range(degree) if h[x] != x))
+            strong.append([])
+            orbits.append({})
+        for i in range(level, top + 1):
+            strong[i].append(h)
+            u = {base[i]: identity}
+            queue = [base[i]]
+            for x in queue:
+                for s in strong[i]:
+                    if s[x] not in u:
+                        u[s[x]] = multiply(u[x], s)
+                        queue.append(s[x])
+            orbits[i] = u
+
+    def sift(h: Permutation, level: int) -> Tuple[Permutation, int]:
+        while level < len(base):
+            u = orbits[level].get(h[base[level]])
+            if u is None:
+                break
+            h = multiply(h, inverse(u))
+            level += 1
+        return h, level
+
+    for g in gens:
+        h, top = sift(g, 0)
+        if h != identity:
+            add_generator(h, top, 0)
+    level = len(base) - 1
+    while level >= 0:
+        for x, u in list(orbits[level].items()):
+            for s in list(strong[level]):
+                v = orbits[level][s[x]]
+                h, top = sift(multiply(multiply(u, s), inverse(v)), level + 1)
+                if h != identity:
+                    add_generator(h, top, level + 1)
+                    level = top
+                    break
+            else:
+                continue
+            break
+        else:
+            level -= 1
+    order = 1
+    for u in orbits:
+        order *= len(u)
+    return order
 
 
 def cycle_notation(p: Permutation) -> str:
@@ -103,54 +169,125 @@ def verify_witness(p: Presentation, w: FiniteQuotientWitness) -> bool:
     return permutation_group_order(w.images, w.degree) == w.image_order
 
 
-def _first_images(by_last: List[List], m: int, degree: int) -> Optional[Tuple[Permutation, ...]]:
-    """Depth-first over image tuples in canonical order.  The stack holds one
-    lazy candidate iterator per assigned generator, so the depth (the
-    generator count) is not bounded by the interpreter's recursion limit and
-    no list of all degree! permutations is held."""
-    identity = identity_perm(degree)
-    images: List[Permutation] = []
-    stack = [itertools.permutations(identity)]
-    while stack:
-        for cand in stack[-1]:
-            images.append(cand)
-            if all(evaluate_word(r, images, degree) == identity for r in by_last[len(images)]):
+Table = List[List[Optional[int]]]
+
+
+def _words_by_column(p: Presentation, ncols: int) -> List[List[Tuple[int, ...]]]:
+    """Per column c, the distinct cyclic conjugates of the relators and of
+    their inverses that start with c, as column words."""
+    words: List[Dict[Tuple[int, ...], None]] = [{} for _ in range(ncols)]
+    for r in p.relators:
+        w = [column(x) for x in r]
+        for word in (w, [c ^ 1 for c in reversed(w)]):
+            for i in range(len(word)):
+                words[word[i]][tuple(word[i:] + word[:i])] = None
+    return [list(d) for d in words]
+
+
+def _fill(
+    table: Table, trail: List[Tuple[int, int]], words_by_col, x: int, c: int, y: int
+) -> bool:
+    """Set x --c--> y, then scan and deduce; False on a conflict.  Every entry
+    set is on the trail, so the caller undoes a conflict."""
+    table[x][c] = y
+    table[y][c ^ 1] = x
+    trail.append((x, c))
+    pending = [(x, c)]
+    while pending:
+        x, c = pending.pop()
+        for w in words_by_col[c]:
+            f, i, n = x, 0, len(w)
+            while i < n and table[f][w[i]] is not None:
+                f = table[f][w[i]]
+                i += 1
+            if i == n:
+                if f != x:
+                    return False
+                continue
+            b, j = x, n - 1
+            while j > i and table[b][w[j] ^ 1] is not None:
+                b = table[b][w[j] ^ 1]
+                j -= 1
+            if j == i:  # one gap left: f --w[i]--> b
+                d = w[i]
+                if table[b][d ^ 1] is not None:
+                    return False
+                table[f][d] = b
+                table[b][d ^ 1] = f
+                trail.append((f, d))
+                pending.append((f, d))
+    return True
+
+
+def _undo(table: Table, trail: List[Tuple[int, int]], mark: int) -> None:
+    while len(trail) > mark:
+        x, c = trail.pop()
+        table[table[x][c]][c ^ 1] = None
+        table[x][c] = None
+
+
+def _low_index_table(words_by_col, ncols: int, bound: int) -> Tuple[Optional[Table], bool]:
+    """The first closed table with 2..bound rows in search order, or None;
+    and whether the bound ever refused a new coset.
+
+    Cosets 0..n-1 are defined.  Rows are allocated only as cosets are
+    defined; rows n.. are blank after an undo and are kept for reuse.
+    """
+    table: Table = [[None] * ncols]
+    n = 1
+    trail: List[Tuple[int, int]] = []
+    choices: List[List[int]] = []  # [row, column, next candidate, trail mark, n]
+    refused = False
+    x = c = 0
+    while True:
+        while x < n and table[x][c] is not None:  # first undefined entry
+            c += 1
+            if c == ncols:
+                x, c = x + 1, 0
+        if x < n:
+            choices.append([x, c, 0, len(trail), n])
+        elif n >= 2:
+            return table[:n], refused
+        while True:  # next candidate of the innermost choice
+            if not choices:
+                return None, refused
+            choice = choices[-1]
+            x, c, y, mark, n = choice
+            _undo(table, trail, mark)
+            while y < n and table[y][c ^ 1] is not None:
+                y += 1
+            if y == n and n == bound:
+                refused = True
+                y += 1
+            if y > n:
+                choices.pop()
+                continue
+            choice[2] = y + 1
+            if y == n:
+                if n == len(table):
+                    table.append([None] * ncols)
+                n += 1
+            if _fill(table, trail, words_by_col, x, c, y):
                 break
-            images.pop()
-        else:  # candidates exhausted: back up to the previous generator
-            stack.pop()
-            if images:
-                images.pop()
-            continue
-        if len(images) < m:
-            stack.append(itertools.permutations(identity))
-        elif any(img != identity for img in images):
-            return tuple(images)
-        else:
-            images.pop()
-    return None
 
 
 def find_nontrivial_quotient(
     p: Presentation, max_degree: int = 7
 ) -> Optional[FiniteQuotientWitness]:
-    """First witness in canonical order, or None (exhausted up to max_degree)."""
+    """The action on the cosets of the first subgroup of least index 2..max_degree,
+    or None (exhausted up to max_degree)."""
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     m = len(p.generators)
     if m == 0:
         return None
-    # relators become checkable once their highest generator is assigned
-    by_last: List[List] = [[] for _ in range(m + 1)]
-    for r in p.relators:
-        top = max((abs(x) for x in r), default=0)
-        by_last[top].append(r)
-    for degree in range(2, max_degree + 1):
-        found = _first_images(by_last, m, degree)
-        if found is not None:
-            return FiniteQuotientWitness(
-                degree=degree,
-                images=found,
-                image_order=permutation_group_order(found, degree),
-            )
+    words_by_col = _words_by_column(p, 2 * m)
+    for bound in range(2, max_degree + 1):
+        table, refused = _low_index_table(words_by_col, 2 * m, bound)
+        if table is not None:
+            t = CosetTable(m, tuple(map(tuple, table)))
+            images = tuple(t.generator_permutation(g) for g in range(1, m + 1))
+            return FiniteQuotientWitness(t.order, images, permutation_group_order(images, t.order))
+        if not refused:
+            break
     return None

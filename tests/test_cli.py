@@ -12,6 +12,9 @@ from acforge.presentation import MAX_LETTERS
 
 DUAL_POINCARE = "< alpha, beta | alpha^2 beta^3, alpha^-1 beta^-2 >"
 AK2 = "< x, y | x^2 y^-3, x y x y^-1 x^-1 y^-1 >"
+POINCARE = "< a, b | a b^2 a b^-1, a^4 b a^-1 b >"
+RAPAPORT = "< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >"
+UNDECLARED = "< a | b >"
 
 
 @pytest.fixture
@@ -91,6 +94,11 @@ def test_quotient_many_generators_exhausts(run, tmp_path):
     assert run("quotient", path, "--max-degree", 2) == (1, "EXHAUSTED 2\n", "")
 
 
+def test_quotient_rapaport_exhausts_at_default_degree(run, tmp_path):
+    # Rapaport's group is nontrivial, but it has no subgroup of index 2..7
+    assert run("quotient", write(tmp_path, "rap.pres", RAPAPORT)) == (1, "EXHAUSTED 7\n", "")
+
+
 def test_parse_letter_cap(run, tmp_path):
     rc, out, err = run("parse", write(tmp_path, "big.pres", f"< a | a^{10 * MAX_LETTERS} >"))
     assert (rc, out) == (2, "")
@@ -163,3 +171,69 @@ def test_acsearch_stdout_is_deterministic(run, tmp_path):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "command, text, rc, stdout",
+    [
+        ("balanced", POINCARE, 0, "BALANCED true\n"),
+        ("balanced", "< a, b | a^2 >", 1, "BALANCED false\n"),
+        ("matrix", POINCARE, 0, "2 2\n2 1\n3 2\n"),
+        ("perfect", POINCARE, 0, "PERFECT true\n"),
+        ("perfect", "< a | a^2 >", 1, "PERFECT false\n"),
+        ("dualize", POINCARE, 0, "< x1, x2 | x1^2 x2^3, x1 x2^2 >\n"),
+    ],
+)
+def test_presentation_command_verdicts(run, tmp_path, command, text, rc, stdout):
+    path = write(tmp_path, "p.pres", text)
+    assert run(command, path) == (rc, stdout, "")
+    assert run(command, path) == (rc, stdout, "")
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("balanced", UNDECLARED, "undeclared generator"),
+        ("matrix", UNDECLARED, "undeclared generator"),
+        ("perfect", UNDECLARED, "undeclared generator"),
+        ("dualize", UNDECLARED, "undeclared generator"),
+        ("dualize", "< a, b | a^2 >", "not balanced"),
+        ("theorem3", UNDECLARED, "undeclared generator"),
+        ("theorem3", "< a | a^2 >", "not perfect"),
+    ],
+)
+def test_presentation_command_errors(run, tmp_path, command, text, message):
+    extra = ("-o", tmp_path / "bundle") if command == "theorem3" else ()
+    rc, out, err = run(command, write(tmp_path, "bad.pres", text), *extra)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_snf(run, tmp_path):
+    path = write(tmp_path, "m.mat", "2 2\n2 1\n1 1\n")
+    expected = "FACTORS 1 1\nU\n2 2\n1 0\n1 -1\nV\n2 2\n0 1\n1 -2\n"
+    assert run("snf", path) == (0, expected, "")
+    assert run("snf", path) == (0, expected, "")
+    rc, out, err = run("snf", write(tmp_path, "bad.mat", "2 2\n1 7\n"))
+    assert (rc, out) == (2, "") and err.startswith("error: ")
+
+
+def test_theorem3_bundle_is_deterministic(run, tmp_path):
+    path = write(tmp_path, "p.pres", POINCARE)
+    bundle = tmp_path / "bundle"
+    expected = f"WROTE {bundle}\nDUAL < x1, x2 | x1 x2^2 x1 x2, x2 x1 x2 >\nMOVES 23\n"
+    assert run("theorem3", path, "-o", bundle) == (0, expected, "")
+    files = {f.name: f.read_bytes() for f in bundle.iterdir()}
+    assert run("theorem3", path, "-o", bundle) == (0, expected, "")
+    assert {f.name: f.read_bytes() for f in bundle.iterdir()} == files
+
+
+def test_corpus_family(run):
+    higman = (
+        "< a1, a2, a3, a4 | a1^-1 a2^-1 a1 a2^2, a2^-1 a3^-1 a2 a3^2, "
+        "a3^-1 a4^-1 a3 a4^2, a4^-1 a1^-1 a4 a1^2 >\n"
+    )
+    assert run("corpus", "--family", "higman", "--m", 4) == (0, higman, "")
+    assert run("corpus", "--family", "higman", "--m", 4) == (0, higman, "")
+    rc, out, err = run("corpus", "--family", "higman23", "--m", 0)
+    assert (rc, out) == (2, "") and "m must be >= 1" in err

@@ -13,7 +13,6 @@ from acforge.dual import (
     occurrence_lists,
     parse_witness,
     read_bundle,
-    transpose_check,
     verify_knot_certificate,
     write_bundle,
 )
@@ -32,6 +31,11 @@ from acforge.words import free_reduce
 
 RAPAPORT = parse_presentation("< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >")
 POINCARE = parse_presentation("< a, b | a b^2 a b^-1, a^4 b a^-1 b >")
+
+
+def transpose_check(p):
+    """The default dual's exponent matrix equals A^T exactly."""
+    return exponent_matrix(dualize(p, default_witness(p))) == exponent_matrix(p).transpose()
 
 
 def random_balanced(rng, max_gens=4, max_len=10):

@@ -6,7 +6,6 @@ from acforge.intmatrix import IntMatrix, determinant, exponent_matrix
 from acforge.lemma2 import (
     RowAdd,
     RowNegate,
-    apply_ops,
     decompose_unimodular,
     presentation_from_matrix,
 )
@@ -18,6 +17,19 @@ from acforge.moves import (
     replay,
 )
 from acforge.presentation import EMPTY_PRESENTATION, total_letters
+
+
+def apply_ops(ops, n):
+    """Apply elementary ops in order to the n x n identity."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for op in ops:
+        if isinstance(op, RowNegate):
+            i = op.row - 1
+            rows[i] = [-x for x in rows[i]]
+        else:
+            s, t = op.source - 1, op.target - 1
+            rows[t] = [a + b for a, b in zip(rows[t], rows[s])]
+    return IntMatrix(rows, ncols=n)
 
 
 def random_unimodular(rng, n, n_ops=20):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from acforge.intmatrix import IntMatrix, exponent_matrix, nonunit_factors
+from acforge.intmatrix import IntMatrix, exponent_matrix, invariant_factors
 from acforge.lemma2 import presentation_from_matrix
 from acforge.moves import (
     AcCertificate,
@@ -23,6 +23,11 @@ from acforge.moves import (
     replay_trace,
 )
 from acforge.presentation import EMPTY_PRESENTATION, Presentation, parse_presentation
+
+
+def nonunit_factors(a):
+    """Invariant factors other than 1, sorted; the AC-move invariant."""
+    return tuple(sorted(f for f in invariant_factors(a) if f != 1))
 from acforge.words import free_reduce, is_cyclically_reduced
 
 

@@ -1,9 +1,12 @@
 import itertools
+import random
+import time
 import tracemalloc
 
 import pytest
 
-from acforge.presentation import parse_presentation
+from acforge.corpus import higman_presentation
+from acforge.presentation import Presentation, parse_presentation
 from acforge.quotient import (
     FiniteQuotientWitness,
     cycle_notation,
@@ -15,6 +18,7 @@ from acforge.quotient import (
     permutation_group_order,
     verify_witness,
 )
+from tests.test_coset import perm_closure
 
 POINCARE = parse_presentation("< a, b | a b^2 a b^-1, a^4 b a^-1 b >")
 RAPAPORT = parse_presentation("< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >")
@@ -122,3 +126,119 @@ def test_verify_witness_rejects_junk():
     assert not verify_witness(p, FiniteQuotientWitness(2, ((1, 0),), 7))
     q = parse_presentation("< a | a^3 >")
     assert not verify_witness(q, FiniteQuotientWitness(2, ((1, 0),), 2))
+
+
+# --- reference: the image-tuple search that the low-index backtrack replaced ---
+
+
+def reference_quotient(p, max_degree):
+    """Least degree d <= max_degree with relator-satisfying images in S_d that
+    are not all the identity, and the first such images in lexicographic
+    order of image tuples; None when there are none.  Depth first over
+    generators, pruning a partial assignment as soon as a relator whose
+    generators are all assigned fails."""
+    m = len(p.generators)
+    by_last = [[] for _ in range(m + 1)]
+    for r in p.relators:
+        by_last[max((abs(x) for x in r), default=0)].append(r)
+    for degree in range(2, max_degree + 1):
+        identity = identity_perm(degree)
+        images = []
+        stack = [itertools.permutations(identity)] if m else []
+        while stack:
+            for cand in stack[-1]:
+                images.append(cand)
+                if all(evaluate_word(r, images, degree) == identity for r in by_last[len(images)]):
+                    break
+                images.pop()
+            else:
+                stack.pop()
+                if images:
+                    images.pop()
+                continue
+            if len(images) < m:
+                stack.append(itertools.permutations(identity))
+            elif any(img != identity for img in images):
+                return degree, tuple(images)
+            else:
+                images.pop()
+    return None
+
+
+def random_presentation(rng):
+    m = rng.randint(1, 3)
+    letters = [x for g in range(1, m + 1) for x in (g, -g)]
+    relators = [
+        [rng.choice(letters) for _ in range(rng.randint(1, 7))] for _ in range(rng.randint(1, 3))
+    ]
+    return Presentation(tuple("abc"[:m]), tuple(relators))
+
+
+def test_low_index_agrees_with_image_tuple_search():
+    rng = random.Random(2001)
+    found = 0
+    for _ in range(300):
+        p = random_presentation(rng)
+        max_degree = rng.randint(2, 4)
+        expected = reference_quotient(p, max_degree)
+        w = find_nontrivial_quotient(p, max_degree)
+        assert (w is None) == (expected is None), p
+        if w is not None:
+            found += 1
+            assert w.degree == expected[0], p
+            assert verify_witness(p, w), p
+            assert w.image_order == len(perm_closure(w.images))
+    assert 100 < found < 300  # both verdicts are exercised
+
+
+def test_witness_is_the_action_on_cosets():
+    # the images act transitively: a point orbit is the whole degree
+    w = find_nontrivial_quotient(POINCARE, 5)
+    orbit = {0}
+    while True:
+        grown = orbit | {img[x] for img in w.images for x in orbit}
+        if grown == orbit:
+            break
+        orbit = grown
+    assert orbit == set(range(5))
+
+
+def test_higman_exhausts_at_degree_5():
+    assert find_nontrivial_quotient(higman_presentation(4, (1, 2)), 5) is None
+
+
+def test_no_allocation_by_max_degree():
+    # no subgroup of index > 1 is ever reachable, so the search stops at the
+    # first bound that refused no new coset
+    tracemalloc.start()
+    try:
+        assert find_nontrivial_quotient(parse_presentation("< a | a >"), 10**9) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+
+
+def test_group_order_agrees_with_closure():
+    rng = random.Random(11)
+    for _ in range(200):
+        degree = rng.randint(1, 6)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            img = list(range(degree))
+            if rng.random() < 0.7:
+                rng.shuffle(img)
+            else:  # a single transposition or the identity: small groups too
+                i, j = rng.randrange(degree), rng.randrange(degree)
+                img[i], img[j] = img[j], img[i]
+            gens.append(tuple(img))
+        assert permutation_group_order(gens, degree) == len(perm_closure(gens)), gens
+
+
+def test_group_order_of_s10_without_enumeration():
+    transposition = (1, 0) + tuple(range(2, 10))
+    long_cycle = tuple(range(1, 10)) + (0,)
+    start = time.perf_counter()
+    assert permutation_group_order([transposition, long_cycle], 10) == 3628800
+    assert time.perf_counter() - start < 0.5
+    assert permutation_group_order([long_cycle], 10) == 10
