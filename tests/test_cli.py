@@ -3,6 +3,8 @@ success, 1 for a negative or inconclusive verdict, 2 for usage or parse
 errors."""
 
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -126,6 +128,68 @@ def test_order_table_enumerates_once(run, tmp_path, monkeypatch):
     )
     rc, _, err = run("order", path, "--table", "--max-cosets", 0)
     assert rc == 2 and "max_cosets" in err
+
+
+def test_order_table_standard_numbering(run, tmp_path):
+    # coset 1 first, then cosets in order of first appearance, row by row
+    assert run("order", write(tmp_path, "s3.pres", "< a, b | a^2, b^3, a b a b >"), "--table") == (
+        0,
+        "ORDER 6\n1: 2 2 3 4\n2: 1 1 5 6\n3: 6 6 4 1\n4: 5 5 1 3\n5: 4 4 6 2\n6: 3 3 2 5\n",
+        "",
+    )
+
+
+def test_order_table_depends_only_on_the_group(run, tmp_path):
+    # Coxeter S4, relators shuffled, rotated, inverted, s^2 written as s^-2
+    rels = [[1, 1], [2, 2], [3, 3], [1, 2] * 3, [2, 3] * 3, [1, 3] * 2]
+    names = ("s1", "s2", "s3")
+
+    def text(rels):
+        words = [" ".join(f"{names[abs(x) - 1]}^{x // abs(x)}" for x in r) for r in rels]
+        return f"< {', '.join(names)} | {', '.join(words)} >"
+
+    _, expected, _ = run("order", write(tmp_path, "s4.pres", text(rels)), "--table")
+    assert expected.startswith("ORDER 24\n") and len(expected.splitlines()) == 25
+    rng = random.Random(4)
+    for k in range(20):
+        variant = []
+        for r in rels:
+            s = rng.randrange(len(r))
+            r = r[s:] + r[:s]
+            variant.append([-x for x in reversed(r)] if rng.random() < 0.5 else r)
+        rng.shuffle(variant)
+        path = write(tmp_path, f"v{k}.pres", text(variant))
+        assert run("order", path, "--table") == (0, expected, "")
+
+
+def test_order_slot_budget_caps_many_generators(run, tmp_path):
+    # 500 generators: a row is 1001 slots, so the default coset cap alone
+    # would allow a table of about 8 GB
+    names = ", ".join(f"a{i}" for i in range(1, 501))
+    path = write(tmp_path, "wide.pres", f"< {names} | >")
+    tracemalloc.start()
+    try:
+        rc, out, err = run("order", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, err) == (1, "") and out.startswith("CAP-EXCEEDED ")
+    assert peak < 10 * coset.MAX_TABLE_SLOTS
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 3\n1 0 0\n0 1 0\n", "not square"),
+        ("2 2\n2 0\n0 1\n", "not unimodular"),
+        ("2 2\n1 x\n0 1\n", "invalid literal"),
+    ],
+    ids=["non-square", "determinant-2", "non-integer"],
+)
+def test_lemma2_malformed_matrix(run, tmp_path, text, message):
+    rc, out, err = run("lemma2", write(tmp_path, "bad.mat", text))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_acsearch_found_writes_a_certificate_that_verifies(run, tmp_path):

@@ -1,16 +1,23 @@
 import random
+from collections import deque
 
 import pytest
 
+from acforge import coset
 from acforge.coset import (
     CapExceeded,
     Finite,
+    _Enumerator,
+    column,
     coset_table,
     enumerate_cosets,
     validate_table,
 )
 from acforge.presentation import Presentation, parse_presentation
 from acforge.words import free_reduce
+
+
+COXETER_S4 = "< s1, s2, s3 | s1^2, s2^2, s3^2, s1 s2 s1 s2 s1 s2, s2 s3 s2 s3 s2 s3, s1 s3 s1 s3 >"
 
 
 def pres(text):
@@ -35,6 +42,121 @@ def perm_closure(perms):
                     nxt.append(r)
         frontier = nxt
     return seen
+
+
+def reference_enumerate(p, max_cosets):
+    """The former enumerator: HLT on one Python list per coset and a column
+    for every letter, g^2 relators scanned like any other.  Returns the
+    result and the number of cosets defined."""
+    ncols = 2 * len(p.generators)
+    relators = [[column(x) for x in r] for r in p.relators]
+    table = [[None] * ncols]
+    parent = [0]
+    live = 1
+
+    def rep(k):
+        lam = k
+        while parent[lam] != lam:
+            lam = parent[lam]
+        while parent[k] != lam:
+            parent[k], k = lam, parent[k]
+        return lam
+
+    def define(alpha, col):
+        nonlocal live
+        if live >= max_cosets:
+            return False
+        beta = len(table)
+        table.append([None] * ncols)
+        parent.append(beta)
+        live += 1
+        table[alpha][col] = beta
+        table[beta][col ^ 1] = alpha
+        return True
+
+    def merge(k, lam, queue):
+        nonlocal live
+        phi, psi = rep(k), rep(lam)
+        if phi != psi:
+            parent[max(phi, psi)] = min(phi, psi)
+            live -= 1
+            queue.append(max(phi, psi))
+
+    def coincidence(alpha, beta):
+        queue = deque()
+        merge(alpha, beta, queue)
+        while queue:
+            gamma = queue.popleft()
+            for col in range(ncols):
+                delta = table[gamma][col]
+                if delta is None:
+                    continue
+                table[delta][col ^ 1] = None
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][col] is not None:
+                    merge(nu, table[mu][col], queue)
+                elif table[nu][col ^ 1] is not None:
+                    merge(mu, table[nu][col ^ 1], queue)
+                else:
+                    table[mu][col] = nu
+                    table[nu][col ^ 1] = mu
+
+    def scan_and_fill(alpha, word):
+        f, i = alpha, 0
+        b, j = alpha, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return True
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = table[b][word[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return True
+            if j == i:
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return True
+            if not define(f, word[i]):
+                return False
+
+    alpha = 0
+    while alpha < len(table):
+        if rep(alpha) == alpha:
+            for word in relators:
+                if not scan_and_fill(alpha, word):
+                    return CapExceeded(live), len(table)
+                if rep(alpha) != alpha:
+                    break
+            if rep(alpha) == alpha:
+                for col in range(ncols):
+                    if table[alpha][col] is None and not define(alpha, col):
+                        return CapExceeded(live), len(table)
+        alpha += 1
+    return Finite(live), len(table)
+
+
+def has_involutory_relator(p):
+    return any(len(r) == 2 and r[0] == r[1] for r in p.relators)
+
+
+def random_presentation(rng):
+    """1-3 generators, 1-3 random relators; about half the time also g^2 or
+    g^-2 for one or two generators, at random places."""
+    m = rng.randint(1, 3)
+    rels = [
+        [rng.choice([1, -1]) * rng.randint(1, m) for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(1, 3))
+    ]
+    if rng.random() < 0.5:
+        for g in rng.sample(range(1, m + 1), rng.randint(1, min(2, m))):
+            rels.insert(rng.randint(0, len(rels)), [rng.choice([g, -g])] * 2)
+    return Presentation(tuple("abc"[:m]), tuple(free_reduce(r) for r in rels))
 
 
 def test_known_orders():
@@ -116,3 +238,93 @@ def test_trivial23_enumeration_is_one_or_capped():
     p = pres("< a, b | a^-1 b^-2 a b^3, b^-1 a^-2 b a^3 >")
     result = enumerate_cosets(p, 10_000)
     assert result == Finite(1) or isinstance(result, CapExceeded)
+
+
+def test_involution_column_keeps_other_length_two_relators():
+    # a^-2 shares a's column; a^-1 b^-1 still has to be scanned
+    p = pres("< a, b | a^-2, a^-1 b^-1 >")
+    assert enumerate_cosets(p, 100) == Finite(2)
+    assert reference_enumerate(p, 100)[0] == Finite(2)
+    assert validate_table(p, coset_table(p, 100)) == []
+
+
+def test_differential_against_reference_enumerator():
+    rng = random.Random(2024)
+    closed = same_work = 0
+    for n in range(1200):
+        if n % 8:
+            p = random_presentation(rng)
+        else:
+            p = von_dyck(rng.randint(2, 6), rng.randint(2, 6), rng)
+        e = _Enumerator(p, 300)
+        result = e.run()
+        expected, ref_defined = reference_enumerate(p, 300)
+        if not has_involutory_relator(p):
+            assert (result, len(e.table) // e.width) == (expected, ref_defined), p
+            same_work += 1
+        if isinstance(result, Finite):
+            assert validate_table(p, e.compressed()) == [], p
+            if isinstance(expected, Finite):
+                assert result == expected, p
+                closed += 1
+    assert closed >= 300 and same_work >= 300
+
+
+def test_involution_columns_define_fewer_cosets():
+    p = pres(COXETER_S4)
+    e = _Enumerator(p, 10_000)
+    assert e.run() == Finite(24)
+    assert len(e.table) // e.width < reference_enumerate(p, 10_000)[1]
+
+
+def von_dyck(k, l, rng):
+    """< a, b | a^2, b^k, (a b)^l >, each relator rotated and perhaps inverted."""
+    rels = []
+    for r in ([1, 1], [2] * k, [1, 2] * l):
+        s = rng.randrange(len(r))
+        r = r[s:] + r[:s]
+        rels.append([-x for x in reversed(r)] if rng.random() < 0.5 else r)
+    rng.shuffle(rels)
+    return Presentation(("a", "b"), tuple(tuple(r) for r in rels))
+
+
+def sympy_order(p):
+    """Order by sympy's own HLT enumeration.  ``FpGroup.order()`` first looks
+    for a finite-index subgroup, which ran past 5 s on some small random
+    presentations of order 6."""
+    fp = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+
+    F, *gens = free_group(",".join(p.generators))
+    rels = []
+    for r in p.relators:
+        w = F.identity
+        for x in r:
+            w *= gens[abs(x) - 1] ** (1 if x > 0 else -1)
+        rels.append(w)
+    table = fp.coset_enumeration_r(fp.FpGroup(F, rels), [], max_cosets=10_000)
+    table.compress()
+    return len(table.table)
+
+
+def test_sympy_oracle():
+    pytest.importorskip("sympy")
+    rng = random.Random(31)
+    cases = [von_dyck(k, l, rng) for k, l in ((2, 5), (3, 3), (3, 4), (4, 3), (3, 5))]
+    while len(cases) < 10:
+        p = random_presentation(rng)
+        result = enumerate_cosets(p, 200)
+        if isinstance(result, Finite) and result.order > 1:
+            cases.append(p)
+    for p in cases:
+        assert enumerate_cosets(p, 10_000) == Finite(sympy_order(p)), p
+    assert sum(map(has_involutory_relator, cases)) >= 6
+
+
+def test_slot_budget_caps_wide_tables(monkeypatch):
+    monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", 1000)
+    e = _Enumerator(pres("< a, b | >"), 10**6)
+    result = e.run()
+    assert isinstance(result, CapExceeded) and len(e.table) <= 1000
+    assert result.cosets == len(e.table) // e.width == 200
+
