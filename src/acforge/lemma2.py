@@ -1,12 +1,14 @@
 """Build a trivial-group presentation realizing a given unimodular matrix.
 
-A unimodular n x n matrix is a product of two elementary row operations,
-"negate a row" and "add one row to another".  Mirroring those on the
-presentation < x1..xn | x1, ..., xn > (negate row i -> invert relator i;
-add row i to row j -> multiply relator j on the right by relator i) keeps
-the group trivial while steering the abelianized matrix to any unimodular
-target.  The returned certificate starts at the empty presentation (n
-stabilizations build the x_i), so inverting it trivializes the result.
+A unimodular n x n matrix is a product of elementary row operations:
+"negate a row" and "add row i to row j, or subtract it".  Mirroring those
+on < x1..xn | x1, ..., xn > (invert relator i; r_j -> r_j r_i, or
+r_j -> r_j r_i^-1 by one MultiplyRightInverse) keeps the group trivial
+while steering the abelianized matrix to any unimodular target.  The
+subtraction move gives the same reduced relator as invert-multiply-invert
+would, reduced words being unique in the free group.  The certificate
+starts at the empty presentation (n stabilizations build the x_i), so
+inverting it trivializes the result.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .intmatrix import IntMatrix, determinant
-from .moves import AcCertificate, InvertRelator, MultiplyRight, Stabilize, apply_move
+from .moves import AcCertificate, InvertRelator, MultiplyRight, MultiplyRightInverse, Stabilize, apply_move
 from .presentation import EMPTY_PRESENTATION, Presentation
+
+# One op (and move) per unit row addition: an entry of 10**9 would need 8 GB
+MAX_ROW_ADDITIONS = 10**5
 
 
 @dataclass(frozen=True)
@@ -28,55 +33,47 @@ class RowNegate:
 
 @dataclass(frozen=True)
 class RowAdd:
-    """Add row ``source`` to row ``target`` (1-based, source != target)."""
+    """Add ``sign`` (+1 or -1) times row ``source`` to row ``target``
+    (1-based, source != target)."""
 
     source: int
     target: int
+    sign: int = 1
 
 
 ElementaryOp = Union[RowNegate, RowAdd]
 
 
-def _require_unimodular(a: IntMatrix) -> int:
+def _require_unimodular(a: IntMatrix) -> None:
     if not a.is_square():
         raise ValueError(f"matrix is {a.nrows}x{a.ncols}, not square")
     d = determinant(a)
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular: det = {d}")
-    return d
 
 
 def decompose_unimodular(a: IntMatrix) -> List[ElementaryOp]:
     """Elementary ops whose application to the identity yields ``a`` exactly.
 
     Reduces ``a`` to the identity by integer row elimination (minimal-pivot
-    Euclid per column, subtraction realized as negate-add-negate), then
-    emits the inverse sequence reversed.
+    Euclid per column), recording each step ``row t += c * row s`` once,
+    then emits the inverse steps in reverse order: |c| unit additions of
+    sign -sign(c) each.  Raises ValueError if that is more than
+    ``MAX_ROW_ADDITIONS`` additions, before expanding any of them.
     """
     _require_unimodular(a)
     n = a.nrows
     b = [list(r) for r in a.rows]
-    trace: List[ElementaryOp] = []  # reduction ops, applied to b in order
+    trace: List[Tuple[ElementaryOp, int]] = []  # (op, repeats), applied to b in order
 
     def negate(i: int):
         b[i] = [-x for x in b[i]]
-        trace.append(RowNegate(i + 1))
-
-    def add(src: int, dst: int):
-        b[dst] = [x + y for x, y in zip(b[dst], b[src])]
-        trace.append(RowAdd(src + 1, dst + 1))
+        trace.append((RowNegate(i + 1), 1))
 
     def addmul(src: int, dst: int, c: int):  # row dst += c * row src
-        if c == 0:
-            return
-        if c > 0:
-            for _ in range(c):
-                add(src, dst)
-        else:
-            negate(src)
-            for _ in range(-c):
-                add(src, dst)
-            negate(src)
+        if c:
+            b[dst] = [x + c * y for x, y in zip(b[dst], b[src])]
+            trace.append((RowAdd(src + 1, dst + 1, 1 if c > 0 else -1), abs(c)))
 
     for col in range(n):
         # Euclid the active column down to a single nonzero entry
@@ -90,7 +87,7 @@ def decompose_unimodular(a: IntMatrix) -> List[ElementaryOp]:
             for i in rest:
                 addmul(piv, i, -(b[i][col] // b[piv][col]))
         if piv != col:  # move the survivor up without a swap primitive
-            add(piv, col)
+            addmul(piv, col, 1)
             addmul(col, piv, -1)
     for i in range(n):
         assert abs(b[i][i]) == 1, "pivots of a unimodular reduction are units"
@@ -101,14 +98,14 @@ def decompose_unimodular(a: IntMatrix) -> List[ElementaryOp]:
             addmul(col, i, -b[i][col])
     assert b == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
+    additions = sum(k for op, k in trace if isinstance(op, RowAdd))
+    if additions > MAX_ROW_ADDITIONS:
+        raise ValueError(f"matrix needs {additions} row additions, more than {MAX_ROW_ADDITIONS}")
     ops: List[ElementaryOp] = []
-    for op in reversed(trace):
-        if isinstance(op, RowNegate):
-            ops.append(op)
-        else:  # inverse of "add" is negate-add-negate
-            ops.append(RowNegate(op.source))
-            ops.append(op)
-            ops.append(RowNegate(op.source))
+    for op, k in reversed(trace):
+        if isinstance(op, RowAdd):
+            op = RowAdd(op.source, op.target, -op.sign)
+        ops.extend([op] * k)
     return ops
 
 
@@ -117,16 +114,17 @@ def presentation_from_matrix(a: IntMatrix) -> Tuple[Presentation, AcCertificate]
 
     The certificate replays from the empty presentation: n stabilizations
     create < x1..xn | x1,...,xn >, then each RowNegate becomes an
-    InvertRelator and each RowAdd a MultiplyRight.
+    InvertRelator, each RowAdd of sign +1 a MultiplyRight and each of sign
+    -1 a MultiplyRightInverse.
     """
-    _require_unimodular(a)
-    n = a.nrows
-    moves = [Stabilize(()) for _ in range(n)]
+    moves = [Stabilize(()) for _ in range(a.nrows)]
     for op in decompose_unimodular(a):
         if isinstance(op, RowNegate):
             moves.append(InvertRelator(op.row))
-        else:
+        elif op.sign > 0:
             moves.append(MultiplyRight(op.target, op.source))
+        else:
+            moves.append(MultiplyRightInverse(op.target, op.source))
     current = EMPTY_PRESENTATION
     for move in moves:
         current = apply_move(current, move)

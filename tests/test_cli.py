@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from acforge import coset
+from acforge import coset, lemma2
 from acforge.cli import build_parser, main
 from acforge.presentation import MAX_LETTERS
 
@@ -192,6 +192,30 @@ def test_lemma2_malformed_matrix(run, tmp_path, text, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_lemma2_huge_entry_fails_fast(run, tmp_path):
+    # a 21-byte matrix file whose certificate would need 10**9 moves
+    path = write(tmp_path, "huge.mat", "2 2\n1 1000000000\n0 1\n")
+    tracemalloc.start()
+    try:
+        rc, out, err = run("lemma2", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "row additions" in err
+    assert peak < 10**7
+
+
+def test_lemma2_and_theorem3_row_addition_cap(run, tmp_path, monkeypatch):
+    monkeypatch.setattr(lemma2, "MAX_ROW_ADDITIONS", 7)
+    assert run("lemma2", write(tmp_path, "ok.mat", "2 2\n1 7\n0 1\n"))[0] == 0
+    rc, out, err = run("lemma2", write(tmp_path, "big.mat", "2 2\n1 8\n0 1\n"))
+    assert (rc, out) == (2, "") and err == "error: matrix needs 8 row additions, more than 7\n"
+    # the dual of < a, b | a b^8, b > needs the transposed shear
+    rc, out, err = run("theorem3", write(tmp_path, "p.pres", "< a, b | a b^8, b >"), "-o", tmp_path / "bundle")
+    assert (rc, out) == (2, "") and err == "error: matrix needs 8 row additions, more than 7\n"
+
+
 def test_acsearch_found_writes_a_certificate_that_verifies(run, tmp_path):
     path = write(tmp_path, "dp.pres", DUAL_POINCARE)
     cert = tmp_path / "dp.cert"
@@ -285,7 +309,7 @@ def test_snf(run, tmp_path):
 def test_theorem3_bundle_is_deterministic(run, tmp_path):
     path = write(tmp_path, "p.pres", POINCARE)
     bundle = tmp_path / "bundle"
-    expected = f"WROTE {bundle}\nDUAL < x1, x2 | x1 x2^2 x1 x2, x2 x1 x2 >\nMOVES 23\n"
+    expected = f"WROTE {bundle}\nDUAL < x1, x2 | x1 x2^2 x1 x2, x2 x1 x2 >\nMOVES 7\n"
     assert run("theorem3", path, "-o", bundle) == (0, expected, "")
     files = {f.name: f.read_bytes() for f in bundle.iterdir()}
     assert run("theorem3", path, "-o", bundle) == (0, expected, "")

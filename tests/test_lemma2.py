@@ -12,11 +12,13 @@ from acforge.lemma2 import (
 from acforge.moves import (
     InvertRelator,
     MultiplyRight,
+    MultiplyRightInverse,
     Stabilize,
+    apply_move,
     invert_certificate,
     replay,
 )
-from acforge.presentation import EMPTY_PRESENTATION, total_letters
+from acforge.presentation import EMPTY_PRESENTATION, format_presentation, total_letters
 
 
 def apply_ops(ops, n):
@@ -28,7 +30,7 @@ def apply_ops(ops, n):
             rows[i] = [-x for x in rows[i]]
         else:
             s, t = op.source - 1, op.target - 1
-            rows[t] = [a + b for a, b in zip(rows[t], rows[s])]
+            rows[t] = [a + op.sign * b for a, b in zip(rows[t], rows[s])]
     return IntMatrix(rows, ncols=n)
 
 
@@ -40,16 +42,82 @@ def random_unimodular(rng, n, n_ops=20):
         if n >= 2 and rng.random() < 0.7:
             i = rng.randint(1, n)
             j = rng.choice([k for k in range(1, n + 1) if k != i])
-            ops.append(RowAdd(i, j))
+            ops.append(RowAdd(i, j, rng.choice((1, -1))))
         else:
             ops.append(RowNegate(rng.randint(1, n)))
     return apply_ops(ops, n)
+
+
+def reference_decompose(a):
+    """The decomposition before signed additions: unsigned RowAdds only,
+    each subtraction spelled negate-add-negate.  Kept as the differential
+    reference for ``decompose_unimodular``."""
+    n = a.nrows
+    b = [list(r) for r in a.rows]
+    trace = []
+
+    def negate(i):
+        b[i] = [-x for x in b[i]]
+        trace.append(RowNegate(i + 1))
+
+    def add(src, dst):
+        b[dst] = [x + y for x, y in zip(b[dst], b[src])]
+        trace.append(RowAdd(src + 1, dst + 1))
+
+    def addmul(src, dst, c):
+        if c > 0:
+            for _ in range(c):
+                add(src, dst)
+        elif c < 0:
+            negate(src)
+            for _ in range(-c):
+                add(src, dst)
+            negate(src)
+
+    for col in range(n):
+        while True:
+            nonzero = [i for i in range(col, n) if b[i][col] != 0]
+            piv = min(nonzero, key=lambda i: (abs(b[i][col]), i))
+            rest = [i for i in nonzero if i != piv]
+            if not rest:
+                break
+            for i in rest:
+                addmul(piv, i, -(b[i][col] // b[piv][col]))
+        if piv != col:
+            add(piv, col)
+            addmul(col, piv, -1)
+    for i in range(n):
+        if b[i][i] < 0:
+            negate(i)
+    for col in range(n - 1, -1, -1):
+        for i in range(col):
+            addmul(col, i, -b[i][col])
+
+    ops = []
+    for op in reversed(trace):
+        if isinstance(op, RowNegate):
+            ops.append(op)
+        else:  # inverse of "add" is negate-add-negate
+            ops.extend([RowNegate(op.source), op, RowNegate(op.source)])
+    return ops
+
+
+def reference_presentation(a):
+    """The presentation and move count that ``reference_decompose`` builds."""
+    moves = [Stabilize(())] * a.nrows
+    for op in reference_decompose(a):
+        moves.append(InvertRelator(op.row) if isinstance(op, RowNegate) else MultiplyRight(op.target, op.source))
+    current = EMPTY_PRESENTATION
+    for move in moves:
+        current = apply_move(current, move)
+    return current, len(moves)
 
 
 def test_apply_ops_identity():
     assert apply_ops([], 3) == IntMatrix.identity(3)
     assert apply_ops([RowNegate(2)], 2) == IntMatrix([[1, 0], [0, -1]])
     assert apply_ops([RowAdd(1, 2)], 2) == IntMatrix([[1, 0], [1, 1]])
+    assert apply_ops([RowAdd(1, 2, -1)], 2) == IntMatrix([[1, 0], [-1, 1]])
 
 
 def test_decompose_identity():
@@ -111,7 +179,31 @@ def test_presentation_from_2x2_example():
 def test_certificates_use_only_primitive_moves():
     a = IntMatrix([[2, 3], [1, 2]])
     _, cert = presentation_from_matrix(a)
-    assert all(isinstance(m, (Stabilize, InvertRelator, MultiplyRight)) for m in cert.moves)
+    assert all(isinstance(m, (Stabilize, InvertRelator, MultiplyRight, MultiplyRightInverse)) for m in cert.moves)
+
+
+@pytest.mark.parametrize("k", [1, 7, 1000, -1000])
+def test_shear_is_one_move_per_unit_addition(k):
+    _, cert = presentation_from_matrix(IntMatrix([[1, k], [0, 1]]))
+    assert len(cert.moves) == abs(k) + 2
+    step = MultiplyRight(1, 2) if k > 0 else MultiplyRightInverse(1, 2)
+    assert cert.moves[2:] == (step,) * abs(k)
+    assert replay(cert)
+
+
+def test_matches_reference_decomposition():
+    # same presentation byte for byte, never more moves
+    rng = random.Random(67)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = random_unimodular(rng, n)
+        p, cert = presentation_from_matrix(a)
+        ref, ref_moves = reference_presentation(a)
+        assert format_presentation(p) == format_presentation(ref)
+        assert len(cert.moves) <= ref_moves
+        kinds.update(type(m) for m in cert.moves)
+    assert {MultiplyRight, MultiplyRightInverse} <= kinds
 
 
 def test_random_matrices_round_trip():
