@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .coset import CapExceeded, coset_table, enumerate_cosets
+from .coset import DEFAULT_MAX_COSETS, CapExceeded, coset_table, enumerate_cosets
 from .corpus import all_entries, check_entry, higman_presentation
 from .dual import align, dualize, write_bundle
 from .intmatrix import (
@@ -34,7 +34,7 @@ from .presentation import (
     parse_presentation,
     total_letters,
 )
-from .quotient import cycle_notation, find_nontrivial_quotient
+from .quotient import DEFAULT_MAX_DEGREE, cycle_notation, find_nontrivial_quotient
 from .search import SearchLimits, search_trivialization
 
 
@@ -359,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add("order", cmd_order, "group order by coset enumeration (HLT)")
     s.add_argument("file")
-    s.add_argument("--max-cosets", type=int, default=10**6)
+    s.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     s.add_argument("--table", action="store_true", help="dump the closed coset table")
 
     s = add("quotient", cmd_quotient, "search for a quotient in a symmetric group")
     s.add_argument("file")
-    s.add_argument("--max-degree", type=int, default=7)
+    s.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
 
     s = add("acsearch", cmd_acsearch, "bounded search for a trivializing move certificate")
     s.add_argument("file")

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .presentation import Presentation, format_presentation, parse_presentation
+from .coset import CapExceeded, Finite, enumerate_cosets
+from .intmatrix import is_perfect_presentation
+from .moves import replay
+from .presentation import Presentation, format_presentation, is_balanced, parse_presentation
+from .quotient import find_nontrivial_quotient, verify_witness
+from .search import SearchLimits, search_trivialization
 
 
 def higman_presentation(m: int, variant: Tuple[int, int] = (1, 2)) -> Presentation:
@@ -127,13 +132,6 @@ def all_entries() -> Tuple[CorpusEntry, ...]:
 
 def check_entry(entry: CorpusEntry) -> List[str]:
     """Run every expectation of one entry; returns failure messages."""
-    from .coset import CapExceeded, Finite, enumerate_cosets
-    from .intmatrix import is_perfect_presentation
-    from .presentation import is_balanced
-    from .quotient import find_nontrivial_quotient, verify_witness
-    from .search import SearchLimits, search_trivialization
-    from .moves import replay
-
     problems: List[str] = []
     p = entry.presentation()
     if is_balanced(p) != entry.balanced:

@@ -26,15 +26,18 @@ inserted pairs must stay addressable as occurrences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .intmatrix import IntMatrix, exponent_matrix, invariant_factors, determinant
-from .moves import AcCertificate
+from .lemma2 import presentation_from_matrix
+from .moves import AcCertificate, format_certificate, parse_certificate, replay
 from .presentation import (
     NAME_RE,
     Presentation,
     format_presentation,
     is_balanced,
+    parse_presentation,
     parse_raw,
 )
 from .words import Word, exponent_vector, free_reduce
@@ -177,10 +180,9 @@ def align(p: Presentation) -> KnotCertificate:
 
     Requires a balanced presentation of a perfect group (unimodular
     exponent matrix).  Returns the full certificate bundle; every claimed
-    identity is checked before returning.
+    identity (``dualize(augmented, witness) == dual`` among them) is
+    checked once, by ``verify_knot_certificate``, before returning.
     """
-    from .lemma2 import presentation_from_matrix
-
     n = _require_balanced(p)
     a = exponent_matrix(p)
     if n and abs(determinant(a)) != 1:
@@ -209,34 +211,25 @@ def align(p: Presentation) -> KnotCertificate:
 
     # Witness: realize q_i followed by the surplus pads, consuming each
     # (generator, relator, sign) occurrence class in scan order.
-    pools: Dict[Tuple[int, int, int], List[Occurrence]] = {}
+    lists: Dict[Tuple[int, int, int], List[Occurrence]] = {}
     for i, occs in enumerate(occurrence_lists(augmented), start=1):
         for occ in occs:
-            pools.setdefault((i, occ.relator, occ.sign), []).append(occ)
-    next_free = {key: 0 for key in pools}
-
-    def take(i: int, j: int, sign: int) -> Occurrence:
-        key = (i, j, sign)
-        idx = next_free[key]
-        next_free[key] = idx + 1
-        return pools[key][idx]
+            lists.setdefault((i, occ.relator, occ.sign), []).append(occ)
+    pools = {key: iter(occs) for key, occs in lists.items()}
 
     per_generator = []
     for i in range(1, n + 1):
         target = list(q.relators[i - 1])
         for j in range(1, n + 1):
             target.extend([j, -j] * surplus[i - 1][j - 1])
-        per_generator.append(tuple(take(i, abs(x), 1 if x > 0 else -1) for x in target))
+        per_generator.append(tuple(next(pools[i, abs(x), 1 if x > 0 else -1]) for x in target))
     witness = OrderingWitness(tuple(per_generator))
 
-    dual = dualize(augmented, witness)
-    if dual != q:
-        raise AssertionError("alignment failed: dual does not match the built presentation")
     kc = KnotCertificate(
         source=p,
         augmented=augmented,
         witness=witness,
-        dual=dual,
+        dual=q,
         trivialization=cert,
     )
     problems = verify_knot_certificate(kc)
@@ -247,8 +240,6 @@ def align(p: Presentation) -> KnotCertificate:
 
 def verify_knot_certificate(kc: KnotCertificate) -> List[str]:
     """Re-check every claimed identity; returns a list of failures (empty = good)."""
-    from .moves import replay
-
     problems = []
     if kc.augmented.reduced() != kc.source:
         problems.append("augmented presentation does not reduce to the source")
@@ -311,10 +302,6 @@ BUNDLE_FILES = (
 
 
 def write_bundle(kc: KnotCertificate, directory) -> None:
-    from pathlib import Path
-
-    from .moves import format_certificate
-
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     (d / "source.pres").write_text(format_presentation(kc.source) + "\n")
@@ -325,11 +312,6 @@ def write_bundle(kc: KnotCertificate, directory) -> None:
 
 
 def read_bundle(directory) -> KnotCertificate:
-    from pathlib import Path
-
-    from .moves import parse_certificate
-    from .presentation import parse_presentation
-
     d = Path(directory)
     source = parse_presentation((d / "source.pres").read_text())
     names, raw = parse_raw((d / "augmented.pres").read_text())

@@ -2,11 +2,11 @@
 
 A unimodular n x n matrix is a product of elementary row operations:
 "negate a row" and "add row i to row j, or subtract it".  Mirroring those
-on < x1..xn | x1, ..., xn > (invert relator i; r_j -> r_j r_i, or
-r_j -> r_j r_i^-1 by one MultiplyRightInverse) keeps the group trivial
-while steering the abelianized matrix to any unimodular target.  The
-subtraction move gives the same reduced relator as invert-multiply-invert
-would, reduced words being unique in the free group.  The certificate
+on < x1..xn | x1, ..., xn > (invert relator i; r_j -> r_j r_i^sign by one
+signed MultiplyRight) keeps the group trivial while steering the
+abelianized matrix to any unimodular target.  The subtraction move (sign
+-1, MULRI) gives the same reduced relator as invert-multiply-invert would,
+reduced words being unique in the free group.  The certificate
 starts at the empty presentation (n stabilizations build the x_i), so
 inverting it trivializes the result.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .intmatrix import IntMatrix, determinant
-from .moves import AcCertificate, InvertRelator, MultiplyRight, MultiplyRightInverse, Stabilize, apply_move
+from .moves import AcCertificate, InvertRelator, MultiplyRight, Stabilize, apply_move
 from .presentation import EMPTY_PRESENTATION, Presentation
 
 # One op (and move) per unit row addition: an entry of 10**9 would need 8 GB
@@ -114,17 +114,14 @@ def presentation_from_matrix(a: IntMatrix) -> Tuple[Presentation, AcCertificate]
 
     The certificate replays from the empty presentation: n stabilizations
     create < x1..xn | x1,...,xn >, then each RowNegate becomes an
-    InvertRelator, each RowAdd of sign +1 a MultiplyRight and each of sign
-    -1 a MultiplyRightInverse.
+    InvertRelator and each RowAdd a MultiplyRight of the same sign.
     """
     moves = [Stabilize(()) for _ in range(a.nrows)]
     for op in decompose_unimodular(a):
         if isinstance(op, RowNegate):
             moves.append(InvertRelator(op.row))
-        elif op.sign > 0:
-            moves.append(MultiplyRight(op.target, op.source))
         else:
-            moves.append(MultiplyRightInverse(op.target, op.source))
+            moves.append(MultiplyRight(op.target, op.source, op.sign))
     current = EMPTY_PRESENTATION
     for move in moves:
         current = apply_move(current, move)

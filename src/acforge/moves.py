@@ -1,12 +1,14 @@
 """Executable Andrews-Curtis move calculus with replayable certificates.
 
-The six moves (four primitives, plus MultiplyRightInverse and Destabilize,
-the inverses that need their own encoding) act on presentations whose
-relators are stored freely reduced.  Inserting or deleting a cancelling
-pair a a^-1 is not a move: on a freely reduced relator it changes nothing,
-so a certificate has nothing to record.  Where such pads matter (the
-occurrences of Theorem 3), they live in the augmented presentation and the
-occurrence witness of the bundle, not here.
+The five move classes (four primitives, plus Destabilize, the inverse of
+Stabilize) act on presentations whose relators are stored freely reduced.
+MultiplyRight carries a sign: r_i -> r_i r_j^sign, so the move that undoes
+it is the same class with the sign flipped (written MULR for +1, MULRI for
+-1).  Inserting or deleting a cancelling pair a a^-1 is not a move: on a
+freely reduced relator it changes nothing, so a certificate has nothing to
+record.  Where such pads matter (the occurrences of Theorem 3), they live
+in the augmented presentation and the occurrence witness of the bundle, not
+here.
 
 CyclicPermute stores the free reduction of the rotated word.  Rotating a
 relator that is not cyclically reduced strips a conjugating pair, which
@@ -67,18 +69,11 @@ class InvertRelator:
 
 @dataclass(frozen=True)
 class MultiplyRight:
-    """r_i -> r_i r_j, j != i."""
+    """r_i -> r_i r_j^sign, j != i, sign +1 or -1."""
 
     relator: int
     other: int
-
-
-@dataclass(frozen=True)
-class MultiplyRightInverse:
-    """r_i -> r_i r_j^-1, j != i."""
-
-    relator: int
-    other: int
+    sign: int = 1
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,6 @@ AcMove = Union[
     CyclicPermute,
     InvertRelator,
     MultiplyRight,
-    MultiplyRightInverse,
     Stabilize,
     Destabilize,
 ]
@@ -153,13 +147,15 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
     if isinstance(move, InvertRelator):
         _check_relator_index(p, move.relator)
         return _replace(p, move.relator, invert(p.relators[move.relator - 1]))
-    if isinstance(move, (MultiplyRight, MultiplyRightInverse)):
+    if isinstance(move, MultiplyRight):
         _check_relator_index(p, move.relator)
         _check_relator_index(p, move.other)
         if move.relator == move.other:
             raise MoveError("relator cannot be multiplied by itself")
+        if move.sign not in (1, -1):
+            raise MoveError(f"multiplier sign must be +1 or -1, not {move.sign!r}")
         other = p.relators[move.other - 1]
-        if isinstance(move, MultiplyRightInverse):
+        if move.sign < 0:
             other = invert(other)
         return _replace(p, move.relator, concat(p.relators[move.relator - 1], other))
     if isinstance(move, Stabilize):
@@ -196,9 +192,7 @@ def inverse_move(move: AcMove, before: Presentation) -> AcMove:
     if isinstance(move, InvertRelator):
         return move
     if isinstance(move, MultiplyRight):
-        return MultiplyRightInverse(move.relator, move.other)
-    if isinstance(move, MultiplyRightInverse):
-        return MultiplyRight(move.relator, move.other)
+        return MultiplyRight(move.relator, move.other, -move.sign)
     if isinstance(move, Stabilize):
         return Destabilize(len(before.generators) + 1, len(before.relators) + 1)
     if isinstance(move, Destabilize):
@@ -284,10 +278,9 @@ def format_certificate(cert: AcCertificate) -> str:
             lines.append(f"CYC {move.relator} {move.shift}")
         elif isinstance(move, InvertRelator):
             lines.append(f"INV {move.relator}")
-        elif isinstance(move, MultiplyRight):
-            lines.append(f"MULR {move.relator} {move.other}")
-        elif isinstance(move, MultiplyRightInverse):
-            lines.append(f"MULRI {move.relator} {move.other}")
+        elif isinstance(move, MultiplyRight) and move.sign in (1, -1):
+            op = "MULR" if move.sign > 0 else "MULRI"
+            lines.append(f"{op} {move.relator} {move.other}")
         elif isinstance(move, Stabilize):
             if names is None or any(abs(x) > len(names) for x in move.word):
                 raise CertificateError(f"step {step}: cannot name the letters of the STAB word")
@@ -330,10 +323,8 @@ def parse_certificate(text: str) -> AcCertificate:
             elif op == "INV":
                 (i,) = args
                 move = InvertRelator(int(i))
-            elif op == "MULR":
-                move = MultiplyRight(int(args[0]), int(args[1]))
-            elif op == "MULRI":
-                move = MultiplyRightInverse(int(args[0]), int(args[1]))
+            elif op in ("MULR", "MULRI"):
+                move = MultiplyRight(int(args[0]), int(args[1]), 1 if op == "MULR" else -1)
             elif op == "STAB":
                 if names is None:
                     raise ValueError(

@@ -42,6 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .coset import CosetTable, column
 from .presentation import Presentation
 
+DEFAULT_MAX_DEGREE = 7  # largest subgroup index find_nontrivial_quotient tries
+
 Permutation = Tuple[int, ...]
 
 
@@ -272,7 +274,7 @@ def _low_index_table(words_by_col, ncols: int, bound: int) -> Tuple[Optional[Tab
 
 
 def find_nontrivial_quotient(
-    p: Presentation, max_degree: int = 7
+    p: Presentation, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> Optional[FiniteQuotientWitness]:
     """The action on the cosets of the first subgroup of least index 2..max_degree,
     or None (exhausted up to max_degree)."""

@@ -16,7 +16,7 @@ over every rotation b and sign delta of the multiplier, plus
 destabilizations.  That is exactly the set of states the primitive moves
 reach via "adjust r_j, multiply, restore r_j" composites, and each edge is
 expanded into such a primitive run when a certificate is reconstructed
-(rotate j / invert j / MULR / undo, then cyclically reduce and
+(rotate j / MULR or MULRI / undo, then cyclically reduce and
 re-canonicalize relator i with unit rotations and one inversion).  A state
 collapses when its relators are single positive letters covering each
 generator exactly once; destabilizations finish the certificate.
@@ -182,21 +182,13 @@ def _normalize_relator(p: Presentation, i: int):
     core = p.relators[i - 1]
     target = canonical_relator(core)
     if core != target:
-        found = None
-        for inv_flag in (False, True):
-            base = invert(core) if inv_flag else core
-            for k in range(len(base)):
-                if rotate(base, k) == target:
-                    found = (inv_flag, k)
-                    break
-            if found:
-                break
-        assert found is not None, "canonical form must be a rotation of the core or its inverse"
-        inv_flag, k = found
-        if inv_flag:
+        n = len(core)
+        inv = invert(core)
+        k = ([rotate(core, b) for b in range(n)] + [rotate(inv, b) for b in range(n)]).index(target)
+        if k >= n:
             do(InvertRelator(i))
-        if k:
-            do(CyclicPermute(i, k))
+        if k % n:
+            do(CyclicPermute(i, k % n))
     return moves, p
 
 
@@ -215,11 +207,7 @@ def _edge_moves(p: Presentation, edge):
     _, i, j, b, delta = edge
     if b:
         do(CyclicPermute(j + 1, b))
-    if delta == -1:
-        do(InvertRelator(j + 1))
-    do(MultiplyRight(i + 1, j + 1))
-    if delta == -1:
-        do(InvertRelator(j + 1))
+    do(MultiplyRight(i + 1, j + 1, delta))
     if b:
         do(CyclicPermute(j + 1, -b))
     more, p = _normalize_relator(p, i + 1)
@@ -276,30 +264,28 @@ def search_trivialization(
     if _collapsible(start):
         return finish([], 0, 1, 0, (1,))
 
-    # visited key (sorted relators) -> (parent state, edge); None at the start
-    parent: Dict[_State, Optional[Tuple[_State, tuple]]] = {tuple(sorted(start)): None}
-    expanded_keys = set()
+    # visited key (sorted relators) -> (parent's key, edge); None at the start.
+    # An edge indexes the relators of the parent state as reached, which is
+    # the order that replaying the path from ``current`` rebuilds.
+    level = [(start, tuple(sorted(start)))]  # (state as reached, its key)
+    parent: Dict[_State, Optional[Tuple[_State, tuple]]] = {level[0][1]: None}
     expanded = 0
     frontier = [1]
 
-    def path_to(t: _State):
+    def path_to(key: _State):
         edges = []
-        entry = parent[tuple(sorted(t))]
+        entry = parent[key]
         while entry is not None:
-            s, edge = entry
+            key, edge = entry
             edges.append(edge)
-            entry = parent[tuple(sorted(s))]
+            entry = parent[key]
         edges.reverse()
         return edges
 
     # breadth first, one depth at a time; each level keeps insertion order
-    level = [start]
     for d in range(limits.max_depth):
-        nxt: List[_State] = []
-        for s in level:
-            key = tuple(sorted(s))
-            assert key not in expanded_keys, "a canonical form was expanded twice"
-            expanded_keys.add(key)
+        nxt: List[Tuple[_State, _State]] = []
+        for s, key in level:
             expanded += 1
             for edge, t in _successors(s, limits):
                 k = tuple(sorted(t))
@@ -309,13 +295,15 @@ def search_trivialization(
                     return SearchResult(
                         None, None, len(parent), expanded, "states", tuple(frontier)
                     )
-                parent[k] = (s, edge)
+                parent[k] = (key, edge)
                 if len(frontier) == d + 1:
                     frontier.append(0)
                 frontier[d + 1] += 1
                 if _collapsible(t):
-                    return finish(path_to(t), d + 1, len(parent), expanded, frontier)
-                nxt.append(t)
+                    return finish(path_to(k), d + 1, len(parent), expanded, frontier)
+                nxt.append((t, k))
+        # each level holds the states first reached one depth down, once each
+        assert expanded == sum(frontier[: d + 1]), "a canonical form was expanded twice"
         if not nxt:
             return SearchResult(None, None, len(parent), expanded, None, tuple(frontier))
         level = nxt

@@ -12,7 +12,6 @@ from acforge.lemma2 import (
 from acforge.moves import (
     InvertRelator,
     MultiplyRight,
-    MultiplyRightInverse,
     Stabilize,
     apply_move,
     invert_certificate,
@@ -179,14 +178,14 @@ def test_presentation_from_2x2_example():
 def test_certificates_use_only_primitive_moves():
     a = IntMatrix([[2, 3], [1, 2]])
     _, cert = presentation_from_matrix(a)
-    assert all(isinstance(m, (Stabilize, InvertRelator, MultiplyRight, MultiplyRightInverse)) for m in cert.moves)
+    assert all(isinstance(m, (Stabilize, InvertRelator, MultiplyRight)) for m in cert.moves)
 
 
 @pytest.mark.parametrize("k", [1, 7, 1000, -1000])
 def test_shear_is_one_move_per_unit_addition(k):
     _, cert = presentation_from_matrix(IntMatrix([[1, k], [0, 1]]))
     assert len(cert.moves) == abs(k) + 2
-    step = MultiplyRight(1, 2) if k > 0 else MultiplyRightInverse(1, 2)
+    step = MultiplyRight(1, 2, 1 if k > 0 else -1)
     assert cert.moves[2:] == (step,) * abs(k)
     assert replay(cert)
 
@@ -194,7 +193,7 @@ def test_shear_is_one_move_per_unit_addition(k):
 def test_matches_reference_decomposition():
     # same presentation byte for byte, never more moves
     rng = random.Random(67)
-    kinds = set()
+    signs = set()
     for _ in range(300):
         n = rng.randint(1, 5)
         a = random_unimodular(rng, n)
@@ -202,8 +201,8 @@ def test_matches_reference_decomposition():
         ref, ref_moves = reference_presentation(a)
         assert format_presentation(p) == format_presentation(ref)
         assert len(cert.moves) <= ref_moves
-        kinds.update(type(m) for m in cert.moves)
-    assert {MultiplyRight, MultiplyRightInverse} <= kinds
+        signs.update(m.sign for m in cert.moves if isinstance(m, MultiplyRight))
+    assert signs == {1, -1}
 
 
 def test_random_matrices_round_trip():

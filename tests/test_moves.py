@@ -12,7 +12,6 @@ from acforge.moves import (
     InvertRelator,
     MoveError,
     MultiplyRight,
-    MultiplyRightInverse,
     Stabilize,
     apply_move,
     format_certificate,
@@ -72,7 +71,7 @@ def random_move(rng, p, invertible_only=False):
     if kind in ("mulr", "mulri"):
         i = rng.randint(1, n)
         j = rng.choice([k for k in range(1, n + 1) if k != i])
-        return MultiplyRight(i, j) if kind == "mulr" else MultiplyRightInverse(i, j)
+        return MultiplyRight(i, j, 1 if kind == "mulr" else -1)
     raw = [rng.choice([1, -1]) * rng.randint(1, m) for _ in range(rng.randint(0, 4))] if m else []
     return Stabilize(free_reduce(raw))
 
@@ -217,7 +216,7 @@ def test_certificate_file_round_trip():
         CyclicPermute(1, 1),
         InvertRelator(2),
         MultiplyRight(1, 2),
-        MultiplyRightInverse(1, 2),
+        MultiplyRight(1, 2, -1),
         Stabilize((1, -2)),
     )
     cur = p
@@ -229,6 +228,32 @@ def test_certificate_file_round_trip():
     assert parse_certificate(text) == cert
     assert text.startswith("START < a, b |")
     assert "STAB a b^-1" in text
+
+
+def test_multiply_right_sign_must_be_one_or_minus_one():
+    p = pres("< a, b | a b, b >")
+    assert apply_move(p, MultiplyRight(1, 2, -1)) == pres("< a, b | a, b >")
+    for sign in (0, 2, -2):
+        with pytest.raises(MoveError):
+            apply_move(p, MultiplyRight(1, 2, sign))
+        with pytest.raises(CertificateError):
+            format_certificate(AcCertificate(p, (MultiplyRight(1, 2, sign),), p))
+
+
+@pytest.mark.parametrize("sign, keyword", [(1, "MULR"), (-1, "MULRI")])
+def test_multiply_right_inverse_flips_sign_and_both_signs_round_trip(sign, keyword):
+    p = pres("< a, b | a b, b a^2 >")
+    move = MultiplyRight(2, 1, sign)
+    undo = inverse_move(move, p)
+    assert undo == MultiplyRight(2, 1, -sign)
+    assert inverse_move(undo, p) == move
+    q = apply_move(p, move)
+    assert apply_move(q, undo) == p
+    cert = AcCertificate(p, (move, undo), p)
+    text = format_certificate(cert)
+    assert text.splitlines()[1:3] == [f"{keyword} 2 1", f"{'MULRI' if sign > 0 else 'MULR'} 2 1"]
+    assert parse_certificate(text) == cert
+    assert replay(cert)
 
 
 def test_certificate_text_round_trips_random_chains():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from acforge.moves import Destabilize, replay
+from acforge.lemma2 import presentation_from_matrix
+from acforge.moves import Destabilize, InvertRelator, MultiplyRight, replay
 from acforge.presentation import EMPTY_PRESENTATION, Presentation, parse_presentation
 from acforge.search import (
     SearchLimits,
@@ -23,6 +24,8 @@ AK2 = parse_presentation("< x, y | x^2 y^-3, x y x y^-1 x^-1 y^-1 >")
 
 # regression constants, recorded from the first exhaustive run
 DUAL_POINCARE_DEPTH = 3
+# (moves, states seen, states expanded); a delta = -1 edge is one MULRI
+DUAL_POINCARE_COUNTS = (9, 1032, 71)
 
 
 def letter_key(w):
@@ -190,6 +193,7 @@ def test_search_dual_poincare_finds_certificate():
     assert r.certificate.start == DUAL_POINCARE
     assert r.certificate.end == EMPTY_PRESENTATION
     assert r.found_depth == DUAL_POINCARE_DEPTH
+    assert (len(r.certificate.moves), r.states_seen, r.states_expanded) == DUAL_POINCARE_COUNTS
 
 
 def test_search_not_found_on_trivial23_small_budget():
@@ -215,21 +219,44 @@ def test_search_conjugated_start_needs_normalization_prefix():
     assert r.certificate.start == p
 
 
-def test_search_certificates_replay_on_random_trivializable_inputs():
-    from acforge.lemma2 import presentation_from_matrix
+def seeded_searches():
+    """Searches on 40 seeded Lemma-2 builds of 1x1 and 2x2 matrices."""
     from tests.test_lemma2 import random_unimodular
 
     rng = random.Random(107)
-    found = 0
     for _ in range(40):
         n = rng.randint(1, 2)
         p, _ = presentation_from_matrix(random_unimodular(rng, n, n_ops=4))
-        r = search_trivialization(p, SearchLimits(max_depth=6, max_states=50_000))
+        yield search_trivialization(p, SearchLimits(max_depth=6, max_states=50_000))
+
+
+def test_search_certificates_replay_on_random_trivializable_inputs():
+    found = 0
+    for r in seeded_searches():
         if r.found:
             assert replay(r.certificate)
             assert r.certificate.end == EMPTY_PRESENTATION
             found += 1
     assert found >= 30  # tiny unimodular builds should nearly always trivialize
+
+
+def test_seeded_certificates_have_no_invert_multiply_invert():
+    found = [r for r in seeded_searches() if r.found]
+    for r in found:
+        moves = r.certificate.moves
+        assert replay(r.certificate)
+        for a, b, c in zip(moves, moves[1:], moves[2:]):
+            # INV j / MULR i j / INV j is the one move MULRI i j (and back)
+            assert not (
+                isinstance(b, MultiplyRight)
+                and a == c == InvertRelator(b.other)
+            ), moves
+    # how an edge is spelled does not touch the search: the state counts are
+    # those of the invert-multiply-invert spelling, which took 151 moves
+    assert len(found) == 40
+    assert sum(r.states_seen for r in found) == 2930
+    assert sum(r.states_expanded for r in found) == 181
+    assert sum(len(r.certificate.moves) for r in found) == 123
 
 
 def test_search_stats_monotone():
