@@ -33,8 +33,8 @@ from .intmatrix import IntMatrix, exponent_matrix, invariant_factors, determinan
 from .lemma2 import presentation_from_matrix
 from .moves import AcCertificate, format_certificate, parse_certificate, replay
 from .presentation import (
-    NAME_RE,
     Presentation,
+    check_generator_names,
     format_presentation,
     is_balanced,
     parse_presentation,
@@ -71,12 +71,8 @@ class AugmentedPresentation:
     relators: Tuple[Word, ...]
 
     def __post_init__(self):
+        check_generator_names(self.generators)
         m = len(self.generators)
-        names = set()
-        for name in self.generators:
-            if not NAME_RE.fullmatch(name) or name in names:
-                raise ValueError(f"bad or duplicate generator name {name!r}")
-            names.add(name)
         for r in self.relators:
             for x in r:
                 if not isinstance(x, int) or x == 0 or abs(x) > m:

@@ -3,30 +3,38 @@
 Grammar (comments run from ``#`` to end of line, whitespace is free):
 
     presentation := '<' gen_list '|' rel_list '>'
-    gen_list     := empty | name (',' name)*
+    gen_list     := empty | name (','? name)*   # the comma may be left out
     rel_list     := empty | word (',' word)*
     word         := '1' | term+
     term         := name ('^' int)?      # int is a nonzero signed decimal
 
-Names match ``[A-Za-z][A-Za-z0-9_]*``.  ``< | >`` is the empty (trivial)
-presentation.  Relators are stored freely reduced; generator order is the
+Names match ``[A-Za-z][A-Za-z0-9_]*``; an int's digits are any Unicode
+decimal digits, read as ``int()`` reads them.  ``< | >`` is the empty
+(trivial) presentation.  Relators are stored freely reduced; generator order is the
 declaration order and is significant (matrices and duals index by it).
 Powers are expanded, so one parsed text may expand to at most
 ``MAX_LETTERS`` letters; longer input is a ParseError.
 Relators are NOT cyclically reduced on input: cyclic permutation is an
 explicit move, so silently rotating words would corrupt certificates.
+
+One compiled regex scans the text on demand, one token ahead of the
+parser; no token list is built, so memory is bounded by what has been
+parsed so far.  Any character outside the grammar (a non-ASCII letter
+included) is a ParseError.  Errors are reported in reading order: the
+first fault the parser reaches wins, except that a bad character in the
+token right after a faulty one is met first, because that token has
+already been scanned.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .words import Word, free_reduce
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"-?\d+")
 
 # bounds memory: checked before a power is expanded
 MAX_LETTERS = 10**6
@@ -41,6 +49,17 @@ class ParseError(ValueError):
         self.col = col
 
 
+def check_generator_names(names: Sequence[str]) -> None:
+    """Raise ValueError on a malformed or repeated generator name."""
+    seen = set()
+    for name in names:
+        if not NAME_RE.fullmatch(name):
+            raise ValueError(f"bad generator name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate generator name {name!r}")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Ordered generator names plus freely reduced relator words."""
@@ -49,13 +68,7 @@ class Presentation:
     relators: Tuple[Word, ...]
 
     def __post_init__(self):
-        seen = set()
-        for name in self.generators:
-            if not NAME_RE.fullmatch(name):
-                raise ValueError(f"bad generator name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate generator name {name!r}")
-            seen.add(name)
+        check_generator_names(self.generators)
         m = len(self.generators)
         reduced = []
         for r in self.relators:
@@ -79,147 +92,128 @@ def total_letters(p: Presentation) -> int:
     return sum(len(r) for r in p.relators)
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- parser --------------------------------------------------------------
 
-_PUNCT = "<>|,^"
-
-
-def _tokenize(text: str):
-    """Yield (kind, value, line, col); kinds: punct, name, int, end."""
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _PUNCT:
-            yield ("punct", c, line, col)
-            i += 1
-            col += 1
-        elif c.isalpha():
-            m = NAME_RE.match(text, i)
-            yield ("name", m.group(), line, col)
-            col += m.end() - i
-            i = m.end()
-        elif c.isdigit() or c == "-":
-            m = _INT_RE.match(text, i)
-            if not m or m.group() == "-":
-                raise ParseError(f"unexpected character {c!r}", line, col)
-            yield ("int", m.group(), line, col)
-            col += m.end() - i
-            i = m.end()
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    yield ("end", "", line, col)
+# Blanks and comments match no named group and are skipped.
+_TOKEN_RE = re.compile(
+    rf"[ \t\r\n]+|#[^\n]*|(?P<name>{NAME_RE.pattern})|(?P<int>-?\d+)|(?P<punct>[<>|,^])"
+)
 
 
 class _Parser:
+    """Reads text left to right, scanning one token ahead of the grammar.
+
+    ``kind`` ('name', 'int', 'punct' or 'end'), ``val`` and ``off`` (its
+    offset in the text) describe the next unread token.  Line and column
+    are worked out only when an error is raised.
+    """
+
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
+        self.text = text
+        self.pos = 0  # scanning resumes here
         self.letters = 0  # expanded so far, across all words
+        self.advance()
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def advance(self) -> None:
+        text, pos = self.text, self.pos
+        while True:
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                self.off = pos
+                if pos < len(text):
+                    self.fail(f"unexpected character {text[pos]!r}")
+                self.kind, self.val = "end", ""
+                return
+            pos = m.end()
+            if m.lastgroup:
+                self.kind, self.val, self.off, self.pos = m.lastgroup, m.group(), m.start(), pos
+                return
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def take(self) -> str:
+        val = self.val
+        self.advance()
+        return val
 
-    def expect(self, value: str):
-        kind, val, line, col = self.take()
-        if kind != "punct" or val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", line, col)
+    def at(self, punct: str) -> bool:
+        return self.kind == "punct" and self.val == punct
 
-    def fail(self, message: str):
-        _, _, line, col = self.peek()
-        raise ParseError(message, line, col)
+    def expect(self, punct: str) -> None:
+        if not self.at(punct):
+            self.fail(f"expected {punct!r}, found {self.val or 'end of input'!r}")
+        self.advance()
+
+    def expect_end(self) -> None:
+        if self.kind != "end":
+            self.fail(f"trailing input {self.val!r}")
+
+    def fail(self, message: str, off: Optional[int] = None) -> NoReturn:
+        if off is None:
+            off = self.off
+        line = self.text.count("\n", 0, off) + 1
+        raise ParseError(message, line, off - self.text.rfind("\n", 0, off))
+
+    def word(self, gen_index: Dict[str, int]) -> Word:
+        if self.kind == "int" and self.val == "1":
+            self.advance()
+            return ()
+        if self.kind != "name":
+            self.fail("expected a word ('1' or terms)")
+        letters: List[int] = []
+        while self.kind == "name":
+            off = self.off
+            name = self.take()
+            g = gen_index.get(name)
+            if g is None:
+                self.fail(f"undeclared generator {name!r}", off)
+            exp = 1
+            if self.at("^"):
+                self.advance()
+                if self.kind != "int":
+                    self.fail(f"expected integer exponent, found {self.val!r}")
+                exp_off = self.off
+                digits = self.take()
+                try:
+                    exp = int(digits)
+                except ValueError:  # too many digits for int(): far past the cap
+                    exp = MAX_LETTERS + 1
+                if exp == 0:
+                    self.fail("zero exponent", exp_off)
+            self.letters += abs(exp)
+            if self.letters > MAX_LETTERS:
+                self.fail(f"input expands to more than {MAX_LETTERS} letters", off)
+            letters.extend([g if exp > 0 else -g] * abs(exp))
+        return tuple(letters)
 
 
-def _parse_word_tokens(p: _Parser, gen_index: dict) -> List[int]:
-    kind, val, line, col = p.peek()
-    if kind == "int" and val == "1":
-        p.take()
-        return []
-    letters: List[int] = []
-    saw_term = False
-    while True:
-        kind, val, line, col = p.peek()
-        if kind != "name":
-            break
-        p.take()
-        if val not in gen_index:
-            raise ParseError(f"undeclared generator {val!r}", line, col)
-        g = gen_index[val]
-        exp = 1
-        kind2, val2, _, _ = p.peek()
-        if kind2 == "punct" and val2 == "^":
-            p.take()
-            kind3, val3, line3, col3 = p.take()
-            if kind3 != "int":
-                raise ParseError(f"expected integer exponent, found {val3!r}", line3, col3)
-            exp = int(val3)
-            if exp == 0:
-                raise ParseError("zero exponent", line3, col3)
-        p.letters += abs(exp)
-        if p.letters > MAX_LETTERS:
-            raise ParseError(f"input expands to more than {MAX_LETTERS} letters", line, col)
-        letters.extend([g if exp > 0 else -g] * abs(exp))
-        saw_term = True
-    if not saw_term:
-        p.fail("expected a word ('1' or terms)")
-    return letters
-
-
-def _parse_body(text: str) -> Tuple[Tuple[str, ...], List[List[int]]]:
+def _parse_body(text: str) -> Tuple[Tuple[str, ...], Tuple[Word, ...]]:
     p = _Parser(text)
     p.expect("<")
-    names: List[str] = []
-    kind, val, line, col = p.peek()
-    while kind == "name":
-        p.take()
-        if val in names:
-            raise ParseError(f"duplicate generator name {val!r}", line, col)
-        names.append(val)
-        kind, val, line, col = p.peek()
-        if kind == "punct" and val == ",":
-            p.take()
-            kind, val, line, col = p.peek()
-            if kind != "name":
-                raise ParseError("expected generator name after ','", line, col)
+    gen_index: Dict[str, int] = {}
+    while p.kind == "name":
+        off = p.off
+        name = p.take()
+        if name in gen_index:
+            p.fail(f"duplicate generator name {name!r}", off)
+        gen_index[name] = len(gen_index) + 1
+        if p.at(","):
+            p.advance()
+            if p.kind != "name":
+                p.fail("expected generator name after ','")
     p.expect("|")
-    gen_index = {name: i + 1 for i, name in enumerate(names)}
-    raw_relators: List[List[int]] = []
-    kind, val, _, _ = p.peek()
-    if not (kind == "punct" and val == ">"):
-        raw_relators.append(_parse_word_tokens(p, gen_index))
-        while True:
-            kind, val, _, _ = p.peek()
-            if kind == "punct" and val == ",":
-                p.take()
-                raw_relators.append(_parse_word_tokens(p, gen_index))
-            else:
-                break
+    relators: List[Word] = []
+    if not p.at(">"):
+        relators.append(p.word(gen_index))
+        while p.at(","):
+            p.advance()
+            relators.append(p.word(gen_index))
     p.expect(">")
-    kind, val, line, col = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {val!r}", line, col)
-    return tuple(names), raw_relators
+    p.expect_end()
+    return tuple(gen_index), tuple(relators)
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse presentation text; relators are freely reduced on construction."""
-    names, raw = _parse_body(text)
-    return Presentation(names, tuple(tuple(r) for r in raw))
+    return Presentation(*_parse_body(text))
 
 
 def parse_raw(text: str) -> Tuple[Tuple[str, ...], Tuple[Word, ...]]:
@@ -228,20 +222,14 @@ def parse_raw(text: str) -> Tuple[Tuple[str, ...], Tuple[Word, ...]]:
     Used for augmented presentations whose cancelling letter pairs are
     meaningful positions.
     """
-    names, raw = _parse_body(text)
-    for r in raw:
-        free_reduce(r)  # validates letters
-    return names, tuple(tuple(r) for r in raw)
+    return _parse_body(text)
 
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse a bare word over the given generator names (freely reduced)."""
     p = _Parser(text)
-    gen_index = {name: i + 1 for i, name in enumerate(generators)}
-    letters = _parse_word_tokens(p, gen_index)
-    kind, val, line, col = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {val!r}", line, col)
+    letters = p.word({name: i + 1 for i, name in enumerate(generators)})
+    p.expect_end()
     return free_reduce(letters)
 
 

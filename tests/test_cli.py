@@ -107,6 +107,11 @@ def test_parse_letter_cap(run, tmp_path):
     assert "letters" in err
 
 
+def test_parse_non_ascii_letter_is_a_parse_error(run, tmp_path):
+    rc, out, err = run("parse", write(tmp_path, "e.pres", "< é | >"))
+    assert (rc, out, err) == (2, "", "error: 1:3: unexpected character 'é'\n")
+
+
 def test_order_table_enumerates_once(run, tmp_path, monkeypatch):
     runs = []
     enumerate_run = coset._Enumerator.run

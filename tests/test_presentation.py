@@ -1,5 +1,7 @@
 import random
 import string
+import time
+import tracemalloc
 
 import pytest
 
@@ -97,9 +99,57 @@ def test_parse_error_has_position():
     assert exc.value.col == 2
 
 
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        # the first fault in reading order wins, however far ahead a bad character is
+        ("< a | b a $ >", "1:7", "undeclared generator 'b'"),
+        # ... but the scanner reads one token ahead of the parser
+        ("< a | b é >", "1:9", "unexpected character 'é'"),
+        ("< a | a^5 $ >", "1:11", "unexpected character '$'"),
+        # the end of input after an unterminated comment is the end of the text
+        ("< a | # done", "1:13", "expected a word ('1' or terms)"),
+        # an exponent too long for int() is still past the letter cap
+        ("< a | a^" + "9" * 5000 + " >", "1:7", "input expands to more than"),
+    ],
+    ids=[
+        "undeclared-before-bad-char",
+        "bad-char-in-lookahead",
+        "bad-char-after-exponent",
+        "open-comment",
+        "huge-exponent",
+    ],
+)
+def test_parse_error_reading_order(text, position, message):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert str(exc.value).startswith(f"{position}: {message}")
+
+
+def test_early_error_in_long_text_allocates_little():
+    text = "< a | b" + " a" * 10**6 + " >"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^1:7: undeclared generator 'b'"):
+            parse_presentation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_many_generator_names_parse_fast():
+    names = [f"g{i}" for i in range(40_000)]
+    text = f"< {', '.join(names)} | >"
+    t0 = time.perf_counter()
+    p = parse_presentation(text)
+    assert time.perf_counter() - t0 < 3
+    assert p.generators == tuple(names)
+
+
 def test_fuzz_never_crashes():
     rng = random.Random(13)
-    alphabet = "<>|,^ab1- \n#_" + string.digits
+    alphabet = "<>|,^ab1- \n#_" + string.digits + "é²٣\v\u00a0"
     for _ in range(2000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
         try:
