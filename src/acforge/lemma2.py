@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .intmatrix import IntMatrix, determinant
-from .moves import AcCertificate, InvertRelator, MultiplyRight, Stabilize, apply_move
+from .moves import AcCertificate, InvertRelator, MultiplyRight, Stabilize, fold_moves
 from .presentation import EMPTY_PRESENTATION, Presentation
 
 # One op (and move) per unit row addition: an entry of 10**9 would need 8 GB
@@ -52,14 +52,15 @@ def _require_unimodular(a: IntMatrix) -> None:
         raise ValueError(f"matrix is not unimodular: det = {d}")
 
 
-def decompose_unimodular(a: IntMatrix) -> List[ElementaryOp]:
-    """Elementary ops whose application to the identity yields ``a`` exactly.
+def decompose_unimodular(a: IntMatrix) -> List[Tuple[ElementaryOp, int]]:
+    """Elementary ops whose application to the identity yields ``a`` exactly,
+    as ``(op, k)`` runs: apply each op k times, in order.
 
     Reduces ``a`` to the identity by integer row elimination (minimal-pivot
     Euclid per column), recording each step ``row t += c * row s`` once,
-    then emits the inverse steps in reverse order: |c| unit additions of
-    sign -sign(c) each.  Raises ValueError if that is more than
-    ``MAX_ROW_ADDITIONS`` additions, before expanding any of them.
+    then lists the inverse steps in reverse order: |c| unit additions of
+    sign -sign(c) each, one run.  Raises ValueError if that is more than
+    ``MAX_ROW_ADDITIONS`` additions.
     """
     _require_unimodular(a)
     n = a.nrows
@@ -101,12 +102,10 @@ def decompose_unimodular(a: IntMatrix) -> List[ElementaryOp]:
     additions = sum(k for op, k in trace if isinstance(op, RowAdd))
     if additions > MAX_ROW_ADDITIONS:
         raise ValueError(f"matrix needs {additions} row additions, more than {MAX_ROW_ADDITIONS}")
-    ops: List[ElementaryOp] = []
-    for op, k in reversed(trace):
-        if isinstance(op, RowAdd):
-            op = RowAdd(op.source, op.target, -op.sign)
-        ops.extend([op] * k)
-    return ops
+    return [
+        (RowAdd(op.source, op.target, -op.sign) if isinstance(op, RowAdd) else op, k)
+        for op, k in reversed(trace)
+    ]
 
 
 def presentation_from_matrix(a: IntMatrix) -> Tuple[Presentation, AcCertificate]:
@@ -114,16 +113,20 @@ def presentation_from_matrix(a: IntMatrix) -> Tuple[Presentation, AcCertificate]
 
     The certificate replays from the empty presentation: n stabilizations
     create < x1..xn | x1,...,xn >, then each RowNegate becomes an
-    InvertRelator and each RowAdd a MultiplyRight of the same sign.
+    InvertRelator and each RowAdd a MultiplyRight of the same sign.  The
+    moves are applied with ``fold_moves``, the loop replay uses, so the |c|
+    equal moves of one ``row t += c * row s`` step cost one power product:
+    a shear [[1, k], [0, 1]] builds in time linear in k, while the
+    certificate still lists every unit move.
     """
     moves = [Stabilize(()) for _ in range(a.nrows)]
-    for op in decompose_unimodular(a):
+    for op, k in decompose_unimodular(a):
         if isinstance(op, RowNegate):
-            moves.append(InvertRelator(op.row))
+            moves.extend([InvertRelator(op.row)] * k)
         else:
-            moves.append(MultiplyRight(op.target, op.source, op.sign))
-    current = EMPTY_PRESENTATION
-    for move in moves:
-        current = apply_move(current, move)
+            moves.extend([MultiplyRight(op.target, op.source, op.sign)] * k)
+    current, _, error = fold_moves(EMPTY_PRESENTATION, moves)
+    if error is not None:
+        raise error
     cert = AcCertificate(EMPTY_PRESENTATION, tuple(moves), current)
     return current, cert

@@ -18,10 +18,19 @@ raises if asked to invert through one.
 A move costs one edit, not a rebuild: apply_move assembles its result with
 ``_trusted``, which skips the validating ``Presentation`` constructor.  That
 is sound because every relator it stores is built from relators of a valid
-presentation in a way that keeps them freely reduced and in range (concat
-and invert of reduced words, a re-reduced rotation, a reduced and
+presentation in a way that keeps them freely reduced and in range (concat,
+invert and power of reduced words, a re-reduced rotation, a reduced and
 range-checked stabilizing word, a subset of the relators), and a new
 generator name comes from ``fresh_generator_name``.
+
+Replay folds each run of k equal consecutive MultiplyRight(i, j, sign)
+moves into one edit, r_i -> r_i r_j^(sign k): the first move of the run
+goes through apply_move and its checks, the other k - 1 are one
+``words.power``.  That is exact: r_j does not change inside the run (j !=
+i), and freely reduced words are unique, so k single products and one
+power product store the same relator.  A Lemma 2 shear of k unit row
+additions therefore replays in time linear in k, not quadratic, and an
+invalid run still fails at its first move, the same step as before.
 
 Certificate files are line-based: ``START <presentation>``, one move per
 line, ``END <presentation>``.  Indices are 1-based.  STAB words are written
@@ -34,7 +43,7 @@ insertion and deletion lines of older files, is rejected as unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .presentation import (
     Presentation,
@@ -43,7 +52,7 @@ from .presentation import (
     parse_presentation,
     parse_word,
 )
-from .words import Word, concat, free_reduce, invert, rotate
+from .words import Word, concat, free_reduce, invert, power, rotate
 
 
 class MoveError(ValueError):
@@ -138,6 +147,11 @@ def _replace(p: Presentation, i: int, w: Word) -> Presentation:
     return _trusted(p.generators, tuple(rels))
 
 
+def _multiply(p: Presentation, i: int, j: int, e: int) -> Presentation:
+    """r_i -> r_i r_j^e for in-range i != j; ``e`` times MultiplyRight(i, j, sign(e))."""
+    return _replace(p, i, concat(p.relators[i - 1], power(p.relators[j - 1], e)))
+
+
 def apply_move(p: Presentation, move: AcMove) -> Presentation:
     """Apply one move; the edited relator is stored freely reduced."""
     if isinstance(move, CyclicPermute):
@@ -154,10 +168,7 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
             raise MoveError("relator cannot be multiplied by itself")
         if move.sign not in (1, -1):
             raise MoveError(f"multiplier sign must be +1 or -1, not {move.sign!r}")
-        other = p.relators[move.other - 1]
-        if move.sign < 0:
-            other = invert(other)
-        return _replace(p, move.relator, concat(p.relators[move.relator - 1], other))
+        return _multiply(p, move.relator, move.other, move.sign)
     if isinstance(move, Stabilize):
         m = len(p.generators)
         w = free_reduce(move.word)
@@ -200,18 +211,54 @@ def inverse_move(move: AcMove, before: Presentation) -> AcMove:
     raise MoveError(f"unknown move {move!r}")
 
 
+def _run_end(moves: Sequence[AcMove], step: int) -> int:
+    """Index just past the run that starts at ``step``: the MultiplyRight
+    there and every equal move after it, or that one move of another kind."""
+    move, end = moves[step], step + 1
+    if type(move) is MultiplyRight:
+        while end < len(moves) and moves[end] == move:
+            end += 1
+    return end
+
+
+def fold_moves(
+    p: Presentation,
+    moves: Sequence[AcMove],
+    on_run: Optional[Callable[[int, int, Presentation], None]] = None,
+) -> Tuple[Presentation, Optional[int], Optional[MoveError]]:
+    """Apply ``moves`` from ``p`` one run at a time.
+
+    The first move of a run goes through ``apply_move`` and its checks, the
+    other k - 1 (a MultiplyRight run) are one power product.  Before each
+    run, ``on_run(step, k, before)`` is called with its 0-based start, its
+    length and the presentation it is applied to.  Returns the last
+    presentation reached and, for the first invalid move, its 0-based index
+    and the MoveError it raised (both None if every move applied).
+    """
+    step = 0
+    while step < len(moves):
+        move, end = moves[step], _run_end(moves, step)
+        if on_run is not None:
+            on_run(step, end - step, p)
+        try:
+            p = apply_move(p, move)
+        except MoveError as e:
+            return p, step, e
+        if end - step > 1:
+            p = _multiply(p, move.relator, move.other, move.sign * (end - step - 1))
+        step = end
+    return p, None, None
+
+
 def replay_trace(cert: AcCertificate):
     """Fold the moves; returns (ok, failing_step_or_None, final_presentation).
 
     ``failing_step`` is the 0-based index of the first invalid move, or the
     move count if every move applied but the end does not match.
     """
-    current = cert.start
-    for step, move in enumerate(cert.moves):
-        try:
-            current = apply_move(current, move)
-        except MoveError:
-            return False, step, current
+    current, step, _ = fold_moves(cert.start, cert.moves)
+    if step is not None:
+        return False, step, current
     if current != cert.end:
         return False, len(cert.moves), current
     return True, None, current
@@ -228,19 +275,18 @@ def invert_certificate(cert: AcCertificate) -> AcCertificate:
     Raises CertificateError if the input does not replay or contains an
     information-losing move (a reducing cyclic permutation).
     """
-    states = [cert.start]
-    for step, move in enumerate(cert.moves):
-        try:
-            states.append(apply_move(states[-1], move))
-        except MoveError as e:
-            raise CertificateError(f"input certificate invalid at step {step}: {e}")
-    if states[-1] != cert.end:
+    inv_moves: List[AcMove] = []
+
+    def record(step: int, k: int, before: Presentation) -> None:
+        # only STAB and DESTAB read ``before``, and they never form a longer run
+        inv_moves.extend([inverse_move(cert.moves[step], before)] * k)
+
+    current, step, error = fold_moves(cert.start, cert.moves, record)
+    if error is not None:
+        raise CertificateError(f"input certificate invalid at step {step}: {error}")
+    if current != cert.end:
         raise CertificateError("input certificate does not replay to its end")
-    inv_moves = tuple(
-        inverse_move(move, before)
-        for move, before in zip(reversed(cert.moves), reversed(states[:-1]))
-    )
-    result = AcCertificate(cert.end, inv_moves, cert.start)
+    result = AcCertificate(cert.end, tuple(reversed(inv_moves)), cert.start)
     ok, step, _ = replay_trace(result)
     if not ok:
         raise CertificateError(

@@ -38,13 +38,11 @@ def invert(w: Sequence[int]) -> Word:
 
 def concat(u: Sequence[int], v: Sequence[int]) -> Word:
     """Product of two reduced words, cancelling across the seam."""
-    stack = list(u)
+    n, m = len(u), len(v)
     i = 0
-    nv = len(v)
-    while stack and i < nv and stack[-1] == -v[i]:
-        stack.pop()
+    while i < n and i < m and u[n - 1 - i] == -v[i]:
         i += 1
-    return tuple(stack) + tuple(v[i:])
+    return tuple(u[: n - i]) + tuple(v[i:])
 
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
@@ -58,6 +56,23 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
         i += 1
         j -= 1
     return w[i:j], w[:i]
+
+
+def power(w: Word, e: int) -> Word:
+    """``w^e`` for a freely reduced ``w`` and a nonzero int ``e``.
+
+    With ``w = u c u^-1`` and ``c`` cyclically reduced (``cyclic_reduce``),
+    ``w^e = u c^e u^-1`` and no seam of that product cancels, so it is
+    returned without a reduction pass: O(|w| + |e| |c|).
+    """
+    if e == 1:
+        return w
+    if e == -1:
+        return invert(w)
+    core, u = cyclic_reduce(w)
+    if e < 0:
+        core, e = invert(core), -e
+    return u + core * e + invert(u)
 
 
 def is_cyclically_reduced(w: Word) -> bool:

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from acforge.intmatrix import IntMatrix, determinant, exponent_matrix
 from acforge.lemma2 import (
+    MAX_ROW_ADDITIONS,
     RowAdd,
     RowNegate,
     decompose_unimodular,
@@ -14,6 +16,7 @@ from acforge.moves import (
     MultiplyRight,
     Stabilize,
     apply_move,
+    format_certificate,
     invert_certificate,
     replay,
 )
@@ -119,19 +122,28 @@ def test_apply_ops_identity():
     assert apply_ops([RowAdd(1, 2, -1)], 2) == IntMatrix([[1, 0], [-1, 1]])
 
 
+def expand(runs):
+    """The ops of ``decompose_unimodular``'s ``(op, k)`` runs, one per unit."""
+    return [op for op, k in runs for _ in range(k)]
+
+
 def test_decompose_identity():
     assert decompose_unimodular(IntMatrix.identity(4)) == []
     assert decompose_unimodular(IntMatrix([], ncols=0)) == []
 
 
 def test_decompose_single_negation():
-    assert decompose_unimodular(IntMatrix([[-1]])) == [RowNegate(1)]
+    assert decompose_unimodular(IntMatrix([[-1]])) == [(RowNegate(1), 1)]
+
+
+def test_decompose_shear_is_one_run():
+    assert decompose_unimodular(IntMatrix([[1, 7], [0, 1]])) == [(RowAdd(2, 1), 7)]
+    assert decompose_unimodular(IntMatrix([[1, -7], [0, 1]])) == [(RowAdd(2, 1, -1), 7)]
 
 
 def test_decompose_2x2_example():
     a = IntMatrix([[2, 3], [1, 2]])
-    ops = decompose_unimodular(a)
-    assert apply_ops(ops, 2) == a
+    assert apply_ops(expand(decompose_unimodular(a)), 2) == a
 
 
 def test_decompose_rejects_bad_input():
@@ -147,7 +159,9 @@ def test_decompose_random_round_trip():
         n = rng.randint(1, 5)
         a = random_unimodular(rng, n)
         assert abs(determinant(a)) == 1
-        assert apply_ops(decompose_unimodular(a), n) == a
+        runs = decompose_unimodular(a)
+        assert all(k >= 1 and (k == 1 or isinstance(op, RowAdd)) for op, k in runs)
+        assert apply_ops(expand(runs), n) == a
 
 
 def test_presentation_from_identity():
@@ -188,6 +202,20 @@ def test_shear_is_one_move_per_unit_addition(k):
     step = MultiplyRight(1, 2, 1 if k > 0 else -1)
     assert cert.moves[2:] == (step,) * abs(k)
     assert replay(cert)
+    lines = format_certificate(cert).splitlines()
+    assert lines[3:-1] == [f"{'MULR' if k > 0 else 'MULRI'} 1 2"] * abs(k)
+
+
+def test_shear_at_the_addition_cap_builds_and_replays_in_linear_time():
+    # about 0.1 s with runs of equal moves folded into one power; folding
+    # nothing, the growing relator is copied once per move and this takes minutes
+    k = MAX_ROW_ADDITIONS
+    t0 = time.perf_counter()
+    p, cert = presentation_from_matrix(IntMatrix([[1, k], [0, 1]]))
+    assert len(cert.moves) == k + 2
+    assert p.relators == ((1,) + (2,) * k, (2,))
+    assert replay(cert)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_matches_reference_decomposition():

@@ -14,6 +14,7 @@ from acforge.moves import (
     MultiplyRight,
     Stabilize,
     apply_move,
+    fold_moves,
     format_certificate,
     inverse_move,
     invert_certificate,
@@ -208,6 +209,93 @@ def test_invert_certificate_random_round_trips():
         inv = invert_certificate(cert)
         assert inv.start == cur and inv.end == p
         assert replay(inv)
+
+
+def one_at_a_time(p, moves):
+    """Reference replay: one ``apply_move`` per move, no runs folded."""
+    for step, mv in enumerate(moves):
+        try:
+            p = apply_move(p, mv)
+        except MoveError:
+            return p, step
+    return p, None
+
+
+def random_run_chain(rng, p, invertible_only=False):
+    """Valid moves from p in which a MultiplyRight often repeats 2..12 times."""
+    moves = []
+    for _ in range(rng.randint(1, 8)):
+        mv = random_move(rng, p, invertible_only)
+        k = rng.randint(1, 12) if isinstance(mv, MultiplyRight) else 1
+        moves += [mv] * k
+        p = one_at_a_time(p, [mv] * k)[0]
+    return moves, p
+
+
+def test_replay_folds_multiply_runs_exactly():
+    rng = random.Random(67)
+    runs = 0
+    for _ in range(300):
+        p = random_presentation(rng, min_rels=2)
+        moves, end = random_run_chain(rng, p)
+        runs += any(a == b and isinstance(a, MultiplyRight) for a, b in zip(moves, moves[1:]))
+        assert fold_moves(p, moves) == (end, None, None)
+        cert = AcCertificate(p, tuple(moves), end)
+        assert replay_trace(cert) == (True, None, end)
+        # parsed moves are equal but distinct objects
+        assert replay_trace(parse_certificate(format_certificate(cert))) == (True, None, end)
+    assert runs > 100
+
+
+@pytest.mark.parametrize("sign, r1", [(1, (1, 2, 2, -1)), (-1, (1, -2, -2, -2, -2, -2, -2, -2, -2, -1))])
+def test_multiply_run_cancels_across_the_seam(sign, r1):
+    # r2 = a b a^-1 is not cyclically reduced: (a b^-3 a^-1)(a b a^-1)^(5 sign)
+    p = Presentation(("a", "b"), ((1, -2, -2, -2, -1), (1, 2, -1)))
+    moves = [MultiplyRight(1, 2, sign)] * 5
+    end = Presentation(("a", "b"), (r1, (1, 2, -1)))
+    assert one_at_a_time(p, moves) == fold_moves(p, moves)[:2] == (end, None)
+
+
+@pytest.mark.parametrize(
+    "bad", [MultiplyRight(1, 1), MultiplyRight(1, 3), MultiplyRight(3, 1), MultiplyRight(1, 2, 2)]
+)
+def test_invalid_run_fails_at_its_first_move(bad):
+    p = pres("< a, b | a b, b >")
+    moves = [MultiplyRight(1, 2)] * 3 + [InvertRelator(2)] + [bad] * 4 + [InvertRelator(1)]
+    before, step = one_at_a_time(p, moves)
+    assert step == 4
+    reached, step, error = fold_moves(p, moves)
+    assert (reached, step) == (before, 4)
+    with pytest.raises(MoveError) as single:
+        apply_move(before, bad)
+    assert isinstance(error, MoveError) and str(error) == str(single.value)
+    cert = AcCertificate(p, tuple(moves), p)
+    assert replay_trace(cert) == (False, 4, before)
+    with pytest.raises(CertificateError, match="step 4"):
+        invert_certificate(cert)
+
+
+def test_fold_reports_each_run_before_applying_it():
+    p = pres("< a, b | a b, b >")
+    moves = [MultiplyRight(1, 2)] * 3 + [MultiplyRight(1, 2, -1)] * 2 + [InvertRelator(2)]
+    seen = []
+    fold_moves(p, moves, lambda step, k, before: seen.append((step, k, before)))
+    after3 = one_at_a_time(p, moves[:3])[0]
+    after5 = one_at_a_time(p, moves[:5])[0]
+    assert seen == [(0, 3, p), (3, 2, after3), (5, 1, after5)]
+
+
+def test_invert_certificate_with_runs_matches_move_by_move():
+    rng = random.Random(71)
+    for _ in range(200):
+        p = random_presentation(rng, min_rels=2)
+        moves, end = random_run_chain(rng, p, invertible_only=True)
+        states = [p]
+        for mv in moves:
+            states.append(apply_move(states[-1], mv))
+        expect = tuple(inverse_move(mv, s) for mv, s in zip(reversed(moves), reversed(states[:-1])))
+        inv = invert_certificate(AcCertificate(p, tuple(moves), end))
+        assert inv == AcCertificate(end, expect, p)
 
 
 def test_certificate_file_round_trip():

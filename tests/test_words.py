@@ -9,6 +9,7 @@ from acforge.words import (
     free_reduce,
     invert,
     is_cyclically_reduced,
+    power,
     rotate,
 )
 
@@ -78,6 +79,7 @@ def test_concat_examples():
     assert concat(w, ()) == w
     assert concat((A, A), (B, B, B)) == (A, A, B, B, B)  # alpha^2 . beta^3
     assert concat((A, B), (-B, C)) == (A, C)
+    assert concat([A, B], [-B, C]) == (A, C)  # any sequences in, a tuple out
 
 
 def test_concat_inverse_cancels_and_associativity():
@@ -89,6 +91,30 @@ def test_concat_inverse_cancels_and_associativity():
         assert concat(u, invert(u)) == ()
         assert concat(concat(u, v), w) == concat(u, concat(v, w))
         assert concat(u, v) == free_reduce(tuple(u) + tuple(v))
+
+
+def test_power_examples():
+    assert power((), 5) == ()
+    assert power((A, B), 1) == (A, B)
+    assert power((A, B), -1) == (-B, -A)
+    # (c a b c^-1)^2 = c a b a b c^-1: the conjugator is not repeated
+    assert power((C, A, B, -C), 2) == (C, A, B, A, B, -C)
+    assert power((C, A, B, -C), -2) == (C, -B, -A, -B, -A, -C)
+    assert power((A, B, -A), 3) == (A, B, B, B, -A)
+
+
+def test_power_matches_repeated_product():
+    rng = random.Random(12)
+    words = [()]
+    for _ in range(300):
+        w = free_reduce(random_raw(rng, max_len=12))
+        u = free_reduce(random_raw(rng, max_len=4))
+        words += [w, concat(concat(u, w), invert(u))]  # the second is often not cyclically reduced
+    assert sum(not is_cyclically_reduced(w) for w in words) > 100
+    for w in words:
+        for e in (-1, 1, rng.choice((-1, 1)) * rng.randint(2, 9)):
+            expect = free_reduce(tuple(w) * abs(e))
+            assert power(w, e) == (expect if e > 0 else invert(expect)), (w, e)
 
 
 def test_cyclic_reduce_examples():
