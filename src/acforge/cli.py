@@ -155,7 +155,7 @@ def cmd_lemma2(args) -> int:
     out.emit(
         "ok",
         lines,
-        {"presentation": pres_text, "letters": letters, "moves": len(cert.moves)},
+        {"presentation": pres_text, "letters": letters, "moves": cert.length},
     )
     return 0
 
@@ -177,7 +177,7 @@ def cmd_theorem3(args) -> int:
     lines = [
         f"WROTE {d}",
         f"DUAL {dual_text}",
-        f"MOVES {len(kc.trivialization.moves)}",
+        f"MOVES {kc.trivialization.length}",
     ]
     out.emit(
         "ok",
@@ -185,7 +185,7 @@ def cmd_theorem3(args) -> int:
         {
             "bundle": str(d),
             "dual": dual_text,
-            "moves": len(kc.trivialization.moves),
+            "moves": kc.trivialization.length,
             "insertions": sum(len(a) - len(s) for a, s in zip(kc.augmented.relators, kc.source.relators)) // 2,
         },
     )
@@ -249,7 +249,7 @@ def cmd_acsearch(args) -> int:
     if r.found:
         cert_text = format_certificate(r.certificate)
         lines = [
-            f"FOUND depth={r.found_depth} moves={len(r.certificate.moves)} "
+            f"FOUND depth={r.found_depth} moves={r.certificate.length} "
             f"states-seen={r.states_seen} states-expanded={r.states_expanded}"
         ]
         if args.output:
@@ -260,7 +260,7 @@ def cmd_acsearch(args) -> int:
         out.emit(
             "found",
             lines,
-            dict(stats, depth=r.found_depth, moves=len(r.certificate.moves)),
+            dict(stats, depth=r.found_depth, moves=r.certificate.length),
         )
         return 0
     lines = [
@@ -278,7 +278,7 @@ def cmd_verify_cert(args) -> int:
     cert = parse_certificate(_read(args.file))
     ok, step, final = replay_trace(cert)
     if ok:
-        out.emit("verified", ["OK"], {"moves": len(cert.moves)})
+        out.emit("verified", ["OK"], {"moves": cert.length})
         return 0
     out.emit(
         "failed",

@@ -1,14 +1,14 @@
 """Build a trivial-group presentation realizing a given unimodular matrix.
 
 A unimodular n x n matrix is a product of elementary row operations:
-"negate a row" and "add row i to row j, or subtract it".  Mirroring those
-on < x1..xn | x1, ..., xn > (invert relator i; r_j -> r_j r_i^sign by one
-signed MultiplyRight) keeps the group trivial while steering the
-abelianized matrix to any unimodular target.  The subtraction move (sign
--1, MULRI) gives the same reduced relator as invert-multiply-invert would,
-reduced words being unique in the free group.  The certificate
-starts at the empty presentation (n stabilizations build the x_i), so
-inverting it trivializes the result.
+"negate a row" and "add c times row i to row j".  Mirroring those on
+< x1..xn | x1, ..., xn > (invert relator i; r_j -> r_j r_i^c by one
+MultiplyRight of exponent c) keeps the group trivial while steering the
+abelianized matrix to any unimodular target.  A negative c (MULRI lines)
+gives the same reduced relator as invert-multiply-invert would, reduced
+words being unique in the free group.  The certificate starts at the empty
+presentation (n stabilizations build the x_i), so inverting it trivializes
+the result.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .intmatrix import IntMatrix, determinant
-from .moves import AcCertificate, InvertRelator, MultiplyRight, Stabilize, fold_moves
+from .moves import AcCertificate, InvertRelator, MultiplyRight, Stabilize, apply_move
 from .presentation import EMPTY_PRESENTATION, Presentation
 
-# One op (and move) per unit row addition: an entry of 10**9 would need 8 GB
+# The certificate text has one MULR/MULRI line per unit row addition (the sum
+# of |c| over the steps): an entry of 10**9 would need a 9 GB file
 MAX_ROW_ADDITIONS = 10**5
 
 
@@ -33,12 +34,12 @@ class RowNegate:
 
 @dataclass(frozen=True)
 class RowAdd:
-    """Add ``sign`` (+1 or -1) times row ``source`` to row ``target``
-    (1-based, source != target)."""
+    """Add ``multiple`` (a nonzero int) times row ``source`` to row
+    ``target`` (1-based, source != target)."""
 
     source: int
     target: int
-    sign: int = 1
+    multiple: int = 1
 
 
 ElementaryOp = Union[RowNegate, RowAdd]
@@ -52,29 +53,29 @@ def _require_unimodular(a: IntMatrix) -> None:
         raise ValueError(f"matrix is not unimodular: det = {d}")
 
 
-def decompose_unimodular(a: IntMatrix) -> List[Tuple[ElementaryOp, int]]:
-    """Elementary ops whose application to the identity yields ``a`` exactly,
-    as ``(op, k)`` runs: apply each op k times, in order.
+def decompose_unimodular(a: IntMatrix) -> List[ElementaryOp]:
+    """Elementary ops whose application, in order, to the identity yields
+    ``a`` exactly.
 
     Reduces ``a`` to the identity by integer row elimination (minimal-pivot
-    Euclid per column), recording each step ``row t += c * row s`` once,
-    then lists the inverse steps in reverse order: |c| unit additions of
-    sign -sign(c) each, one run.  Raises ValueError if that is more than
-    ``MAX_ROW_ADDITIONS`` additions.
+    Euclid per column), recording each step ``row t += c * row s`` once as
+    ``RowAdd(s, t, c)``, then lists the inverse steps in reverse order, each
+    ``RowAdd(s, t, -c)``.  Raises ValueError if the certificate text would
+    need more than ``MAX_ROW_ADDITIONS`` unit additions (the sum of |c|).
     """
     _require_unimodular(a)
     n = a.nrows
     b = [list(r) for r in a.rows]
-    trace: List[Tuple[ElementaryOp, int]] = []  # (op, repeats), applied to b in order
+    trace: List[ElementaryOp] = []  # applied to b in order
 
     def negate(i: int):
         b[i] = [-x for x in b[i]]
-        trace.append((RowNegate(i + 1), 1))
+        trace.append(RowNegate(i + 1))
 
     def addmul(src: int, dst: int, c: int):  # row dst += c * row src
         if c:
             b[dst] = [x + c * y for x, y in zip(b[dst], b[src])]
-            trace.append((RowAdd(src + 1, dst + 1, 1 if c > 0 else -1), abs(c)))
+            trace.append(RowAdd(src + 1, dst + 1, c))
 
     for col in range(n):
         # Euclid the active column down to a single nonzero entry
@@ -99,12 +100,12 @@ def decompose_unimodular(a: IntMatrix) -> List[Tuple[ElementaryOp, int]]:
             addmul(col, i, -b[i][col])
     assert b == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    additions = sum(k for op, k in trace if isinstance(op, RowAdd))
+    additions = sum(abs(op.multiple) for op in trace if isinstance(op, RowAdd))
     if additions > MAX_ROW_ADDITIONS:
         raise ValueError(f"matrix needs {additions} row additions, more than {MAX_ROW_ADDITIONS}")
     return [
-        (RowAdd(op.source, op.target, -op.sign) if isinstance(op, RowAdd) else op, k)
-        for op, k in reversed(trace)
+        RowAdd(op.source, op.target, -op.multiple) if isinstance(op, RowAdd) else op
+        for op in reversed(trace)
     ]
 
 
@@ -113,20 +114,15 @@ def presentation_from_matrix(a: IntMatrix) -> Tuple[Presentation, AcCertificate]
 
     The certificate replays from the empty presentation: n stabilizations
     create < x1..xn | x1,...,xn >, then each RowNegate becomes an
-    InvertRelator and each RowAdd a MultiplyRight of the same sign.  The
-    moves are applied with ``fold_moves``, the loop replay uses, so the |c|
-    equal moves of one ``row t += c * row s`` step cost one power product:
-    a shear [[1, k], [0, 1]] builds in time linear in k, while the
-    certificate still lists every unit move.
+    InvertRelator and each ``row t += c * row s`` one MultiplyRight(t, s, c),
+    a single power product: a shear [[1, k], [0, 1]] builds in time linear
+    in k.  Its text still lists every unit move, |c| lines per step.
     """
-    moves = [Stabilize(()) for _ in range(a.nrows)]
-    for op, k in decompose_unimodular(a):
-        if isinstance(op, RowNegate):
-            moves.extend([InvertRelator(op.row)] * k)
-        else:
-            moves.extend([MultiplyRight(op.target, op.source, op.sign)] * k)
-    current, _, error = fold_moves(EMPTY_PRESENTATION, moves)
-    if error is not None:
-        raise error
-    cert = AcCertificate(EMPTY_PRESENTATION, tuple(moves), current)
-    return current, cert
+    moves = [Stabilize(()) for _ in range(a.nrows)] + [
+        InvertRelator(op.row) if isinstance(op, RowNegate) else MultiplyRight(op.target, op.source, op.multiple)
+        for op in decompose_unimodular(a)
+    ]
+    current = EMPTY_PRESENTATION
+    for move in moves:
+        current = apply_move(current, move)
+    return current, AcCertificate(EMPTY_PRESENTATION, tuple(moves), current)

@@ -2,13 +2,13 @@
 
 The five move classes (four primitives, plus Destabilize, the inverse of
 Stabilize) act on presentations whose relators are stored freely reduced.
-MultiplyRight carries a sign: r_i -> r_i r_j^sign, so the move that undoes
-it is the same class with the sign flipped (written MULR for +1, MULRI for
--1).  Inserting or deleting a cancelling pair a a^-1 is not a move: on a
-freely reduced relator it changes nothing, so a certificate has nothing to
-record.  Where such pads matter (the occurrences of Theorem 3), they live
-in the augmented presentation and the occurrence witness of the bundle, not
-here.
+MultiplyRight carries a nonzero int exponent: r_i -> r_i r_j^e, one
+``concat`` with ``words.power(r_j, e)``, which equals |e| unit moves of one
+sign; its inverse negates the exponent.  Inserting or deleting a
+cancelling pair a a^-1 is not a move: on a freely reduced relator it
+changes nothing, so a certificate has nothing to record.  Where such pads
+matter (the occurrences of Theorem 3), they live in the augmented
+presentation and the occurrence witness of the bundle, not here.
 
 CyclicPermute stores the free reduction of the rotated word.  Rotating a
 relator that is not cyclically reduced strips a conjugating pair, which
@@ -23,19 +23,19 @@ invert and power of reduced words, a re-reduced rotation, a reduced and
 range-checked stabilizing word, a subset of the relators), and a new
 generator name comes from ``fresh_generator_name``.
 
-Replay folds each run of k equal consecutive MultiplyRight(i, j, sign)
-moves into one edit, r_i -> r_i r_j^(sign k): the first move of the run
-goes through apply_move and its checks, the other k - 1 are one
-``words.power``.  That is exact: r_j does not change inside the run (j !=
-i), and freely reduced words are unique, so k single products and one
-power product store the same relator.  A Lemma 2 shear of k unit row
-additions therefore replays in time linear in k, not quadratic, and an
-invalid run still fails at its first move, the same step as before.
+An AcCertificate holds its moves in one normal form: each run of adjacent
+MultiplyRight moves on the same (i, j) with exponents of the same sign is
+one move whose exponent is their sum, so a Lemma 2 shear of k unit row
+additions is one move and replays in time linear in k.  Moves of opposite
+signs, and invalid moves, are never merged.  Steps and ``length`` count
+unit moves, which are the move lines of the certificate text: a move of
+exponent e is |e| lines, any other move one line.
 
-Certificate files are line-based: ``START <presentation>``, one move per
-line, ``END <presentation>``.  Indices are 1-based.  STAB words are written
-with generator names, which reading and writing follow from the START
-names alone (STAB appends ``fresh_generator_name``, DESTAB drops the last
+Certificate files are line-based: ``START <presentation>``, one unit move
+per line (``MULR i j`` for exponent +1, ``MULRI i j`` for -1), ``END
+<presentation>``.  Indices are 1-based.  STAB words are written with
+generator names, which reading and writing follow from the START names
+alone (STAB appends ``fresh_generator_name``, DESTAB drops the last
 name); neither replays the moves.  Any other keyword, including the pair
 insertion and deletion lines of older files, is rejected as unknown.
 """
@@ -43,7 +43,8 @@ insertion and deletion lines of older files, is rejected as unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from itertools import groupby
+from typing import List, Optional, Tuple, Union
 
 from .presentation import (
     Presentation,
@@ -78,11 +79,11 @@ class InvertRelator:
 
 @dataclass(frozen=True)
 class MultiplyRight:
-    """r_i -> r_i r_j^sign, j != i, sign +1 or -1."""
+    """r_i -> r_i r_j^exponent, j != i, exponent a nonzero int."""
 
     relator: int
     other: int
-    sign: int = 1
+    exponent: int = 1
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,40 @@ AcMove = Union[
 ]
 
 
+def _run_key(move: AcMove):
+    """(i, j, sign) of a MultiplyRight with a valid exponent; None otherwise."""
+    if type(move) is MultiplyRight and type(move.exponent) is int and move.exponent:
+        return move.relator, move.other, move.exponent > 0
+    return None
+
+
+def _units(move: AcMove) -> int:
+    """Unit moves, that is certificate lines, that ``move`` stands for."""
+    return abs(move.exponent) if _run_key(move) else 1
+
+
 @dataclass(frozen=True)
 class AcCertificate:
-    """A replayable move sequence claimed to transform start into end."""
+    """A replayable move sequence claimed to transform start into end, its
+    moves kept in normal form (each run of MultiplyRight moves merged)."""
 
     start: Presentation
     moves: Tuple[AcMove, ...]
     end: Presentation
+
+    def __post_init__(self):
+        moves: List[AcMove] = []
+        for key, run in groupby(self.moves, _run_key):
+            if key is None:
+                moves.extend(run)
+            else:
+                moves.append(MultiplyRight(key[0], key[1], sum(mv.exponent for mv in run)))
+        object.__setattr__(self, "moves", tuple(moves))
+
+    @property
+    def length(self) -> int:
+        """Unit moves: the number of move lines in the certificate text."""
+        return sum(map(_units, self.moves))
 
 
 def fresh_generator_name(existing) -> str:
@@ -147,11 +175,6 @@ def _replace(p: Presentation, i: int, w: Word) -> Presentation:
     return _trusted(p.generators, tuple(rels))
 
 
-def _multiply(p: Presentation, i: int, j: int, e: int) -> Presentation:
-    """r_i -> r_i r_j^e for in-range i != j; ``e`` times MultiplyRight(i, j, sign(e))."""
-    return _replace(p, i, concat(p.relators[i - 1], power(p.relators[j - 1], e)))
-
-
 def apply_move(p: Presentation, move: AcMove) -> Presentation:
     """Apply one move; the edited relator is stored freely reduced."""
     if isinstance(move, CyclicPermute):
@@ -166,9 +189,10 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
         _check_relator_index(p, move.other)
         if move.relator == move.other:
             raise MoveError("relator cannot be multiplied by itself")
-        if move.sign not in (1, -1):
-            raise MoveError(f"multiplier sign must be +1 or -1, not {move.sign!r}")
-        return _multiply(p, move.relator, move.other, move.sign)
+        if _run_key(move) is None:
+            raise MoveError(f"multiplier exponent must be a nonzero int, not {move.exponent!r}")
+        r, other = p.relators[move.relator - 1], p.relators[move.other - 1]
+        return _replace(p, move.relator, concat(r, power(other, move.exponent)))
     if isinstance(move, Stabilize):
         m = len(p.generators)
         w = free_reduce(move.word)
@@ -203,7 +227,7 @@ def inverse_move(move: AcMove, before: Presentation) -> AcMove:
     if isinstance(move, InvertRelator):
         return move
     if isinstance(move, MultiplyRight):
-        return MultiplyRight(move.relator, move.other, -move.sign)
+        return MultiplyRight(move.relator, move.other, -move.exponent)
     if isinstance(move, Stabilize):
         return Destabilize(len(before.generators) + 1, len(before.relators) + 1)
     if isinstance(move, Destabilize):
@@ -211,56 +235,22 @@ def inverse_move(move: AcMove, before: Presentation) -> AcMove:
     raise MoveError(f"unknown move {move!r}")
 
 
-def _run_end(moves: Sequence[AcMove], step: int) -> int:
-    """Index just past the run that starts at ``step``: the MultiplyRight
-    there and every equal move after it, or that one move of another kind."""
-    move, end = moves[step], step + 1
-    if type(move) is MultiplyRight:
-        while end < len(moves) and moves[end] == move:
-            end += 1
-    return end
-
-
-def fold_moves(
-    p: Presentation,
-    moves: Sequence[AcMove],
-    on_run: Optional[Callable[[int, int, Presentation], None]] = None,
-) -> Tuple[Presentation, Optional[int], Optional[MoveError]]:
-    """Apply ``moves`` from ``p`` one run at a time.
-
-    The first move of a run goes through ``apply_move`` and its checks, the
-    other k - 1 (a MultiplyRight run) are one power product.  Before each
-    run, ``on_run(step, k, before)`` is called with its 0-based start, its
-    length and the presentation it is applied to.  Returns the last
-    presentation reached and, for the first invalid move, its 0-based index
-    and the MoveError it raised (both None if every move applied).
-    """
-    step = 0
-    while step < len(moves):
-        move, end = moves[step], _run_end(moves, step)
-        if on_run is not None:
-            on_run(step, end - step, p)
-        try:
-            p = apply_move(p, move)
-        except MoveError as e:
-            return p, step, e
-        if end - step > 1:
-            p = _multiply(p, move.relator, move.other, move.sign * (end - step - 1))
-        step = end
-    return p, None, None
-
-
 def replay_trace(cert: AcCertificate):
-    """Fold the moves; returns (ok, failing_step_or_None, final_presentation).
+    """Apply the moves; returns (ok, failing_step_or_None, final_presentation).
 
-    ``failing_step`` is the 0-based index of the first invalid move, or the
-    move count if every move applied but the end does not match.
+    ``failing_step`` counts unit moves: the 0-based line of the first
+    invalid move, or ``cert.length`` if every move applied but the end does
+    not match.
     """
-    current, step, _ = fold_moves(cert.start, cert.moves)
-    if step is not None:
-        return False, step, current
+    current, step = cert.start, 0
+    for move in cert.moves:
+        try:
+            current = apply_move(current, move)
+        except MoveError:
+            return False, step, current
+        step += _units(move)
     if current != cert.end:
-        return False, len(cert.moves), current
+        return False, step, current
     return True, None, current
 
 
@@ -276,14 +266,14 @@ def invert_certificate(cert: AcCertificate) -> AcCertificate:
     information-losing move (a reducing cyclic permutation).
     """
     inv_moves: List[AcMove] = []
-
-    def record(step: int, k: int, before: Presentation) -> None:
-        # only STAB and DESTAB read ``before``, and they never form a longer run
-        inv_moves.extend([inverse_move(cert.moves[step], before)] * k)
-
-    current, step, error = fold_moves(cert.start, cert.moves, record)
-    if error is not None:
-        raise CertificateError(f"input certificate invalid at step {step}: {error}")
+    current, step = cert.start, 0
+    for move in cert.moves:
+        try:
+            after = apply_move(current, move)
+        except MoveError as e:
+            raise CertificateError(f"input certificate invalid at step {step}: {e}")
+        inv_moves.append(inverse_move(move, current))
+        current, step = after, step + _units(move)
     if current != cert.end:
         raise CertificateError("input certificate does not replay to its end")
     result = AcCertificate(cert.end, tuple(reversed(inv_moves)), cert.start)
@@ -316,20 +306,21 @@ def _names_after(names: Optional[Tuple[str, ...]], move: AcMove) -> Optional[Tup
 
 
 def format_certificate(cert: AcCertificate) -> str:
-    """Serialize; STAB words print with the generator names live at that step."""
+    """Serialize, one line per unit move; STAB words print with the
+    generator names live at that step."""
     lines = [f"START {format_presentation(cert.start)}"]
     names: Optional[Tuple[str, ...]] = cert.start.generators
-    for step, move in enumerate(cert.moves):
+    for move in cert.moves:
         if isinstance(move, CyclicPermute):
             lines.append(f"CYC {move.relator} {move.shift}")
         elif isinstance(move, InvertRelator):
             lines.append(f"INV {move.relator}")
-        elif isinstance(move, MultiplyRight) and move.sign in (1, -1):
-            op = "MULR" if move.sign > 0 else "MULRI"
-            lines.append(f"{op} {move.relator} {move.other}")
+        elif _run_key(move):
+            op = "MULR" if move.exponent > 0 else "MULRI"
+            lines.extend([f"{op} {move.relator} {move.other}"] * abs(move.exponent))
         elif isinstance(move, Stabilize):
             if names is None or any(abs(x) > len(names) for x in move.word):
-                raise CertificateError(f"step {step}: cannot name the letters of the STAB word")
+                raise CertificateError(f"step {len(lines) - 1}: cannot name the letters of the STAB word")
             lines.append(f"STAB {format_word(move.word, names)}")
         elif isinstance(move, Destabilize):
             lines.append(f"DESTAB {move.generator} {move.relator}")
@@ -342,7 +333,8 @@ def format_certificate(cert: AcCertificate) -> str:
 
 def parse_certificate(text: str) -> AcCertificate:
     """Parse a certificate file; STAB words resolve against the generator
-    names followed from START, without replaying the moves."""
+    names followed from START, without replaying the moves.  A line equal
+    to the one before it is the same move again and is not parsed twice."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -360,30 +352,35 @@ def parse_certificate(text: str) -> AcCertificate:
     end = _pres(lines[-1][1], "END")
     moves: List[AcMove] = []
     names: Optional[Tuple[str, ...]] = start.generators
+    prev = None
     for lineno, line in lines[1:-1]:
-        fields = line.split()
-        op, args = fields[0], fields[1:]
-        try:
-            if op == "CYC":
-                move: AcMove = CyclicPermute(int(args[0]), int(args[1]))
-            elif op == "INV":
-                (i,) = args
-                move = InvertRelator(int(i))
-            elif op in ("MULR", "MULRI"):
-                move = MultiplyRight(int(args[0]), int(args[1]), 1 if op == "MULR" else -1)
-            elif op == "STAB":
-                if names is None:
-                    raise ValueError(
-                        "cannot resolve STAB word after a DESTAB of a generator "
-                        "other than the last"
-                    )
-                move = Stabilize(parse_word(line[len("STAB") :].strip(), names))
-            elif op == "DESTAB":
-                move = Destabilize(int(args[0]), int(args[1]))
-            else:
-                raise ValueError(f"unknown move keyword {op!r}")
-        except (IndexError, ValueError) as e:
-            raise CertificateError(f"line {lineno}: {e}")
+        if line != prev:
+            prev, fields = line, line.split()
+            op, args = fields[0], fields[1:]
+            try:
+                if op == "CYC":
+                    i, k = args
+                    move: AcMove = CyclicPermute(int(i), int(k))
+                elif op == "INV":
+                    (i,) = args
+                    move = InvertRelator(int(i))
+                elif op in ("MULR", "MULRI"):
+                    i, j = args
+                    move = MultiplyRight(int(i), int(j), 1 if op == "MULR" else -1)
+                elif op == "STAB":
+                    if names is None:
+                        raise ValueError(
+                            "cannot resolve STAB word after a DESTAB of a generator "
+                            "other than the last"
+                        )
+                    move = Stabilize(parse_word(line[len("STAB") :].strip(), names))
+                elif op == "DESTAB":
+                    g, i = args
+                    move = Destabilize(int(g), int(i))
+                else:
+                    raise ValueError(f"unknown move keyword {op!r}")
+            except ValueError as e:
+                raise CertificateError(f"line {lineno}: {e}")
         moves.append(move)
         names = _names_after(names, move)
     return AcCertificate(start, tuple(moves), end)

@@ -65,6 +65,8 @@ def test_verify_cert_tampered_move(run, build_cert, tmp_path):
         # pair lines of older certificate files are no longer moves
         "START < a | a >\nINSPAIR 1 0 1 +\nEND < a | a >\n",
         "START < a | a >\nDELPAIR 1 0\nEND < a | a >\n",
+        # a third field is not an exponent
+        "START < a, b | a, b >\nMULR 1 2 3\nEND < a, b | a b^3, b >\n",
     ],
 )
 def test_verify_cert_malformed(run, tmp_path, text):
@@ -80,6 +82,14 @@ def test_verify_cert_stab_after_invalid_move_is_a_failed_step(run, tmp_path):
     # before a STAB no longer makes the file unreadable
     text = "START < a | a >\nINV 2\nSTAB a\nEND < a, x1 | a, x1 a >\n"
     assert run("verify-cert", write(tmp_path, "c.cert", text)) == (1, "FAILED step 0\n", "")
+
+
+def test_verify_cert_failed_step_counts_lines_not_merged_moves(run, tmp_path):
+    # the three MULR lines are one move of exponent 3, the four MULR 1 1
+    # lines one invalid move; the failure is at its first line
+    moves = ["MULR 1 2"] * 3 + ["INV 2"] + ["MULR 1 1"] * 4 + ["INV 1"]
+    text = "\n".join(["START < a, b | a b, b >"] + moves + ["END < a, b | a b, b >"]) + "\n"
+    assert run("verify-cert", write(tmp_path, "c.cert", text)) == (1, "FAILED step 4\n", "")
 
 
 def test_verify_cert_stab_after_destab_of_inner_generator(run, tmp_path):
@@ -229,6 +239,35 @@ def test_acsearch_found_writes_a_certificate_that_verifies(run, tmp_path):
     lines = out.splitlines()
     assert lines[0].startswith("FOUND depth=3 ") and lines[1] == f"WROTE {cert}"
     assert run("verify-cert", cert) == (0, "OK\n", "")
+
+
+def move_lines(cert):
+    return len(cert.read_text().splitlines()) - 2  # all but START and END
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    # the shear is one move of exponent 3; in the second matrix Lemma 2 emits
+    # MULRI 1 2 once and then twice, one merged move of exponent -3
+    ["2 2\n1 3\n0 1\n", "2 2\n-2 -1\n1 0\n"],
+    ids=["shear", "adjacent-steps"],
+)
+def test_printed_move_counts_are_certificate_lines(run, tmp_path, matrix):
+    out = tmp_path / "out"
+    assert run("lemma2", write(tmp_path, "m.mat", matrix), "-o", out)[0] == 0
+    build = out / "build.cert"
+    n = move_lines(build)
+    rc, text, _ = run("lemma2", tmp_path / "m.mat", "--format", "json")
+    assert rc == 0 and json.loads(text)["data"]["moves"] == n
+    rc, text, _ = run("verify-cert", build, "--format", "json")
+    assert rc == 0 and json.loads(text)["data"]["moves"] == n
+
+    rc, text, _ = run("theorem3", out / "presentation.pres", "-o", tmp_path / "bundle")
+    assert rc == 0 and f"MOVES {move_lines(tmp_path / 'bundle' / 'trivialization.cert')}" in text.splitlines()
+
+    cert = tmp_path / "search.cert"
+    rc, text, _ = run("acsearch", out / "presentation.pres", "-o", cert)
+    assert rc == 0 and f" moves={move_lines(cert)} " in text.splitlines()[0]
 
 
 def test_acsearch_not_found_under_state_cap(run, tmp_path):

@@ -32,7 +32,7 @@ def apply_ops(ops, n):
             rows[i] = [-x for x in rows[i]]
         else:
             s, t = op.source - 1, op.target - 1
-            rows[t] = [a + op.sign * b for a, b in zip(rows[t], rows[s])]
+            rows[t] = [a + op.multiple * b for a, b in zip(rows[t], rows[s])]
     return IntMatrix(rows, ncols=n)
 
 
@@ -122,28 +122,23 @@ def test_apply_ops_identity():
     assert apply_ops([RowAdd(1, 2, -1)], 2) == IntMatrix([[1, 0], [-1, 1]])
 
 
-def expand(runs):
-    """The ops of ``decompose_unimodular``'s ``(op, k)`` runs, one per unit."""
-    return [op for op, k in runs for _ in range(k)]
-
-
 def test_decompose_identity():
     assert decompose_unimodular(IntMatrix.identity(4)) == []
     assert decompose_unimodular(IntMatrix([], ncols=0)) == []
 
 
 def test_decompose_single_negation():
-    assert decompose_unimodular(IntMatrix([[-1]])) == [(RowNegate(1), 1)]
+    assert decompose_unimodular(IntMatrix([[-1]])) == [RowNegate(1)]
 
 
 def test_decompose_shear_is_one_run():
-    assert decompose_unimodular(IntMatrix([[1, 7], [0, 1]])) == [(RowAdd(2, 1), 7)]
-    assert decompose_unimodular(IntMatrix([[1, -7], [0, 1]])) == [(RowAdd(2, 1, -1), 7)]
+    assert decompose_unimodular(IntMatrix([[1, 7], [0, 1]])) == [RowAdd(2, 1, 7)]
+    assert decompose_unimodular(IntMatrix([[1, -7], [0, 1]])) == [RowAdd(2, 1, -7)]
 
 
 def test_decompose_2x2_example():
     a = IntMatrix([[2, 3], [1, 2]])
-    assert apply_ops(expand(decompose_unimodular(a)), 2) == a
+    assert apply_ops(decompose_unimodular(a), 2) == a
 
 
 def test_decompose_rejects_bad_input():
@@ -159,9 +154,9 @@ def test_decompose_random_round_trip():
         n = rng.randint(1, 5)
         a = random_unimodular(rng, n)
         assert abs(determinant(a)) == 1
-        runs = decompose_unimodular(a)
-        assert all(k >= 1 and (k == 1 or isinstance(op, RowAdd)) for op, k in runs)
-        assert apply_ops(expand(runs), n) == a
+        ops = decompose_unimodular(a)
+        assert all(isinstance(op, RowNegate) or op.multiple != 0 for op in ops)
+        assert apply_ops(ops, n) == a
 
 
 def test_presentation_from_identity():
@@ -197,29 +192,29 @@ def test_certificates_use_only_primitive_moves():
 
 @pytest.mark.parametrize("k", [1, 7, 1000, -1000])
 def test_shear_is_one_move_per_unit_addition(k):
+    # one move of exponent k, written as one MULR/MULRI line per unit
     _, cert = presentation_from_matrix(IntMatrix([[1, k], [0, 1]]))
-    assert len(cert.moves) == abs(k) + 2
-    step = MultiplyRight(1, 2, 1 if k > 0 else -1)
-    assert cert.moves[2:] == (step,) * abs(k)
+    assert cert.moves[2:] == (MultiplyRight(1, 2, k),)
+    assert cert.length == abs(k) + 2
     assert replay(cert)
     lines = format_certificate(cert).splitlines()
     assert lines[3:-1] == [f"{'MULR' if k > 0 else 'MULRI'} 1 2"] * abs(k)
 
 
 def test_shear_at_the_addition_cap_builds_and_replays_in_linear_time():
-    # about 0.1 s with runs of equal moves folded into one power; folding
-    # nothing, the growing relator is copied once per move and this takes minutes
+    # well under 0.1 s with the row addition as one power product; as k unit
+    # moves the growing relator is copied once per move and this takes minutes
     k = MAX_ROW_ADDITIONS
     t0 = time.perf_counter()
     p, cert = presentation_from_matrix(IntMatrix([[1, k], [0, 1]]))
-    assert len(cert.moves) == k + 2
+    assert cert.length == k + 2
     assert p.relators == ((1,) + (2,) * k, (2,))
     assert replay(cert)
     assert time.perf_counter() - t0 < 5
 
 
 def test_matches_reference_decomposition():
-    # same presentation byte for byte, never more moves
+    # same presentation byte for byte, never more unit moves
     rng = random.Random(67)
     signs = set()
     for _ in range(300):
@@ -228,8 +223,8 @@ def test_matches_reference_decomposition():
         p, cert = presentation_from_matrix(a)
         ref, ref_moves = reference_presentation(a)
         assert format_presentation(p) == format_presentation(ref)
-        assert len(cert.moves) <= ref_moves
-        signs.update(m.sign for m in cert.moves if isinstance(m, MultiplyRight))
+        assert cert.length <= ref_moves
+        signs.update(1 if m.exponent > 0 else -1 for m in cert.moves if isinstance(m, MultiplyRight))
     assert signs == {1, -1}
 
 

@@ -14,7 +14,6 @@ from acforge.moves import (
     MultiplyRight,
     Stabilize,
     apply_move,
-    fold_moves,
     format_certificate,
     inverse_move,
     invert_certificate,
@@ -211,9 +210,20 @@ def test_invert_certificate_random_round_trips():
         assert replay(inv)
 
 
+def unit_moves(moves):
+    """Each valid MultiplyRight of exponent e as |e| moves of exponent +1 or -1."""
+    for mv in moves:
+        if isinstance(mv, MultiplyRight) and type(mv.exponent) is int and mv.exponent:
+            yield from [MultiplyRight(mv.relator, mv.other, 1 if mv.exponent > 0 else -1)] * abs(mv.exponent)
+        else:
+            yield mv
+
+
 def one_at_a_time(p, moves):
-    """Reference replay: one ``apply_move`` per move, no runs folded."""
-    for step, mv in enumerate(moves):
+    """Reference replay: one ``apply_move`` per unit move.  Returns the last
+    presentation reached and the unit step of the first invalid move (None
+    if every move applied)."""
+    for step, mv in enumerate(unit_moves(moves)):
         try:
             p = apply_move(p, mv)
         except MoveError:
@@ -222,14 +232,16 @@ def one_at_a_time(p, moves):
 
 
 def random_run_chain(rng, p, invertible_only=False):
-    """Valid moves from p in which a MultiplyRight often repeats 2..12 times."""
-    moves = []
+    """Valid unit moves from p in which a MultiplyRight often repeats 2..12
+    times, and the same chain with each drawn repeat as one move."""
+    moves, drawn = [], []
     for _ in range(rng.randint(1, 8)):
         mv = random_move(rng, p, invertible_only)
         k = rng.randint(1, 12) if isinstance(mv, MultiplyRight) else 1
         moves += [mv] * k
+        drawn.append(MultiplyRight(mv.relator, mv.other, k * mv.exponent) if k > 1 else mv)
         p = one_at_a_time(p, [mv] * k)[0]
-    return moves, p
+    return moves, drawn, p
 
 
 def test_replay_folds_multiply_runs_exactly():
@@ -237,13 +249,17 @@ def test_replay_folds_multiply_runs_exactly():
     runs = 0
     for _ in range(300):
         p = random_presentation(rng, min_rels=2)
-        moves, end = random_run_chain(rng, p)
+        moves, drawn, end = random_run_chain(rng, p)
         runs += any(a == b and isinstance(a, MultiplyRight) for a, b in zip(moves, moves[1:]))
-        assert fold_moves(p, moves) == (end, None, None)
         cert = AcCertificate(p, tuple(moves), end)
+        # built from unit moves or from merged ones, it is the same certificate
+        assert cert == AcCertificate(p, tuple(drawn), end)
+        assert cert.length == len(moves) and one_at_a_time(p, cert.moves) == (end, None)
         assert replay_trace(cert) == (True, None, end)
-        # parsed moves are equal but distinct objects
-        assert replay_trace(parse_certificate(format_certificate(cert))) == (True, None, end)
+        text = format_certificate(cert)
+        assert len(text.splitlines()) == len(moves) + 2
+        assert parse_certificate(text) == cert
+        assert format_certificate(parse_certificate(text)) == text
     assert runs > 100
 
 
@@ -253,43 +269,57 @@ def test_multiply_run_cancels_across_the_seam(sign, r1):
     p = Presentation(("a", "b"), ((1, -2, -2, -2, -1), (1, 2, -1)))
     moves = [MultiplyRight(1, 2, sign)] * 5
     end = Presentation(("a", "b"), (r1, (1, 2, -1)))
-    assert one_at_a_time(p, moves) == fold_moves(p, moves)[:2] == (end, None)
+    assert one_at_a_time(p, moves) == (end, None)
+    assert apply_move(p, MultiplyRight(1, 2, 5 * sign)) == end
+    assert replay_trace(AcCertificate(p, tuple(moves), end)) == (True, None, end)
 
 
 @pytest.mark.parametrize(
-    "bad", [MultiplyRight(1, 1), MultiplyRight(1, 3), MultiplyRight(3, 1), MultiplyRight(1, 2, 2)]
+    "bad", [MultiplyRight(1, 1), MultiplyRight(1, 3), MultiplyRight(3, 1), MultiplyRight(1, 2, 0)]
 )
 def test_invalid_run_fails_at_its_first_move(bad):
     p = pres("< a, b | a b, b >")
     moves = [MultiplyRight(1, 2)] * 3 + [InvertRelator(2)] + [bad] * 4 + [InvertRelator(1)]
     before, step = one_at_a_time(p, moves)
     assert step == 4
-    reached, step, error = fold_moves(p, moves)
-    assert (reached, step) == (before, 4)
     with pytest.raises(MoveError) as single:
         apply_move(before, bad)
-    assert isinstance(error, MoveError) and str(error) == str(single.value)
     cert = AcCertificate(p, tuple(moves), p)
+    with pytest.raises(MoveError) as merged:
+        apply_move(before, cert.moves[2])
+    assert str(merged.value) == str(single.value)
     assert replay_trace(cert) == (False, 4, before)
     with pytest.raises(CertificateError, match="step 4"):
         invert_certificate(cert)
 
 
-def test_fold_reports_each_run_before_applying_it():
+def test_invalid_exponent_is_never_merged_into_a_run():
+    p = pres("< a, b | a b, b >")
+    for bad in (0, 1.0, "1"):
+        moves = (MultiplyRight(1, 2), MultiplyRight(1, 2, bad), MultiplyRight(1, 2), MultiplyRight(1, 2, 2))
+        cert = AcCertificate(p, moves, p)
+        assert cert.moves == moves[:2] + (MultiplyRight(1, 2, 3),)
+        assert replay_trace(cert) == (False, 1, apply_move(p, moves[0]))
+
+
+def test_certificate_holds_each_run_as_one_move():
     p = pres("< a, b | a b, b >")
     moves = [MultiplyRight(1, 2)] * 3 + [MultiplyRight(1, 2, -1)] * 2 + [InvertRelator(2)]
-    seen = []
-    fold_moves(p, moves, lambda step, k, before: seen.append((step, k, before)))
-    after3 = one_at_a_time(p, moves[:3])[0]
-    after5 = one_at_a_time(p, moves[:5])[0]
-    assert seen == [(0, 3, p), (3, 2, after3), (5, 1, after5)]
+    cert = AcCertificate(p, tuple(moves), one_at_a_time(p, moves)[0])
+    # opposite signs are never merged: MULR then MULRI stay two moves
+    assert cert.moves == (MultiplyRight(1, 2, 3), MultiplyRight(1, 2, -2), InvertRelator(2))
+    assert cert.length == 6
+    assert replay(cert)
+    text = format_certificate(cert)
+    assert text.splitlines()[1:-1] == ["MULR 1 2"] * 3 + ["MULRI 1 2"] * 2 + ["INV 2"]
+    assert parse_certificate(text) == cert
 
 
 def test_invert_certificate_with_runs_matches_move_by_move():
     rng = random.Random(71)
     for _ in range(200):
         p = random_presentation(rng, min_rels=2)
-        moves, end = random_run_chain(rng, p, invertible_only=True)
+        moves, _, end = random_run_chain(rng, p, invertible_only=True)
         states = [p]
         for mv in moves:
             states.append(apply_move(states[-1], mv))
@@ -318,14 +348,21 @@ def test_certificate_file_round_trip():
     assert "STAB a b^-1" in text
 
 
-def test_multiply_right_sign_must_be_one_or_minus_one():
+def test_multiply_right_exponent_must_be_a_nonzero_int():
     p = pres("< a, b | a b, b >")
     assert apply_move(p, MultiplyRight(1, 2, -1)) == pres("< a, b | a, b >")
-    for sign in (0, 2, -2):
+    for bad in (0, 1.0, "1", None):
         with pytest.raises(MoveError):
-            apply_move(p, MultiplyRight(1, 2, sign))
+            apply_move(p, MultiplyRight(1, 2, bad))
         with pytest.raises(CertificateError):
-            format_certificate(AcCertificate(p, (MultiplyRight(1, 2, sign),), p))
+            format_certificate(AcCertificate(p, (MultiplyRight(1, 2, bad),), p))
+    for e in (2, -2):
+        unit = MultiplyRight(1, 2, e // 2)
+        q = apply_move(apply_move(p, unit), unit)
+        assert apply_move(p, MultiplyRight(1, 2, e)) == q
+        cert = AcCertificate(p, (MultiplyRight(1, 2, e),), q)
+        assert cert == AcCertificate(p, (unit, unit), q) and cert.length == 2
+        assert format_certificate(cert).splitlines()[1:-1] == [f"{'MULR' if e > 0 else 'MULRI'} 1 2"] * 2
 
 
 @pytest.mark.parametrize("sign, keyword", [(1, "MULR"), (-1, "MULRI")])
@@ -366,6 +403,10 @@ def test_parse_certificate_errors():
         parse_certificate("START < a | a >\nWIBBLE 1\nEND < a | a >\n")
     with pytest.raises(CertificateError):
         parse_certificate("START < a | a >\nMULR 1\nEND < a | a >\n")
+    # an extra field is an error, not ignored
+    for line in ("MULR 1 2 3", "MULRI 1 2 3", "CYC 1 1 9", "DESTAB 2 2 7"):
+        with pytest.raises(CertificateError, match="line 2"):
+            parse_certificate(f"START < a, b | a, b >\n{line}\nEND < a, b | a, b >\n")
 
 
 def test_trusted_results_equal_validated_ones():

@@ -193,7 +193,7 @@ def test_search_dual_poincare_finds_certificate():
     assert r.certificate.start == DUAL_POINCARE
     assert r.certificate.end == EMPTY_PRESENTATION
     assert r.found_depth == DUAL_POINCARE_DEPTH
-    assert (len(r.certificate.moves), r.states_seen, r.states_expanded) == DUAL_POINCARE_COUNTS
+    assert (r.certificate.length, r.states_seen, r.states_expanded) == DUAL_POINCARE_COUNTS
 
 
 def test_search_not_found_on_trivial23_small_budget():
@@ -256,7 +256,7 @@ def test_seeded_certificates_have_no_invert_multiply_invert():
     assert len(found) == 40
     assert sum(r.states_seen for r in found) == 2930
     assert sum(r.states_expanded for r in found) == 181
-    assert sum(len(r.certificate.moves) for r in found) == 123
+    assert sum(r.certificate.length for r in found) == 123
 
 
 def test_search_stats_monotone():
