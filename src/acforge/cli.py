@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 negative or inconclusive verdict (NOT-FOUND,
 CAP-EXCEEDED, EXHAUSTED, a false predicate, a failed check), 2 usage or
-parse errors.  All outputs are deterministic byte-for-byte for identical
-inputs and flags; timings appear in json output only with --timings.
+parse errors and inputs or results past a size cap (``MAX_LETTERS``
+letters, ``MAX_ROW_ADDITIONS`` row additions).  All outputs are
+deterministic byte-for-byte for identical inputs and flags; timings appear
+in json output only with --timings.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from .coset import CapExceeded, Finite, enumerate_cosets
 from .intmatrix import is_perfect_presentation
 from .moves import replay
-from .presentation import Presentation, format_presentation, is_balanced, parse_presentation
+from .presentation import MAX_LETTERS, Presentation, format_presentation, is_balanced, parse_presentation
 from .quotient import find_nontrivial_quotient, verify_witness
 from .search import SearchLimits, search_trivialization
 
@@ -24,11 +24,16 @@ def higman_presentation(m: int, variant: Tuple[int, int] = (1, 2)) -> Presentati
 
     ``variant`` is (p, q): (1, 2) makes each generator conjugate the next to
     its square, (2, 3) the square-to-cube variant.  Indices are mod m.  For
-    m >= 4 both families are known to present infinite groups.
+    m >= 4 both families are known to present infinite groups.  Raises
+    ValueError if the m relators would hold more than ``MAX_LETTERS``
+    letters.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     p, q = variant
+    letters = m * (2 + p + q)
+    if letters > MAX_LETTERS:
+        raise ValueError(f"m = {m} needs {letters} letters, more than {MAX_LETTERS}")
     gens = tuple(f"a{i + 1}" for i in range(m))
     relators = []
     for i in range(1, m + 1):

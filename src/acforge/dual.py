@@ -152,7 +152,8 @@ def dualize(p, w: OrderingWitness | None = None) -> Presentation:
     n = _require_balanced(p)
     if w is None:
         w = default_witness(p)
-    _check_witness(p, w)
+    else:
+        _check_witness(p, w)
     relators = tuple(
         free_reduce([occ.sign * occ.relator for occ in occs]) for occs in w.per_generator
     )
@@ -281,7 +282,7 @@ def parse_witness(text: str) -> OrderingWitness:
         occs = []
         for triple in line.split():
             j, pos, sign = triple.split(":")
-            if sign not in "+-":
+            if sign not in ("+", "-"):
                 raise ValueError(f"bad sign {sign!r} in witness triple {triple!r}")
             occs.append(Occurrence(int(j), int(pos), 1 if sign == "+" else -1))
         per_generator.append(tuple(occs))

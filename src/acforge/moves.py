@@ -23,6 +23,12 @@ invert and power of reduced words, a re-reduced rotation, a reduced and
 range-checked stabilizing word, a subset of the relators), and a new
 generator name comes from ``fresh_generator_name``.
 
+Memory is bounded as in the parser: a MultiplyRight or Stabilize whose
+result would hold more than ``MAX_LETTERS`` letters in total, counted
+before reduction, is refused with a plain ValueError before anything is
+built.  It is not a MoveError, so a replay that reaches it is
+inconclusive rather than failed.
+
 An AcCertificate holds its moves in one normal form: each run of adjacent
 MultiplyRight moves on the same (i, j) with exponents of the same sign is
 one move whose exponent is their sum, so a Lemma 2 shear of k unit row
@@ -47,11 +53,13 @@ from itertools import groupby
 from typing import List, Optional, Tuple, Union
 
 from .presentation import (
+    MAX_LETTERS,
     Presentation,
     format_presentation,
     format_word,
     parse_presentation,
     parse_word,
+    total_letters,
 )
 from .words import Word, concat, free_reduce, invert, power, rotate
 
@@ -169,6 +177,14 @@ def _trusted(generators: Tuple[str, ...], relators: Tuple[Word, ...]) -> Present
     return p
 
 
+def _check_growth(p: Presentation, added: int) -> None:
+    """Raise ValueError if adding ``added`` letters to p would exceed
+    ``MAX_LETTERS``."""
+    total = total_letters(p) + added
+    if total > MAX_LETTERS:
+        raise ValueError(f"move would grow the presentation to {total} letters, more than {MAX_LETTERS}")
+
+
 def _replace(p: Presentation, i: int, w: Word) -> Presentation:
     rels = list(p.relators)
     rels[i - 1] = w
@@ -192,9 +208,11 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
         if _run_key(move) is None:
             raise MoveError(f"multiplier exponent must be a nonzero int, not {move.exponent!r}")
         r, other = p.relators[move.relator - 1], p.relators[move.other - 1]
+        _check_growth(p, abs(move.exponent) * len(other))
         return _replace(p, move.relator, concat(r, power(other, move.exponent)))
     if isinstance(move, Stabilize):
         m = len(p.generators)
+        _check_growth(p, 1 + len(move.word))
         w = free_reduce(move.word)
         for x in w:
             if abs(x) > m:

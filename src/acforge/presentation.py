@@ -89,7 +89,7 @@ def is_balanced(p: Presentation) -> bool:
 
 
 def total_letters(p: Presentation) -> int:
-    return sum(len(r) for r in p.relators)
+    return sum(map(len, p.relators))
 
 
 # --- parser --------------------------------------------------------------

@@ -4,11 +4,12 @@ errors."""
 
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
 
-from acforge import coset, lemma2
+from acforge import coset, lemma2, moves
 from acforge.cli import build_parser, main
 from acforge.presentation import MAX_LETTERS
 
@@ -231,6 +232,53 @@ def test_lemma2_and_theorem3_row_addition_cap(run, tmp_path, monkeypatch):
     assert (rc, out) == (2, "") and err == "error: matrix needs 8 row additions, more than 7\n"
 
 
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+F27, F28, F29 = (_fibonacci(k) for k in (27, 28, 29))
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        # relator lengths grow like the Fibonacci numbers in the build
+        ("lemma2", "fib.mat", f"2 2\n{F29} {F28}\n{F28} {F27}\n"),
+        ("verify-cert", "fib.cert", "START < a, b | a, b >\n" + "MULR 1 2\nMULR 2 1\n" * 16 + "END < a, b | a, b >\n"),
+        ("verify-cert", "stab.cert", "START < a | >\n" + "STAB a^999999\n" * 30 + "END < a | >\n"),
+    ],
+    ids=["lemma2-fibonacci", "verify-cert-fibonacci", "verify-cert-stab"],
+)
+def test_growth_past_the_letter_cap_is_an_error_not_a_failed_check(run, tmp_path, command, name, text):
+    # a few hundred bytes of input that would otherwise take seconds and
+    # hundreds of MB; the replay is inconclusive, so never FAILED (exit 1)
+    path = write(tmp_path, name, text)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        rc, out, err = run(command, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: move would grow the presentation to ")
+    assert err.endswith(f" letters, more than {MAX_LETTERS}\n")
+    assert time.perf_counter() - t0 < 2 and peak < 5 * 10**7
+
+
+def test_theorem3_build_past_the_letter_cap(run, tmp_path, monkeypatch):
+    # the dual of < a, b | a b^8, b > is built with 2 + 8 letters
+    path = write(tmp_path, "p.pres", "< a, b | a b^8, b >")
+    monkeypatch.setattr(moves, "MAX_LETTERS", 10)
+    assert run("theorem3", path, "-o", tmp_path / "ok")[0] == 0
+    monkeypatch.setattr(moves, "MAX_LETTERS", 9)
+    rc, out, err = run("theorem3", path, "-o", tmp_path / "bundle")
+    assert (rc, out, err) == (2, "", "error: move would grow the presentation to 10 letters, more than 9\n")
+
+
 def test_acsearch_found_writes_a_certificate_that_verifies(run, tmp_path):
     path = write(tmp_path, "dp.pres", DUAL_POINCARE)
     cert = tmp_path / "dp.cert"
@@ -369,3 +417,14 @@ def test_corpus_family(run):
     assert run("corpus", "--family", "higman", "--m", 4) == (0, higman, "")
     rc, out, err = run("corpus", "--family", "higman23", "--m", 0)
     assert (rc, out) == (2, "") and "m must be >= 1" in err
+
+
+@pytest.mark.parametrize("family, m, letters", [("higman", 200_001, 1_000_005), ("higman23", 142_858, 1_000_006)])
+def test_corpus_family_past_the_letter_cap(run, family, m, letters):
+    # 5 letters per relator for higman, 7 for higman23; refused before
+    # anything is built
+    t0 = time.perf_counter()
+    rc, out, err = run("corpus", "--family", family, "--m", m)
+    assert (rc, out) == (2, "")
+    assert err == f"error: m = {m} needs {letters} letters, more than {MAX_LETTERS}\n"
+    assert time.perf_counter() - t0 < 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from acforge import dual
 from acforge.dual import (
     AugmentedPresentation,
     Occurrence,
@@ -232,6 +233,19 @@ def test_align_random_perfect_presentations():
         kc = align(p)
         assert verify_knot_certificate(kc) == []
         count += 1
+
+
+@pytest.mark.parametrize("text", ["1:0:", "1:1:+-", "1:0:x", "1:0:++", "1:0"])
+def test_parse_witness_rejects_bad_triples(text):
+    with pytest.raises(ValueError):
+        parse_witness(text)
+
+
+def test_dualize_checks_only_a_witness_it_is_given(monkeypatch):
+    checked = []
+    monkeypatch.setattr(dual, "_check_witness", lambda p, w: checked.append(w))
+    assert dualize(POINCARE) == dualize(POINCARE, default_witness(POINCARE))
+    assert checked == [default_witness(POINCARE)]
 
 
 def test_witness_text_round_trip():

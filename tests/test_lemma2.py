@@ -4,13 +4,7 @@ import time
 import pytest
 
 from acforge.intmatrix import IntMatrix, determinant, exponent_matrix
-from acforge.lemma2 import (
-    MAX_ROW_ADDITIONS,
-    RowAdd,
-    RowNegate,
-    decompose_unimodular,
-    presentation_from_matrix,
-)
+from acforge.lemma2 import MAX_ROW_ADDITIONS, decompose_unimodular, presentation_from_matrix
 from acforge.moves import (
     InvertRelator,
     MultiplyRight,
@@ -23,48 +17,49 @@ from acforge.moves import (
 from acforge.presentation import EMPTY_PRESENTATION, format_presentation, total_letters
 
 
-def apply_ops(ops, n):
-    """Apply elementary ops in order to the n x n identity."""
+def apply_ops(moves, n):
+    """Apply the row operations of InvertRelator (negate row i) and
+    MultiplyRight (row t += e * row s) moves in order to the n x n identity."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for op in ops:
-        if isinstance(op, RowNegate):
-            i = op.row - 1
+    for mv in moves:
+        if isinstance(mv, InvertRelator):
+            i = mv.relator - 1
             rows[i] = [-x for x in rows[i]]
         else:
-            s, t = op.source - 1, op.target - 1
-            rows[t] = [a + op.multiple * b for a, b in zip(rows[t], rows[s])]
+            t, s = mv.relator - 1, mv.other - 1
+            rows[t] = [a + mv.exponent * b for a, b in zip(rows[t], rows[s])]
     return IntMatrix(rows, ncols=n)
 
 
 def random_unimodular(rng, n, n_ops=20):
-    """Random product of elementary ops on the identity (the op vocabulary
-    of the decomposition, so every output is reachable)."""
-    ops = []
+    """Random product of unit row operations on the identity (the move
+    vocabulary of the decomposition, so every output is reachable)."""
+    moves = []
     for _ in range(rng.randint(0, n_ops)):
         if n >= 2 and rng.random() < 0.7:
             i = rng.randint(1, n)
             j = rng.choice([k for k in range(1, n + 1) if k != i])
-            ops.append(RowAdd(i, j, rng.choice((1, -1))))
+            moves.append(MultiplyRight(j, i, rng.choice((1, -1))))
         else:
-            ops.append(RowNegate(rng.randint(1, n)))
-    return apply_ops(ops, n)
+            moves.append(InvertRelator(rng.randint(1, n)))
+    return apply_ops(moves, n)
 
 
 def reference_decompose(a):
-    """The decomposition before signed additions: unsigned RowAdds only,
-    each subtraction spelled negate-add-negate.  Kept as the differential
-    reference for ``decompose_unimodular``."""
+    """The decomposition before signed additions: MultiplyRight of exponent
+    1 only, each subtraction spelled invert-multiply-invert.  Kept as the
+    differential reference for ``decompose_unimodular``."""
     n = a.nrows
     b = [list(r) for r in a.rows]
     trace = []
 
     def negate(i):
         b[i] = [-x for x in b[i]]
-        trace.append(RowNegate(i + 1))
+        trace.append(InvertRelator(i + 1))
 
     def add(src, dst):
         b[dst] = [x + y for x, y in zip(b[dst], b[src])]
-        trace.append(RowAdd(src + 1, dst + 1))
+        trace.append(MultiplyRight(dst + 1, src + 1))
 
     def addmul(src, dst, c):
         if c > 0:
@@ -95,20 +90,18 @@ def reference_decompose(a):
         for i in range(col):
             addmul(col, i, -b[i][col])
 
-    ops = []
-    for op in reversed(trace):
-        if isinstance(op, RowNegate):
-            ops.append(op)
-        else:  # inverse of "add" is negate-add-negate
-            ops.extend([RowNegate(op.source), op, RowNegate(op.source)])
-    return ops
+    moves = []
+    for mv in reversed(trace):
+        if isinstance(mv, InvertRelator):
+            moves.append(mv)
+        else:  # inverse of "add" is invert-multiply-invert
+            moves.extend([InvertRelator(mv.other), mv, InvertRelator(mv.other)])
+    return moves
 
 
 def reference_presentation(a):
     """The presentation and move count that ``reference_decompose`` builds."""
-    moves = [Stabilize(())] * a.nrows
-    for op in reference_decompose(a):
-        moves.append(InvertRelator(op.row) if isinstance(op, RowNegate) else MultiplyRight(op.target, op.source))
+    moves = [Stabilize(())] * a.nrows + reference_decompose(a)
     current = EMPTY_PRESENTATION
     for move in moves:
         current = apply_move(current, move)
@@ -117,9 +110,9 @@ def reference_presentation(a):
 
 def test_apply_ops_identity():
     assert apply_ops([], 3) == IntMatrix.identity(3)
-    assert apply_ops([RowNegate(2)], 2) == IntMatrix([[1, 0], [0, -1]])
-    assert apply_ops([RowAdd(1, 2)], 2) == IntMatrix([[1, 0], [1, 1]])
-    assert apply_ops([RowAdd(1, 2, -1)], 2) == IntMatrix([[1, 0], [-1, 1]])
+    assert apply_ops([InvertRelator(2)], 2) == IntMatrix([[1, 0], [0, -1]])
+    assert apply_ops([MultiplyRight(2, 1)], 2) == IntMatrix([[1, 0], [1, 1]])
+    assert apply_ops([MultiplyRight(2, 1, -1)], 2) == IntMatrix([[1, 0], [-1, 1]])
 
 
 def test_decompose_identity():
@@ -128,12 +121,12 @@ def test_decompose_identity():
 
 
 def test_decompose_single_negation():
-    assert decompose_unimodular(IntMatrix([[-1]])) == [RowNegate(1)]
+    assert decompose_unimodular(IntMatrix([[-1]])) == [InvertRelator(1)]
 
 
 def test_decompose_shear_is_one_run():
-    assert decompose_unimodular(IntMatrix([[1, 7], [0, 1]])) == [RowAdd(2, 1, 7)]
-    assert decompose_unimodular(IntMatrix([[1, -7], [0, 1]])) == [RowAdd(2, 1, -7)]
+    assert decompose_unimodular(IntMatrix([[1, 7], [0, 1]])) == [MultiplyRight(1, 2, 7)]
+    assert decompose_unimodular(IntMatrix([[1, -7], [0, 1]])) == [MultiplyRight(1, 2, -7)]
 
 
 def test_decompose_2x2_example():
@@ -148,15 +141,37 @@ def test_decompose_rejects_bad_input():
         decompose_unimodular(IntMatrix([[2, 1], [0, 1]]))
 
 
+@pytest.mark.parametrize("rows, det", [([[1, 2], [2, 4]], 0), ([[1, 1], [1, -1]], -2), ([[0, 0], [0, 0]], 0), ([[3]], 3)])
+def test_decompose_names_the_determinant(rows, det):
+    # the pivots of the forward pass multiply to det(a)
+    a = IntMatrix(rows)
+    assert determinant(a) == det
+    with pytest.raises(ValueError, match=f"^matrix is not unimodular: det = {det}$"):
+        decompose_unimodular(a)
+
+
+def test_decompose_rejects_exactly_the_nonunit_determinants():
+    rng = random.Random(71)
+    for _ in range(500):
+        n = rng.randint(0, 4)
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], ncols=n)
+        d = determinant(a)
+        if d in (1, -1):
+            assert apply_ops(decompose_unimodular(a), n) == a
+        else:
+            with pytest.raises(ValueError, match=f"^matrix is not unimodular: det = {d}$"):
+                decompose_unimodular(a)
+
+
 def test_decompose_random_round_trip():
     rng = random.Random(59)
     for _ in range(120):
         n = rng.randint(1, 5)
         a = random_unimodular(rng, n)
         assert abs(determinant(a)) == 1
-        ops = decompose_unimodular(a)
-        assert all(isinstance(op, RowNegate) or op.multiple != 0 for op in ops)
-        assert apply_ops(ops, n) == a
+        moves = decompose_unimodular(a)
+        assert all(isinstance(mv, InvertRelator) or (type(mv) is MultiplyRight and mv.exponent) for mv in moves)
+        assert apply_ops(moves, n) == a
 
 
 def test_presentation_from_identity():

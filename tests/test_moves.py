@@ -21,7 +21,7 @@ from acforge.moves import (
     replay,
     replay_trace,
 )
-from acforge.presentation import EMPTY_PRESENTATION, Presentation, parse_presentation
+from acforge.presentation import MAX_LETTERS, EMPTY_PRESENTATION, Presentation, parse_presentation, total_letters
 
 
 def nonunit_factors(a):
@@ -131,6 +131,23 @@ def test_move_errors():
         apply_move(p, Destabilize(2, 2))  # b occurs in relator 1 as well
     with pytest.raises(MoveError):
         apply_move(p, Stabilize((3,)))  # word letter out of range
+
+
+def test_growth_past_the_letter_cap_is_a_value_error_not_a_move_error():
+    # counted before reduction, as the parser counts; a move that reaches
+    # exactly MAX_LETTERS letters applies
+    half = MAX_LETTERS // 2
+    p = Presentation(("a", "b"), ((1,) * half, (2,) * (half // 2)))
+    assert total_letters(apply_move(p, MultiplyRight(1, 2))) == MAX_LETTERS
+    assert total_letters(apply_move(p, Stabilize((1,) * (half // 2 - 1)))) == MAX_LETTERS
+    over = [MultiplyRight(1, 2, 2), MultiplyRight(1, 2, -2), Stabilize((1,) * (half // 2)), Stabilize((1, -1) * half)]
+    for move in over:
+        with pytest.raises(ValueError, match=f"more than {MAX_LETTERS}$") as info:
+            apply_move(p, move)
+        assert not isinstance(info.value, MoveError)
+        # a replay that reaches it is inconclusive, not failed
+        with pytest.raises(ValueError, match=f"more than {MAX_LETTERS}$"):
+            replay_trace(AcCertificate(p, (InvertRelator(1), move), p))
 
 
 def test_move_invertibility_randomized():
