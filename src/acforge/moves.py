@@ -154,12 +154,52 @@ class AcCertificate:
         return sum(map(_units, self.moves))
 
 
+class _Names:
+    """Generator names followed through moves without rebuilding them: the
+    names in order, their 1-based index (built on first use), and a k with
+    every x1 .. x(k-1) taken, so a fresh name costs amortized O(1) along a
+    run of STABs."""
+
+    __slots__ = ("names", "_index", "k")
+
+    def __init__(self, names):
+        self.names = list(names)
+        self._index = None
+        self.k = 1
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {name: g for g, name in enumerate(self.names, start=1)}
+        return self._index
+
+    def fresh(self) -> str:
+        while f"x{self.k}" in self.index:
+            self.k += 1
+        return f"x{self.k}"
+
+    def follow(self, move: AcMove) -> bool:
+        """Follow ``move`` without applying it: exact for every move that
+        applies.  False once the names cannot be followed: after a DESTAB of
+        a generator other than the last, a move that never applies."""
+        if isinstance(move, Stabilize):
+            name = self.fresh()
+            self.names.append(name)
+            self.index[name] = len(self.names)
+        elif isinstance(move, Destabilize):
+            if move.generator != len(self.names):
+                return False
+            name = self.names.pop()
+            if self._index is not None:
+                del self._index[name]
+            if self.k > 1 and name[1:].isdecimal() and name == f"x{int(name[1:])}":
+                self.k = min(self.k, int(name[1:]))  # that name is free again
+        return True
+
+
 def fresh_generator_name(existing) -> str:
-    taken = set(existing)
-    k = 1
-    while f"x{k}" in taken:
-        k += 1
-    return f"x{k}"
+    """x1, x2, ...: the first such name not in ``existing``."""
+    return _Names(existing).fresh()
 
 
 def _check_relator_index(p: Presentation, i: int):
@@ -191,8 +231,11 @@ def _replace(p: Presentation, i: int, w: Word) -> Presentation:
     return _trusted(p.generators, tuple(rels))
 
 
-def apply_move(p: Presentation, move: AcMove) -> Presentation:
-    """Apply one move; the edited relator is stored freely reduced."""
+def apply_move(p: Presentation, move: AcMove, names: Optional[_Names] = None) -> Presentation:
+    """Apply one move; the edited relator is stored freely reduced.
+
+    ``names``, when given, are p's generator names as a caller follows them
+    across a run of moves; a Stabilize takes its fresh name from them."""
     if isinstance(move, CyclicPermute):
         _check_relator_index(p, move.relator)
         r = p.relators[move.relator - 1]
@@ -217,7 +260,7 @@ def apply_move(p: Presentation, move: AcMove) -> Presentation:
         for x in w:
             if abs(x) > m:
                 raise MoveError(f"stabilizing word letter {x} exceeds generator count {m}")
-        name = fresh_generator_name(p.generators)
+        name = names.fresh() if names is not None else fresh_generator_name(p.generators)
         return _trusted(p.generators + (name,), p.relators + ((m + 1,) + w,))
     if isinstance(move, Destabilize):
         m = len(p.generators)
@@ -261,11 +304,16 @@ def replay_trace(cert: AcCertificate):
     not match.
     """
     current, step = cert.start, 0
+    names = None  # followed from the first STAB on, the only move that reads them
     for move in cert.moves:
+        if names is None and isinstance(move, Stabilize):
+            names = _Names(current.generators)
         try:
-            current = apply_move(current, move)
+            current = apply_move(current, move, names)
         except MoveError:
             return False, step, current
+        if names is not None:
+            names.follow(move)
         step += _units(move)
     if current != cert.end:
         return False, step, current
@@ -307,27 +355,11 @@ def invert_certificate(cert: AcCertificate) -> AcCertificate:
 # --- certificate files -------------------------------------------------------
 
 
-def _names_after(names: Optional[Tuple[str, ...]], move: AcMove) -> Optional[Tuple[str, ...]]:
-    """Generator names after ``move``, followed without applying it.
-
-    Exact for every move that applies.  None once the names cannot be
-    followed: after a DESTAB of a generator other than the last, a move
-    that never applies.
-    """
-    if names is None:
-        return None
-    if isinstance(move, Stabilize):
-        return names + (fresh_generator_name(names),)
-    if isinstance(move, Destabilize):
-        return names[:-1] if move.generator == len(names) else None
-    return names
-
-
 def format_certificate(cert: AcCertificate) -> str:
     """Serialize, one line per unit move; STAB words print with the
     generator names live at that step."""
     lines = [f"START {format_presentation(cert.start)}"]
-    names: Optional[Tuple[str, ...]] = cert.start.generators
+    names: Optional[_Names] = _Names(cert.start.generators)
     for move in cert.moves:
         if isinstance(move, CyclicPermute):
             lines.append(f"CYC {move.relator} {move.shift}")
@@ -337,14 +369,15 @@ def format_certificate(cert: AcCertificate) -> str:
             op = "MULR" if move.exponent > 0 else "MULRI"
             lines.extend([f"{op} {move.relator} {move.other}"] * abs(move.exponent))
         elif isinstance(move, Stabilize):
-            if names is None or any(abs(x) > len(names) for x in move.word):
+            if names is None or any(abs(x) > len(names.names) for x in move.word):
                 raise CertificateError(f"step {len(lines) - 1}: cannot name the letters of the STAB word")
-            lines.append(f"STAB {format_word(move.word, names)}")
+            lines.append(f"STAB {format_word(move.word, names.names)}")
         elif isinstance(move, Destabilize):
             lines.append(f"DESTAB {move.generator} {move.relator}")
         else:
             raise CertificateError(f"unknown move {move!r}")
-        names = _names_after(names, move)
+        if names is not None and not names.follow(move):
+            names = None
     lines.append(f"END {format_presentation(cert.end)}")
     return "\n".join(lines) + "\n"
 
@@ -369,7 +402,7 @@ def parse_certificate(text: str) -> AcCertificate:
     start = _pres(lines[0][1], "START")
     end = _pres(lines[-1][1], "END")
     moves: List[AcMove] = []
-    names: Optional[Tuple[str, ...]] = start.generators
+    names: Optional[_Names] = _Names(start.generators)
     prev = None
     for lineno, line in lines[1:-1]:
         if line != prev:
@@ -391,7 +424,7 @@ def parse_certificate(text: str) -> AcCertificate:
                             "cannot resolve STAB word after a DESTAB of a generator "
                             "other than the last"
                         )
-                    move = Stabilize(parse_word(line[len("STAB") :].strip(), names))
+                    move = Stabilize(parse_word(line[len("STAB") :].strip(), names.index))
                 elif op == "DESTAB":
                     g, i = args
                     move = Destabilize(int(g), int(i))
@@ -400,5 +433,6 @@ def parse_certificate(text: str) -> AcCertificate:
             except ValueError as e:
                 raise CertificateError(f"line {lineno}: {e}")
         moves.append(move)
-        names = _names_after(names, move)
+        if names is not None and not names.follow(move):
+            names = None
     return AcCertificate(start, tuple(moves), end)

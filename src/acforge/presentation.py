@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 from .words import Word, free_reduce
 
@@ -225,10 +225,13 @@ def parse_raw(text: str) -> Tuple[Tuple[str, ...], Tuple[Word, ...]]:
     return _parse_body(text)
 
 
-def parse_word(text: str, generators: Sequence[str]) -> Word:
-    """Parse a bare word over the given generator names (freely reduced)."""
+def parse_word(text: str, generators: Union[Sequence[str], Dict[str, int]]) -> Word:
+    """Parse a bare word over the given generator names (freely reduced);
+    ``generators`` may also be a ready dict of name -> 1-based index."""
+    if not isinstance(generators, dict):
+        generators = {name: i + 1 for i, name in enumerate(generators)}
     p = _Parser(text)
-    letters = p.word({name: i + 1 for i, name in enumerate(generators)})
+    letters = p.word(generators)
     p.expect_end()
     return free_reduce(letters)
 

@@ -21,12 +21,19 @@ re-canonicalize relator i with unit rotations and one inversion).  A state
 collapses when its relators are single positive letters covering each
 generator exactly once; destabilizations finish the certificate.
 
-Inside the search a relator is a tuple in the letter code ``2g`` for
-generator g and ``2g + 1`` for its inverse.  The code preserves the letter
-order, so tuple comparison is the canonical order, a state's visited key is
-its sorted relator tuple, and inversion is ``x ^ 1`` over the reversed
-word.  Words are coded once at the start state and decoded only through
-the signed-word ``canonical_relator`` used to reconstruct certificates.
+Inside the search a relator is a ``bytes`` word in the letter code ``2g``
+for generator g and ``2g + 1`` for its inverse, so a search takes at most
+``MAX_GENERATORS`` = 127 generators and refuses more with a ValueError.
+The code preserves the letter order, so bytes comparison is the canonical
+order and a state's visited key is its sorted relator tuple.  Inversion
+runs in C: the reversed word translated through ``_FLIP``, the table of
+``x ^ 1``.  ``_least`` builds only the rotations of the word and of its
+inverse that start with the least letter of either (found with
+``bytes.find``), and takes the least of them.  Words are coded once at the
+start state and decoded only through the signed-word ``canonical_relator``
+used to reconstruct certificates.  Each BFS edge is one int (see
+``_successors``), which ``_edge_moves`` decodes against the relators of its
+source state.
 Successors are pruned length first: the canonical length of a product is
 the length of its cyclic reduction, so a candidate over the letter caps is
 dropped before its least rotation is computed.
@@ -72,12 +79,18 @@ class SearchLimits:
             raise ValueError("all search limits must be positive")
 
 
-# a word in the search's letter code: 2g is generator g, 2g + 1 its inverse
-Code = Tuple[int, ...]
+# generators of a search; a letter's code must fit in one byte
+MAX_GENERATORS = 127
+
+# a word in the search's letter code: byte 2g is generator g, 2g + 1 its inverse
+Code = bytes
+
+# code -> code of the inverse letter
+_FLIP = bytes(y ^ 1 for y in range(256))
 
 
 def _code(w: Word) -> Code:
-    return tuple((x << 1) if x > 0 else ((-x << 1) | 1) for x in w)
+    return bytes([(x << 1) if x > 0 else ((-x << 1) | 1) for x in w])
 
 
 def _signed(c: Code) -> Word:
@@ -86,19 +99,39 @@ def _signed(c: Code) -> Word:
 
 def _rotations(r: Code) -> List[Code]:
     """Every rotation of r, b ascending, then the inverse of each in the same
-    order: rot_b(r)^delta in edge order (delta 1 then -1).  The least of them
-    is the canonical form of a cyclically reduced r."""
+    order: rot_b(r)^delta in edge order (delta 1 then -1)."""
     n = len(r)
     twice = r + r
-    inv = tuple([y ^ 1 for y in reversed(r)])
-    inv_twice = inv + inv
+    inv_twice = r[::-1].translate(_FLIP) * 2
     # the inverse of rot_b(r) is the rotation of inv(r) by n - b
     return [twice[b : b + n] for b in range(n)] + [inv_twice[n - b : 2 * n - b] for b in range(n)]
 
 
+def _least(r: Code) -> Code:
+    """The least of ``_rotations(r)``: the canonical form of a cyclically
+    reduced r.  Only rotations that start with the least letter of r or of
+    its inverse can be least, so only those are built."""
+    if not r:
+        return r
+    n = len(r)
+    inv = r[::-1].translate(_FLIP)
+    c = min(min(r), min(inv))
+    best = None
+    for w in (r, inv):
+        twice = w + w
+        b = w.find(c)
+        while b >= 0:
+            cand = twice[b : b + n]
+            if best is None or cand < best:
+                best = cand
+            b = w.find(c, b + 1)
+    return best
+
+
 def canonical_relator(w: Word) -> Word:
-    """Lex-least word among rotations of the cyclic reduction and of its inverse."""
-    return _signed(min(_rotations(_code(cyclic_reduce(w)[0])), default=()))
+    """Lex-least word among rotations of the cyclic reduction and of its
+    inverse; letters must lie within ``MAX_GENERATORS`` generators."""
+    return _signed(_least(_code(cyclic_reduce(w)[0])))
 
 
 @dataclass(frozen=True)
@@ -127,41 +160,54 @@ def _collapsible(rels: _State) -> bool:
 
 
 def _successors(rels: _State, limits: SearchLimits):
+    """(edge, state) pairs in expansion order.  An edge is one int: -1 - idx
+    for destabilizing relator idx, and e n^2 + i n + j for
+    r_i <- r_i . _rotations(r_j)[e] among n relators."""
     n = len(rels)
+    nn = n * n
     out = []
     top = 2 * n  # the last generator, the only one a destabilization removes
+    alone = bytes((top,))
     for idx, r in enumerate(rels):
-        if r == (top,) and all(
+        if r == alone and all(
             top not in s and top + 1 not in s for k, s in enumerate(rels) if k != idx
         ):
-            out.append((("destab", idx), rels[:idx] + rels[idx + 1 :]))
+            out.append((-1 - idx, rels[:idx] + rels[idx + 1 :]))
     total = sum(map(len, rels))
     mults = [_rotations(r) for r in rels]
     for i, u in enumerate(rels):
         lu = len(u)
         # the product's canonical length is that of its cyclic reduction
         cap = min(limits.max_relator_letters, limits.max_total_letters - total + lu)
+        # the letters that cancel u's last and first letter (none if u is empty)
+        tail, head = (u[-1] ^ 1, u[0] ^ 1) if u else (-1, -1)
         for j, vs in enumerate(mults):
             if j == i or not vs:
                 continue
             lv = len(vs) // 2
             seam = min(lu, lv)
+            ij = i * n + j
+            # u . v is over the cap unless its seam or its ends cancel
+            far = seam and lu + lv > cap
             for e, v in enumerate(vs):
-                k = 0
-                while k < seam and u[lu - 1 - k] ^ v[k] == 1:
-                    k += 1
-                if lu + lv - 2 * k > cap and k < seam and u[0] ^ v[-1] != 1:
-                    continue  # the ends do not cancel either: too long as it is
-                w = u[: lu - k] + v[k:]
+                if v[0] != tail:
+                    if far and v[-1] != head:
+                        continue  # nothing cancels: too long as it is
+                    w = u + v
+                else:
+                    k = 1
+                    while k < seam and u[lu - 1 - k] ^ v[k] == 1:
+                        k += 1
+                    if lu + lv - 2 * k > cap and k < seam and v[-1] != head:
+                        continue  # the ends do not cancel either: too long as it is
+                    w = u[: lu - k] + v[k:]
                 lo, hi = 0, len(w)
                 while hi - lo >= 2 and w[lo] ^ w[hi - 1] == 1:
                     lo += 1
                     hi -= 1
                 if hi - lo > cap:
                     continue
-                cw = min(_rotations(w[lo:hi]), default=())
-                edge = ("mul", i, j, e, 1) if e < lv else ("mul", i, j, e - lv, -1)
-                out.append((edge, rels[:i] + (cw,) + rels[i + 1 :]))
+                out.append((e * nn + ij, rels[:i] + (_least(w[lo:hi]),) + rels[i + 1 :]))
     return out
 
 
@@ -192,8 +238,9 @@ def _normalize_relator(p: Presentation, i: int):
     return moves, p
 
 
-def _edge_moves(p: Presentation, edge):
-    """Expand one BFS edge into primitive moves applied to p."""
+def _edge_moves(p: Presentation, edge: int):
+    """Expand one BFS edge (see ``_successors``) into primitive moves applied
+    to p, whose relators are those of the edge's source state."""
     moves = []
 
     def do(mv):
@@ -201,10 +248,15 @@ def _edge_moves(p: Presentation, edge):
         moves.append(mv)
         p = apply_move(p, mv)
 
-    if edge[0] == "destab":
-        do(Destabilize(len(p.generators), edge[1] + 1))
+    if edge < 0:
+        do(Destabilize(len(p.generators), -edge))
         return moves, p
-    _, i, j, b, delta = edge
+    n = len(p.relators)
+    b, ij = divmod(edge, n * n)
+    i, j = divmod(ij, n)
+    lv = len(p.relators[j])
+    delta = 1 if b < lv else -1
+    b %= lv
     if b:
         do(CyclicPermute(j + 1, b))
     do(MultiplyRight(i + 1, j + 1, delta))
@@ -240,6 +292,11 @@ def search_trivialization(
             f"search requires a balanced presentation, got {len(p.generators)} "
             f"generator(s) and {len(p.relators)} relator(s)"
         )
+    if len(p.generators) > MAX_GENERATORS:
+        raise ValueError(
+            f"search codes each letter in one byte and takes at most {MAX_GENERATORS} "
+            f"generators, got {len(p.generators)}"
+        )
 
     prefix_moves: List = []
     current = p
@@ -268,7 +325,7 @@ def search_trivialization(
     # An edge indexes the relators of the parent state as reached, which is
     # the order that replaying the path from ``current`` rebuilds.
     level = [(start, tuple(sorted(start)))]  # (state as reached, its key)
-    parent: Dict[_State, Optional[Tuple[_State, tuple]]] = {level[0][1]: None}
+    parent: Dict[_State, Optional[Tuple[_State, int]]] = {level[0][1]: None}
     expanded = 0
     frontier = [1]
 

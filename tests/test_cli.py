@@ -101,6 +101,19 @@ def test_verify_cert_stab_after_destab_of_inner_generator(run, tmp_path):
     assert "cannot resolve STAB word" in err
 
 
+def test_verify_cert_many_stab_lines_is_linear(run, tmp_path):
+    # each STAB takes the next fresh name from one name set kept across the
+    # parse and the replay, not from a rebuild of all names
+    n = 5000
+    names = ["a"] + [f"x{k}" for k in range(1, n + 1)]
+    end = f"< {', '.join(names)} | {', '.join(names)} >"
+    lines = ["START < a | a >"] + ["STAB 1"] * n + [f"END {end}"]
+    path = write(tmp_path, "stab.cert", "\n".join(lines) + "\n")
+    t0 = time.perf_counter()
+    assert run("verify-cert", path) == (0, "OK\n", "")
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_quotient_many_generators_exhausts(run, tmp_path):
     names = [f"a{i}" for i in range(1, 1101)]
     path = write(tmp_path, "many.pres", f"< {', '.join(names)} | {', '.join(names)} >")
@@ -340,6 +353,19 @@ def test_acsearch_usage_errors(run, tmp_path, text, flags):
     rc, out, err = run("acsearch", write(tmp_path, "p.pres", text), *flags)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_acsearch_generator_limit(run, tmp_path):
+    # letters are coded in one byte: 127 generators search, 128 are refused
+    def pres(m):
+        names = [f"g{k}" for k in range(1, m + 1)]
+        return f"< {', '.join(names)} | {', '.join(names[:-1])}, g{m} g1 >"
+
+    rc, out, err = run("acsearch", write(tmp_path, "ok.pres", pres(127)), "--max-total-letters", 200)
+    assert (rc, err) == (0, "") and out.startswith("FOUND depth=1 ")
+    rc, out, err = run("acsearch", write(tmp_path, "big.pres", pres(128)))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "at most 127 generators" in err
 
 
 def test_acsearch_stdout_is_deterministic(run, tmp_path):

@@ -489,3 +489,26 @@ def test_certificate_text_follows_reused_names(start, moves, stab_lines):
     assert [ln for ln in text.splitlines() if ln.startswith("STAB")] == stab_lines
     assert parse_certificate(text) == cert
     assert replay(parse_certificate(text))
+
+
+def test_names_followed_across_a_replay_are_fresh_names():
+    # replay and the certificate text follow one name set through STAB and
+    # DESTAB; every name must be what a rebuild from scratch would give
+    rng = random.Random(67)
+    pool = ["a", "x1", "x2", "x3", "x01", "x10", "xx"]
+    for _ in range(300):
+        names = tuple(rng.sample(pool, rng.randint(1, 4)))
+        cur = start = Presentation(names, tuple((g,) for g in range(1, len(names) + 1)))
+        moves = []
+        for _ in range(rng.randint(1, 12)):
+            m = len(cur.generators)
+            if m and rng.random() < 0.4:
+                mv = Destabilize(m, m)
+            else:
+                word = [rng.choice([1, -1]) * rng.randint(1, m) for _ in range(rng.randint(0, 2) if m else 0)]
+                mv = Stabilize(free_reduce(word))
+            moves.append(mv)
+            cur = apply_move(cur, mv)
+        cert = AcCertificate(start, tuple(moves), cur)
+        assert replay(cert)
+        assert parse_certificate(format_certificate(cert)) == cert

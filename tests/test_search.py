@@ -8,6 +8,8 @@ from acforge.presentation import EMPTY_PRESENTATION, Presentation, parse_present
 from acforge.search import (
     SearchLimits,
     _code,
+    _least,
+    _rotations,
     _signed,
     _successors,
     canonical_relator,
@@ -88,6 +90,27 @@ def test_letter_code_orders_like_the_letter_key():
     assert all(_signed(_code(w)) == w for w in words)
 
 
+def test_least_is_the_least_rotation():
+    rng = random.Random(127)
+    words = []
+    for _ in range(600):
+        w = free_reduce([rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(rng.randint(0, 14))])
+        words.append(cyclic_reduce(w)[0])
+    words += [
+        (),
+        (1,),
+        (-2,),
+        (1, 2) * 3,  # (ab)^3: every other rotation ties
+        (-1, 2, -1, 2),
+        (-1, -1, 2, 2),  # the least letter a occurs only inverted
+        (2, -1, 3, -1, -1),
+    ]
+    for w in words:
+        r = _code(w)
+        assert _least(r) == min(_rotations(r), default=b"")
+        assert _signed(_least(r)) == canonical_relator(w)
+
+
 def reference_successors(rels, limits):
     """The search's transitions on signed words, pruned after canonicalizing."""
     m, n = len(rels), len(rels)
@@ -116,9 +139,20 @@ def reference_successors(rels, limits):
     return out
 
 
+def decoded_edge(edge, rels):
+    """An int edge of ``_successors`` out of rels, spelled as the reference does."""
+    if edge < 0:
+        return ("destab", -1 - edge)
+    n = len(rels)
+    e, ij = divmod(edge, n * n)
+    i, j = divmod(ij, n)
+    lv = len(rels[j])
+    return ("mul", i, j, e, 1) if e < lv else ("mul", i, j, e - lv, -1)
+
+
 def coded_successors(rels, limits):
     return [
-        (edge, tuple(_signed(r) for r in t))
+        (decoded_edge(edge, rels), tuple(_signed(r) for r in t))
         for edge, t in _successors(tuple(_code(r) for r in rels), limits)
     ]
 
