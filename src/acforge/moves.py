@@ -192,8 +192,10 @@ class _Names:
             name = self.names.pop()
             if self._index is not None:
                 del self._index[name]
-            if self.k > 1 and name[1:].isdecimal() and name == f"x{int(name[1:])}":
-                self.k = min(self.k, int(name[1:]))  # that name is free again
+            # x{j} with 1 <= j < k is free again; a longer digit string is > k
+            digits = name[1:]
+            if name[0] == "x" and 0 < len(digits) <= len(str(self.k)) and digits[0] != "0" and digits.isdecimal():
+                self.k = min(self.k, int(digits))
         return True
 
 
@@ -304,16 +306,13 @@ def replay_trace(cert: AcCertificate):
     not match.
     """
     current, step = cert.start, 0
-    names = None  # followed from the first STAB on, the only move that reads them
+    names = _Names(current.generators)
     for move in cert.moves:
-        if names is None and isinstance(move, Stabilize):
-            names = _Names(current.generators)
         try:
             current = apply_move(current, move, names)
         except MoveError:
             return False, step, current
-        if names is not None:
-            names.follow(move)
+        names.follow(move)
         step += _units(move)
     if current != cert.end:
         return False, step, current

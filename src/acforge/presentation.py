@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .words import Word, free_reduce
 
@@ -225,13 +225,11 @@ def parse_raw(text: str) -> Tuple[Tuple[str, ...], Tuple[Word, ...]]:
     return _parse_body(text)
 
 
-def parse_word(text: str, generators: Union[Sequence[str], Dict[str, int]]) -> Word:
-    """Parse a bare word over the given generator names (freely reduced);
-    ``generators`` may also be a ready dict of name -> 1-based index."""
-    if not isinstance(generators, dict):
-        generators = {name: i + 1 for i, name in enumerate(generators)}
+def parse_word(text: str, index: Dict[str, int]) -> Word:
+    """Parse a bare word over the generator names mapped to their 1-based
+    index (freely reduced)."""
     p = _Parser(text)
-    letters = p.word(generators)
+    letters = p.word(index)
     p.expect_end()
     return free_reduce(letters)
 

@@ -101,7 +101,16 @@ def test_verify_cert_stab_after_destab_of_inner_generator(run, tmp_path):
     assert "cannot resolve STAB word" in err
 
 
-def test_verify_cert_many_stab_lines_is_linear(run, tmp_path):
+@pytest.mark.parametrize("popped", ["x0", "x" + "9" * 4301], ids=["x0", "x_4301_digits"])
+def test_verify_cert_stab_after_destab_of_non_series_name(run, tmp_path, popped):
+    # neither name is one of x1, x2, ...: dropping it frees no fresh name,
+    # so the last STAB takes x2 again
+    moves = ["STAB 1", "DESTAB 3 3", "DESTAB 2 2", "STAB 1"]
+    text = "\n".join([f"START < x1, {popped} | x1, {popped} >"] + moves + ["END < x1, x2 | x1, x2 >"]) + "\n"
+    assert run("verify-cert", write(tmp_path, "c.cert", text)) == (0, "OK\n", "")
+
+
+def test_verify_cert_many_stab_lines_is_fast(run, tmp_path):
     # each STAB takes the next fresh name from one name set kept across the
     # parse and the replay, not from a rebuild of all names
     n = 5000

@@ -495,7 +495,7 @@ def test_names_followed_across_a_replay_are_fresh_names():
     # replay and the certificate text follow one name set through STAB and
     # DESTAB; every name must be what a rebuild from scratch would give
     rng = random.Random(67)
-    pool = ["a", "x1", "x2", "x3", "x01", "x10", "xx"]
+    pool = ["a", "x0", "x1", "x2", "x3", "x01", "x10", "xx", "x" + "9" * 4301]
     for _ in range(300):
         names = tuple(rng.sample(pool, rng.randint(1, 4)))
         cur = start = Presentation(names, tuple((g,) for g in range(1, len(names) + 1)))
