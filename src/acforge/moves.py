@@ -15,19 +15,18 @@ relator that is not cyclically reduced strips a conjugating pair, which
 loses information; such a move has no inverse, and invert_certificate
 raises if asked to invert through one.
 
-A move costs one edit, not a rebuild: apply_move assembles its result with
-``_trusted``, which skips the validating ``Presentation`` constructor.  That
-is sound because every relator it stores is built from relators of a valid
-presentation in a way that keeps them freely reduced and in range (concat,
-invert and power of reduced words, a re-reduced rotation, a reduced and
-range-checked stabilizing word, a subset of the relators), and a new
-generator name comes from ``fresh_generator_name``.
+Every run of moves (apply_move, replay, inversion, search reconstruction)
+edits one replay state in place: a list of relators, a running letter
+count, and the generator names followed through STAB and DESTAB.  A
+Presentation is built only where a caller keeps one, and without the
+validating constructor: every move keeps the relators freely reduced and
+in range, and a new generator takes the first free name x1, x2, ....
 
 Memory is bounded as in the parser: a MultiplyRight or Stabilize whose
 result would hold more than ``MAX_LETTERS`` letters in total, counted
-before reduction, is refused with a plain ValueError before anything is
-built.  It is not a MoveError, so a replay that reaches it is
-inconclusive rather than failed.
+before reduction from the running count, is refused with a plain
+ValueError before anything is built.  It is not a MoveError, so a replay
+that reaches it is inconclusive rather than failed.
 
 An AcCertificate holds its moves in one normal form: each run of adjacent
 MultiplyRight moves on the same (i, j) with exponents of the same sign is
@@ -41,8 +40,8 @@ Certificate files are line-based: ``START <presentation>``, one unit move
 per line (``MULR i j`` for exponent +1, ``MULRI i j`` for -1), ``END
 <presentation>``.  Indices are 1-based.  STAB words are written with
 generator names, which reading and writing follow from the START names
-alone (STAB appends ``fresh_generator_name``, DESTAB drops the last
-name); neither replays the moves.  Any other keyword, including the pair
+alone (STAB appends the first free x-name, DESTAB drops the last name);
+neither replays the moves.  Any other keyword, including the pair
 insertion and deletion lines of older files, is rejected as unknown.
 """
 
@@ -59,7 +58,6 @@ from .presentation import (
     format_word,
     parse_presentation,
     parse_word,
-    total_letters,
 )
 from .words import Word, concat, free_reduce, invert, power, rotate
 
@@ -170,22 +168,24 @@ class _Names:
     @property
     def index(self):
         if self._index is None:
-            self._index = {name: g for g, name in enumerate(self.names, start=1)}
+            self._index = dict(zip(self.names, range(1, len(self.names) + 1)))
         return self._index
 
     def fresh(self) -> str:
-        while f"x{self.k}" in self.index:
+        index, name = self.index, f"x{self.k}"
+        while name in index:
             self.k += 1
-        return f"x{self.k}"
+            name = f"x{self.k}"
+        return name
 
     def follow(self, move: AcMove) -> bool:
         """Follow ``move`` without applying it: exact for every move that
         applies.  False once the names cannot be followed: after a DESTAB of
         a generator other than the last, a move that never applies."""
         if isinstance(move, Stabilize):
-            name = self.fresh()
+            name = self.fresh()  # builds the index
             self.names.append(name)
-            self.index[name] = len(self.names)
+            self._index[name] = len(self.names)
         elif isinstance(move, Destabilize):
             if move.generator != len(self.names):
                 return False
@@ -199,92 +199,105 @@ class _Names:
         return True
 
 
-def fresh_generator_name(existing) -> str:
-    """x1, x2, ...: the first such name not in ``existing``."""
-    return _Names(existing).fresh()
-
-
-def _check_relator_index(p: Presentation, i: int):
+def _relator(p, i: int) -> Word:
+    """Relator i (1-based) of a presentation or replay state; MoveError if out of range."""
     if not 1 <= i <= len(p.relators):
         raise MoveError(f"relator index {i} out of range 1..{len(p.relators)}")
+    return p.relators[i - 1]
 
 
-def _trusted(generators: Tuple[str, ...], relators: Tuple[Word, ...]) -> Presentation:
-    """A Presentation from parts that already meet its invariants (unique
-    valid names; freely reduced relators with letters in range), built
-    without re-checking them."""
-    p = object.__new__(Presentation)
-    object.__setattr__(p, "generators", generators)
-    object.__setattr__(p, "relators", relators)
-    return p
+class _Replay:
+    """A presentation that a run of moves edits in place: its relators in a
+    list, a running count of their letters, and its generator names, kept
+    as the start's tuple until a STAB or DESTAB makes ``names`` follow them."""
+
+    __slots__ = ("generators", "relators", "letters", "names")
+
+    def __init__(self, p: Presentation):
+        self.generators = p.generators
+        self.relators = list(p.relators)
+        self.letters = sum(map(len, p.relators))
+        self.names: Optional[_Names] = None
+
+    def presentation(self) -> Presentation:
+        """The state as a Presentation, without the validating constructor (see the module docstring)."""
+        p = object.__new__(Presentation)
+        object.__setattr__(p, "generators", tuple(self.generators))
+        object.__setattr__(p, "relators", tuple(self.relators))
+        return p
+
+    def _follow(self, move: AcMove) -> None:
+        if self.names is None:
+            self.names = _Names(self.generators)
+            self.generators = self.names.names
+        self.names.follow(move)
+
+    def _grow(self, added: int) -> None:
+        """Raise ValueError if adding ``added`` letters would exceed ``MAX_LETTERS``."""
+        total = self.letters + added
+        if total > MAX_LETTERS:
+            raise ValueError(f"move would grow the presentation to {total} letters, more than {MAX_LETTERS}")
+
+    def _replace(self, i: int, w: Word) -> None:
+        self.letters += len(w) - len(self.relators[i - 1])
+        self.relators[i - 1] = w
+
+    def apply(self, move: AcMove) -> None:
+        """Apply one move, or raise before changing anything; the edited
+        relator is stored freely reduced."""
+        rels = self.relators
+        if isinstance(move, MultiplyRight):
+            r, other = _relator(self, move.relator), _relator(self, move.other)
+            if move.relator == move.other:
+                raise MoveError("relator cannot be multiplied by itself")
+            if type(move.exponent) is not int or not move.exponent:
+                raise MoveError(f"multiplier exponent must be a nonzero int, not {move.exponent!r}")
+            self._grow(abs(move.exponent) * len(other))
+            self._replace(move.relator, concat(r, power(other, move.exponent)))
+        elif isinstance(move, CyclicPermute):
+            self._replace(move.relator, free_reduce(rotate(_relator(self, move.relator), move.shift)))
+        elif isinstance(move, InvertRelator):
+            rels[move.relator - 1] = invert(_relator(self, move.relator))
+        elif isinstance(move, Stabilize):
+            m = len(self.generators)
+            self._grow(1 + len(move.word))
+            w = free_reduce(move.word)
+            for x in w:
+                if abs(x) > m:
+                    raise MoveError(f"stabilizing word letter {x} exceeds generator count {m}")
+            self._follow(move)
+            rels.append((m + 1,) + w)
+            self.letters += 1 + len(w)
+        elif isinstance(move, Destabilize):
+            m = len(self.generators)
+            g, i = move.generator, move.relator
+            r = _relator(self, i)
+            if g != m or m == 0:
+                raise MoveError(f"destabilize must remove the last generator {m}, not {g}")
+            if not r or r[0] != g:
+                raise MoveError("relator is not of the shape g.w")
+            if any(abs(x) == g for x in r[1:]):
+                raise MoveError("removed generator occurs inside its own relator tail")
+            for k, other in enumerate(rels, start=1):
+                if k != i and any(abs(x) == g for x in other):
+                    raise MoveError(f"removed generator occurs in relator {k}")
+            self._follow(move)
+            del rels[i - 1]
+            self.letters -= len(r)
+        else:
+            raise MoveError(f"unknown move {move!r}")
 
 
-def _check_growth(p: Presentation, added: int) -> None:
-    """Raise ValueError if adding ``added`` letters to p would exceed
-    ``MAX_LETTERS``."""
-    total = total_letters(p) + added
-    if total > MAX_LETTERS:
-        raise ValueError(f"move would grow the presentation to {total} letters, more than {MAX_LETTERS}")
+def apply_move(p: Presentation, move: AcMove) -> Presentation:
+    """Apply one move; the edited relator is stored freely reduced."""
+    state = _Replay(p)
+    state.apply(move)
+    return state.presentation()
 
 
-def _replace(p: Presentation, i: int, w: Word) -> Presentation:
-    rels = list(p.relators)
-    rels[i - 1] = w
-    return _trusted(p.generators, tuple(rels))
-
-
-def apply_move(p: Presentation, move: AcMove, names: Optional[_Names] = None) -> Presentation:
-    """Apply one move; the edited relator is stored freely reduced.
-
-    ``names``, when given, are p's generator names as a caller follows them
-    across a run of moves; a Stabilize takes its fresh name from them."""
-    if isinstance(move, CyclicPermute):
-        _check_relator_index(p, move.relator)
-        r = p.relators[move.relator - 1]
-        return _replace(p, move.relator, free_reduce(rotate(r, move.shift)))
-    if isinstance(move, InvertRelator):
-        _check_relator_index(p, move.relator)
-        return _replace(p, move.relator, invert(p.relators[move.relator - 1]))
-    if isinstance(move, MultiplyRight):
-        _check_relator_index(p, move.relator)
-        _check_relator_index(p, move.other)
-        if move.relator == move.other:
-            raise MoveError("relator cannot be multiplied by itself")
-        if _run_key(move) is None:
-            raise MoveError(f"multiplier exponent must be a nonzero int, not {move.exponent!r}")
-        r, other = p.relators[move.relator - 1], p.relators[move.other - 1]
-        _check_growth(p, abs(move.exponent) * len(other))
-        return _replace(p, move.relator, concat(r, power(other, move.exponent)))
-    if isinstance(move, Stabilize):
-        m = len(p.generators)
-        _check_growth(p, 1 + len(move.word))
-        w = free_reduce(move.word)
-        for x in w:
-            if abs(x) > m:
-                raise MoveError(f"stabilizing word letter {x} exceeds generator count {m}")
-        name = names.fresh() if names is not None else fresh_generator_name(p.generators)
-        return _trusted(p.generators + (name,), p.relators + ((m + 1,) + w,))
-    if isinstance(move, Destabilize):
-        m = len(p.generators)
-        g, i = move.generator, move.relator
-        _check_relator_index(p, i)
-        if g != m or m == 0:
-            raise MoveError(f"destabilize must remove the last generator {m}, not {g}")
-        r = p.relators[i - 1]
-        if not r or r[0] != g:
-            raise MoveError("relator is not of the shape g.w")
-        if any(abs(x) == g for x in r[1:]):
-            raise MoveError("removed generator occurs inside its own relator tail")
-        for k, other in enumerate(p.relators, start=1):
-            if k != i and any(abs(x) == g for x in other):
-                raise MoveError(f"removed generator occurs in relator {k}")
-        rels = tuple(r2 for k, r2 in enumerate(p.relators, start=1) if k != i)
-        return _trusted(p.generators[:-1], rels)
-    raise MoveError(f"unknown move {move!r}")
-
-
-def inverse_move(move: AcMove, before: Presentation) -> AcMove:
-    """The move undoing ``move``, given the presentation it was applied to."""
+def inverse_move(move: AcMove, before: Union[Presentation, _Replay]) -> AcMove:
+    """The move undoing ``move``, given the presentation (or replay state)
+    it was applied to."""
     if isinstance(move, CyclicPermute):
         return CyclicPermute(move.relator, -move.shift)
     if isinstance(move, InvertRelator):
@@ -294,7 +307,7 @@ def inverse_move(move: AcMove, before: Presentation) -> AcMove:
     if isinstance(move, Stabilize):
         return Destabilize(len(before.generators) + 1, len(before.relators) + 1)
     if isinstance(move, Destabilize):
-        return Stabilize(before.relators[move.relator - 1][1:])
+        return Stabilize(_relator(before, move.relator)[1:])
     raise MoveError(f"unknown move {move!r}")
 
 
@@ -305,15 +318,14 @@ def replay_trace(cert: AcCertificate):
     invalid move, or ``cert.length`` if every move applied but the end does
     not match.
     """
-    current, step = cert.start, 0
-    names = _Names(current.generators)
+    state, step = _Replay(cert.start), 0
     for move in cert.moves:
         try:
-            current = apply_move(current, move, names)
+            state.apply(move)
         except MoveError:
-            return False, step, current
-        names.follow(move)
+            return False, step, state.presentation()
         step += _units(move)
+    current = state.presentation()
     if current != cert.end:
         return False, step, current
     return True, None, current
@@ -327,27 +339,36 @@ def replay(cert: AcCertificate) -> bool:
 def invert_certificate(cert: AcCertificate) -> AcCertificate:
     """Certificate from end back to start: inverses in reverse order.
 
-    Raises CertificateError if the input does not replay or contains an
-    information-losing move (a reducing cyclic permutation).
+    Raises CertificateError if the input does not replay, or if one of its
+    moves loses information: a CYC that shortens its relator (a reducing
+    cyclic permutation), or a DESTAB of a generator that the undoing STAB
+    would give another name.
     """
     inv_moves: List[AcMove] = []
-    current, step = cert.start, 0
+    state, step = _Replay(cert.start), 0
     for move in cert.moves:
+        letters, last = state.letters, state.generators[-1:]
         try:
-            after = apply_move(current, move)
+            inv_moves.append(inverse_move(move, state))
+            state.apply(move)
         except MoveError as e:
             raise CertificateError(f"input certificate invalid at step {step}: {e}")
-        inv_moves.append(inverse_move(move, current))
-        current, step = after, step + _units(move)
-    if current != cert.end:
+        if isinstance(move, CyclicPermute) and state.letters < letters:
+            raise CertificateError(
+                f"certificate is not invertible: the CYC at step {step} shortens relator {move.relator}"
+            )
+        if isinstance(move, Destabilize) and state.names.fresh() != last[0]:
+            raise CertificateError(
+                f"certificate is not invertible: the DESTAB at step {step} removes generator "
+                f"{last[0]!r}, which STAB would name {state.names.fresh()!r}"
+            )
+        step += _units(move)
+    if state.presentation() != cert.end:
         raise CertificateError("input certificate does not replay to its end")
     result = AcCertificate(cert.end, tuple(reversed(inv_moves)), cert.start)
     ok, step, _ = replay_trace(result)
     if not ok:
-        raise CertificateError(
-            f"certificate is not invertible (inverse fails at step {step}); "
-            "it contains a reducing cyclic permutation"
-        )
+        raise CertificateError(f"certificate is not invertible (inverse fails at step {step})")
     return result
 
 

@@ -33,7 +33,8 @@ inverse that start with the least letter of either (found with
 start state and decoded only through the signed-word ``canonical_relator``
 used to reconstruct certificates.  Each BFS edge is one int (see
 ``_successors``), which ``_edge_moves`` decodes against the relators of its
-source state.
+source state.  Reconstruction applies and records the primitive moves on
+one replay state (``moves._Replay``), from p through the path to collapse.
 Successors are pruned length first: the canonical length of a product is
 the length of its cyclic reduction, so a candidate over the letter caps is
 dropped before its least rotation is computed.
@@ -49,15 +50,16 @@ from typing import Dict, List, Optional, Tuple
 
 from .moves import (
     AcCertificate,
+    AcMove,
     CyclicPermute,
     Destabilize,
     InvertRelator,
     MultiplyRight,
-    apply_move,
+    _Replay,
     replay,
 )
 from .presentation import EMPTY_PRESENTATION, Presentation, is_balanced
-from .words import Word, cyclic_reduce, invert, is_cyclically_reduced, rotate
+from .words import Word, cyclic_reduce, invert, rotate
 
 
 @dataclass(frozen=True)
@@ -214,68 +216,47 @@ def _successors(rels: _State, limits: SearchLimits):
 # --- certificate reconstruction ----------------------------------------------
 
 
-def _normalize_relator(p: Presentation, i: int):
-    """Primitive moves bringing relator i into canonical form."""
-    moves = []
-
-    def do(mv):
-        nonlocal p
-        moves.append(mv)
-        p = apply_move(p, mv)
-
-    while not is_cyclically_reduced(p.relators[i - 1]):
-        do(CyclicPermute(i, 1))  # strips exactly one conjugating pair
-    core = p.relators[i - 1]
+def _normalize_relator(state: _Replay, i: int, moves: List[AcMove]) -> None:
+    """Bring relator i of ``state`` into canonical form with primitive
+    moves, applied to ``state`` and appended to ``moves``."""
+    core, conjugator = cyclic_reduce(state.relators[i - 1])
+    # each unit rotation strips exactly one conjugating pair
+    step: List[AcMove] = [CyclicPermute(i, 1)] * len(conjugator)
     target = canonical_relator(core)
     if core != target:
         n = len(core)
         inv = invert(core)
         k = ([rotate(core, b) for b in range(n)] + [rotate(inv, b) for b in range(n)]).index(target)
         if k >= n:
-            do(InvertRelator(i))
+            step.append(InvertRelator(i))
         if k % n:
-            do(CyclicPermute(i, k % n))
-    return moves, p
+            step.append(CyclicPermute(i, k % n))
+    for mv in step:
+        state.apply(mv)
+    moves.extend(step)
 
 
-def _edge_moves(p: Presentation, edge: int):
-    """Expand one BFS edge (see ``_successors``) into primitive moves applied
-    to p, whose relators are those of the edge's source state."""
-    moves = []
-
-    def do(mv):
-        nonlocal p
-        moves.append(mv)
-        p = apply_move(p, mv)
-
+def _edge_moves(state: _Replay, edge: int, moves: List[AcMove]) -> None:
+    """Expand one BFS edge (see ``_successors``) into primitive moves,
+    applied to ``state``, whose relators are those of the edge's source
+    state, and appended to ``moves``."""
     if edge < 0:
-        do(Destabilize(len(p.generators), -edge))
-        return moves, p
-    n = len(p.relators)
-    b, ij = divmod(edge, n * n)
-    i, j = divmod(ij, n)
-    lv = len(p.relators[j])
-    delta = 1 if b < lv else -1
-    b %= lv
-    if b:
-        do(CyclicPermute(j + 1, b))
-    do(MultiplyRight(i + 1, j + 1, delta))
-    if b:
-        do(CyclicPermute(j + 1, -b))
-    more, p = _normalize_relator(p, i + 1)
-    moves.extend(more)
-    return moves, p
-
-
-def _collapse_moves(p: Presentation):
-    moves = []
-    while p.generators:
-        m = len(p.generators)
-        idx = next(k for k, r in enumerate(p.relators, start=1) if r == (m,))
-        mv = Destabilize(m, idx)
-        moves.append(mv)
-        p = apply_move(p, mv)
-    return moves, p
+        step: List[AcMove] = [Destabilize(len(state.generators), -edge)]
+    else:
+        n = len(state.relators)
+        b, ij = divmod(edge, n * n)
+        i, j = divmod(ij, n)
+        lv = len(state.relators[j])
+        delta = 1 if b < lv else -1
+        b %= lv
+        step = [MultiplyRight(i + 1, j + 1, delta)]
+        if b:
+            step = [CyclicPermute(j + 1, b), *step, CyclicPermute(j + 1, -b)]
+    for mv in step:
+        state.apply(mv)
+    moves.extend(step)
+    if edge >= 0:
+        _normalize_relator(state, i + 1, moves)
 
 
 def search_trivialization(
@@ -298,22 +279,18 @@ def search_trivialization(
             f"generators, got {len(p.generators)}"
         )
 
-    prefix_moves: List = []
-    current = p
+    state, moves = _Replay(p), []  # from p to the start state, then on in ``finish``
     for i in range(1, len(p.relators) + 1):
-        more, current = _normalize_relator(current, i)
-        prefix_moves.extend(more)
-    start: _State = tuple(_code(r) for r in current.relators)
+        _normalize_relator(state, i, moves)
+    start: _State = tuple(_code(r) for r in state.relators)
 
     def finish(path_edges, depth: int, seen: int, expanded: int, frontier):
-        pres = current
-        moves = list(prefix_moves)
         for edge in path_edges:
-            more, pres = _edge_moves(pres, edge)
-            moves.extend(more)
-        tail, pres = _collapse_moves(pres)
-        moves.extend(tail)
-        assert pres == EMPTY_PRESENTATION
+            _edge_moves(state, edge, moves)
+        while state.generators:  # collapse: destabilize the last generator g along relator g
+            m = len(state.generators)
+            _edge_moves(state, -1 - state.relators.index((m,)), moves)
+        assert state.presentation() == EMPTY_PRESENTATION
         cert = AcCertificate(p, tuple(moves), EMPTY_PRESENTATION)
         assert replay(cert), "reconstructed certificate must replay"
         return SearchResult(cert, depth, seen, expanded, None, tuple(frontier))
@@ -323,7 +300,7 @@ def search_trivialization(
 
     # visited key (sorted relators) -> (parent's key, edge); None at the start.
     # An edge indexes the relators of the parent state as reached, which is
-    # the order that replaying the path from ``current`` rebuilds.
+    # the order that replaying the path from the start state rebuilds.
     level = [(start, tuple(sorted(start)))]  # (state as reached, its key)
     parent: Dict[_State, Optional[Tuple[_State, int]]] = {level[0][1]: None}
     expanded = 0

@@ -8,6 +8,7 @@ normal form, so word equality is plain tuple equality.
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable, Sequence, Tuple
 
 Word = Tuple[int, ...]
@@ -33,7 +34,7 @@ def free_reduce(letters: Iterable[int]) -> Word:
 
 def invert(w: Sequence[int]) -> Word:
     """Inverse word: reversed sequence with all signs flipped."""
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def concat(u: Sequence[int], v: Sequence[int]) -> Word:

@@ -20,8 +20,10 @@ from acforge.moves import (
     parse_certificate,
     replay,
     replay_trace,
+    _Replay,
 )
 from acforge.presentation import MAX_LETTERS, EMPTY_PRESENTATION, Presentation, parse_presentation, total_letters
+from acforge.search import search_trivialization
 
 
 def nonunit_factors(a):
@@ -206,8 +208,38 @@ def test_invert_certificate_rejects_reducing_rotation():
     q = Presentation(("a", "b"), ((1, 2, -1),))
     cert = AcCertificate(q, (CyclicPermute(1, 1),), Presentation(("a", "b"), ((2,),)))
     assert replay(cert)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="^certificate is not invertible: the CYC at step 0 shortens relator 1$"):
         invert_certificate(cert)
+
+
+def test_invert_certificate_names_a_destab_that_stab_would_rename():
+    # a STAB names its generator x1, x2, ..., so undoing the DESTAB of a
+    # generator named otherwise cannot give the start back
+    cert = AcCertificate(pres("< a | a >"), (Destabilize(1, 1),), EMPTY_PRESENTATION)
+    assert replay(cert)
+    message = "^certificate is not invertible: the DESTAB at step 0 removes generator 'a', which STAB would name 'x1'$"
+    with pytest.raises(CertificateError, match=message):
+        invert_certificate(cert)
+    # every search certificate of a presentation named a, b ends that way
+    found = search_trivialization(pres("< a, b | b, a >")).certificate
+    assert replay(found)
+    with pytest.raises(CertificateError, match="removes generator 'b', which STAB would name 'x1'$"):
+        invert_certificate(found)
+
+
+@pytest.mark.parametrize(
+    "move, reason",
+    [
+        (Destabilize(1, 5), "relator index 5 out of range 1..1"),
+        (Destabilize(1, 0), "relator index 0 out of range 1..1"),
+        (Destabilize(2, 1), "destabilize must remove the last generator 1, not 2"),
+    ],
+)
+def test_invert_certificate_invalid_move_is_a_certificate_error(move, reason):
+    p = pres("< x1 | x1 >")
+    with pytest.raises(CertificateError) as info:
+        invert_certificate(AcCertificate(p, (move,), EMPTY_PRESENTATION))
+    assert str(info.value) == f"input certificate invalid at step 0: {reason}"
 
 
 def test_invert_certificate_random_round_trips():
@@ -512,3 +544,69 @@ def test_names_followed_across_a_replay_are_fresh_names():
         cert = AcCertificate(start, tuple(moves), cur)
         assert replay(cert)
         assert parse_certificate(format_certificate(cert)) == cert
+
+
+def near_cap_move(rng, p):
+    """A MultiplyRight or Stabilize that brings p to about ``MAX_LETTERS``
+    letters, counted before reduction, sometimes just over; or a DESTAB."""
+    n, m = len(p.relators), len(p.generators)
+    slack = MAX_LETTERS - total_letters(p)
+    if rng.random() < 0.15:
+        return Destabilize(m, rng.randint(1, n))
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(1, n + 1), 2)
+        lj = max(1, len(p.relators[j - 1]))
+        return MultiplyRight(i, j, rng.choice([1, -1]) * max(1, slack // lj + rng.randint(-1, 1)))
+    word = [rng.choice([1, -1]) * rng.randint(1, m) for _ in range(max(0, slack - 1 + rng.randint(-1, 1)))]
+    return Stabilize(tuple(word))
+
+
+def grown_total(p, move):
+    """Letters p would hold after a MultiplyRight or Stabilize, counted as the cap counts them."""
+    if isinstance(move, MultiplyRight):
+        return total_letters(p) + abs(move.exponent) * len(p.relators[move.other - 1])
+    return total_letters(p) + 1 + len(move.word)
+
+
+def test_running_letter_count_matches_a_recount():
+    # the replay state counts letters as it goes instead of re-summing them;
+    # the count must equal total_letters after every move, and the growth cap
+    # must refuse exactly the moves that a re-count puts over MAX_LETTERS
+    rng = random.Random(71)
+    # built once each: validating a million letters is the slow part
+    near = [
+        Presentation(("a", "b", "c"), ((1,) * (MAX_LETTERS - slack - 5), (2, -3, 2), (3, 3)))
+        for slack in (0, 37)
+    ]
+    refused = near_cap = 0
+    for trial in range(120):
+        at_cap = trial % 10 == 0
+        state = _Replay(near[trial // 10 % 2] if at_cap else random_presentation(rng))
+        for _ in range(12):
+            before = state.presentation()
+            if at_cap:
+                move = near_cap_move(rng, before)
+            elif rng.random() < 0.2:
+                move = Destabilize(len(before.generators), rng.randint(1, len(before.relators) or 1))
+            else:
+                move = random_move(rng, before)
+                if isinstance(move, MultiplyRight) and rng.random() < 0.5:
+                    move = MultiplyRight(move.relator, move.other, rng.choice([-3, -2, 2, 3]))
+            try:
+                state.apply(move)
+            except MoveError:
+                assert state.presentation() == before
+                continue
+            except ValueError as e:
+                grown = grown_total(before, move)
+                assert grown > MAX_LETTERS
+                assert str(e) == f"move would grow the presentation to {grown} letters, more than {MAX_LETTERS}"
+                assert state.presentation() == before
+                refused += 1
+                continue
+            if isinstance(move, (MultiplyRight, Stabilize)):
+                grown = grown_total(before, move)
+                assert grown <= MAX_LETTERS
+                near_cap += grown > MAX_LETTERS - 50
+            assert state.letters == total_letters(state.presentation())
+    assert refused >= 20 and near_cap >= 10, (refused, near_cap)
