@@ -23,10 +23,10 @@ from .dual import align, dualize, write_bundle
 from .intmatrix import (
     exponent_matrix,
     invariant_factors,
-    is_perfect_presentation,
     matrix_from_text,
     matrix_to_text,
     smith_normal_form,
+    trivial_abelianization,
 )
 from .lemma2 import presentation_from_matrix
 from .moves import format_certificate, parse_certificate, replay_trace
@@ -129,8 +129,8 @@ def cmd_snf(args) -> int:
 def cmd_perfect(args) -> int:
     out = _Output(args)
     p = _load_presentation(args.file)
-    flag = is_perfect_presentation(p)
     facs = invariant_factors(exponent_matrix(p))
+    flag = trivial_abelianization(facs, len(p.generators))
     out.emit(
         "perfect" if flag else "imperfect",
         [f"PERFECT {str(flag).lower()}"],

@@ -10,14 +10,17 @@ transpose of P's.
 
 Occurrence orders are free, and cancelling pairs a_i a_i^-1 may be spliced
 into relators without changing the group or the matrix.  ``align`` uses
-both freedoms: it builds a trivial-group presentation Q realizing the
-transposed matrix (with its trivializing certificate), pads whichever side
-has too few occurrences, and picks the order making the dual of the padded
-P agree with Q letter for letter.  The result certifies that the chosen
-dual presents the trivial group.  P-side pads are appended to the relators
-of the augmented presentation; Q-side surplus is recorded in the witness
-only, as cancelling dual-generator pairs that free reduction removes from
-the dual, so the trivialization is Q's certificate unchanged.
+both freedoms.  Lemma 2 builds a trivial-group presentation Q realizing
+the transposed matrix, with its trivializing certificate; its refusal is
+the one test that P is perfect.  One pass over each q_i then orders the
+occurrences of a_i so that the dual of the padded P is Q letter for
+letter, appending a pad a_i a_i^-1 to r_j whenever r_j runs out of the
+occurrence q_i needs next.  The result certifies that the chosen dual
+presents the trivial group.  P-side pads are appended to the relators of
+the augmented presentation; occurrences left over (Q-side surplus) are
+recorded in the witness only, as cancelling dual-generator pairs that free
+reduction removes from the dual, so the trivialization is Q's certificate
+unchanged.
 
 Augmented presentations keep relators as raw (unreduced) letter sequences:
 inserted pairs must stay addressable as occurrences.
@@ -25,12 +28,13 @@ inserted pairs must stay addressable as occurrences.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import DefaultDict, Deque, List, NamedTuple, Tuple
 
-from .intmatrix import IntMatrix, exponent_matrix, invariant_factors, determinant
-from .lemma2 import presentation_from_matrix
+from .intmatrix import IntMatrix, exponent_matrix, invariant_factors
+from .lemma2 import NotUnimodular, presentation_from_matrix
 from .moves import AcCertificate, format_certificate, parse_certificate, replay
 from .presentation import (
     Presentation,
@@ -160,18 +164,6 @@ def dualize(p, w: OrderingWitness | None = None) -> Presentation:
     return Presentation(dual_generator_names(n), relators)
 
 
-def _signed_counts(relators: Sequence[Word], m: int):
-    """plus[g-1][j-1], minus[g-1][j-1]: occurrence counts of generator g in
-    relator j by sign."""
-    n = len(relators)
-    plus = [[0] * n for _ in range(m)]
-    minus = [[0] * n for _ in range(m)]
-    for j, r in enumerate(relators):
-        for x in r:
-            (plus if x > 0 else minus)[abs(x) - 1][j] += 1
-    return plus, minus
-
-
 def align(p: Presentation) -> KnotCertificate:
     """Choose pads and an occurrence order making the dual provably trivial.
 
@@ -180,46 +172,40 @@ def align(p: Presentation) -> KnotCertificate:
     identity (``dualize(augmented, witness) == dual`` among them) is
     checked once, by ``verify_knot_certificate``, before returning.
     """
-    n = _require_balanced(p)
+    _require_balanced(p)
     a = exponent_matrix(p)
-    if n and abs(determinant(a)) != 1:
+    try:
+        q, cert = presentation_from_matrix(a.transpose())
+    except NotUnimodular as e:
         raise ValueError(
-            f"presentation is not perfect: det {determinant(a)}, "
+            f"presentation is not perfect: det {e.det}, "
             f"invariant factors {invariant_factors(a)}"
-        )
-    q, cert = presentation_from_matrix(a.transpose())
+        ) from None
 
-    plus_p, minus_p = _signed_counts(p.relators, n)  # [i][j]: a_i in r_j
-    plus_q, minus_q = _signed_counts(q.relators, n)  # [j][i]: x_j in q_i
-
-    # s < 0: r_j has -s too few a_i, so append (a_i a_i^-1)^-s to it;
-    # s > 0: q_i has s too few x_j, padded in the witness only
+    # Witness for a_i: each letter x_j^e of q_i takes the next unused
+    # occurrence of a_i^e in r_j, in scan order, after appending the pad
+    # a_i a_i^-1 to r_j if it has none left; the occurrences left over
+    # follow as cancelling x_j x_j^-1 pairs, j ascending.
     rels = [list(r) for r in p.relators]
-    surplus = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            s = plus_p[i][j] - plus_q[j][i]
-            assert minus_p[i][j] - minus_q[j][i] == s
-            if s < 0:
-                rels[j] += [i + 1, -(i + 1)] * -s
-            else:
-                surplus[i][j] = s
-    augmented = AugmentedPresentation(p.generators, tuple(tuple(r) for r in rels))
-
-    # Witness: realize q_i followed by the surplus pads, consuming each
-    # (generator, relator, sign) occurrence class in scan order.
-    lists: Dict[Tuple[int, int, int], List[Occurrence]] = {}
-    for i, occs in enumerate(occurrence_lists(augmented), start=1):
-        for occ in occs:
-            lists.setdefault((i, occ.relator, occ.sign), []).append(occ)
-    pools = {key: iter(occs) for key, occs in lists.items()}
-
     per_generator = []
-    for i in range(1, n + 1):
-        target = list(q.relators[i - 1])
-        for j in range(1, n + 1):
-            target.extend([j, -j] * surplus[i - 1][j - 1])
-        per_generator.append(tuple(next(pools[i, abs(x), 1 if x > 0 else -1]) for x in target))
+    for i, (occs, target) in enumerate(zip(occurrence_lists(p), q.relators), start=1):
+        unused: DefaultDict[Tuple[int, int], Deque[Occurrence]] = defaultdict(deque)
+        for occ in occs:
+            unused[occ.relator, occ.sign].append(occ)
+        order = []
+        for x in target:
+            j, sign = abs(x), 1 if x > 0 else -1
+            if not unused[j, sign]:
+                r = rels[j - 1]
+                unused[j, 1].append(Occurrence(j, len(r), 1))
+                unused[j, -1].append(Occurrence(j, len(r) + 1, -1))
+                r += (i, -i)
+            order.append(unused[j, sign].popleft())
+        for j in sorted({j for j, _ in unused}):
+            for pair in zip(unused[j, 1], unused[j, -1]):
+                order.extend(pair)
+        per_generator.append(tuple(order))
+    augmented = AugmentedPresentation(p.generators, tuple(tuple(r) for r in rels))
     witness = OrderingWitness(tuple(per_generator))
 
     kc = KnotCertificate(

@@ -237,7 +237,12 @@ def invariant_factors(a: IntMatrix) -> Tuple[int, ...]:
     return smith_normal_form(a)[0]
 
 
+def trivial_abelianization(factors: Sequence[int], m: int) -> bool:
+    """True iff a matrix on m generators with these invariant factors
+    presents the trivial abelian group: m factors, all equal to 1."""
+    return len(factors) == m and all(f == 1 for f in factors)
+
+
 def is_perfect_presentation(p: Presentation) -> bool:
     """True iff the abelianization presented by the exponent matrix is trivial."""
-    facs = invariant_factors(exponent_matrix(p))
-    return len(facs) == len(p.generators) and all(f == 1 for f in facs)
+    return trivial_abelianization(invariant_factors(exponent_matrix(p)), len(p.generators))

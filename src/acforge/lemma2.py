@@ -22,6 +22,14 @@ from .presentation import EMPTY_PRESENTATION, Presentation
 MAX_ROW_ADDITIONS = 10**5
 
 
+class NotUnimodular(ValueError):
+    """A square matrix whose determinant ``det`` is not +-1."""
+
+    def __init__(self, det: int):
+        super().__init__(f"matrix is not unimodular: det = {det}")
+        self.det = det
+
+
 def decompose_unimodular(a: IntMatrix) -> List[AcMove]:
     """Moves whose application, in order, to < x1..xn | x1, ..., xn > gives
     relators with exponent matrix exactly ``a``.
@@ -31,9 +39,9 @@ def decompose_unimodular(a: IntMatrix) -> List[AcMove]:
     MultiplyRight(t, s, c) and negating row i is InvertRelator(i), and
     returns the inverses of those moves in reverse order.  The forward pass
     only adds rows, so the product of its pivots is det(a).  Raises
-    ValueError if ``a`` is not square, if that product is not +-1, or if
-    the certificate text would need more than ``MAX_ROW_ADDITIONS`` unit
-    additions (the sum of |c|).
+    ValueError if ``a`` is not square, ``NotUnimodular`` if that product
+    is not +-1, or ValueError if the certificate text would need more than
+    ``MAX_ROW_ADDITIONS`` unit additions (the sum of |c|).
     """
     if not a.is_square():
         raise ValueError(f"matrix is {a.nrows}x{a.ncols}, not square")
@@ -56,7 +64,7 @@ def decompose_unimodular(a: IntMatrix) -> List[AcMove]:
         while True:
             nonzero = [i for i in range(col, n) if b[i][col] != 0]
             if not nonzero:
-                raise ValueError("matrix is not unimodular: det = 0")
+                raise NotUnimodular(0)
             piv = min(nonzero, key=lambda i: (abs(b[i][col]), i))
             rest = [i for i in nonzero if i != piv]
             if not rest:
@@ -68,7 +76,7 @@ def decompose_unimodular(a: IntMatrix) -> List[AcMove]:
             addmul(col, piv, -1)
         det *= b[col][col]
     if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular: det = {det}")
+        raise NotUnimodular(det)
     for i in range(n):
         if b[i][i] < 0:
             negate(i)

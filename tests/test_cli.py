@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from acforge import coset, lemma2, moves
+from acforge import coset, intmatrix, lemma2, moves
 from acforge.cli import build_parser, main
 from acforge.presentation import MAX_LETTERS
 
@@ -445,6 +445,47 @@ def test_snf(run, tmp_path):
     assert run("snf", path) == (0, expected, "")
     rc, out, err = run("snf", write(tmp_path, "bad.mat", "2 2\n1 7\n"))
     assert (rc, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("< a | a^2 >", "presentation is not perfect: det 2, invariant factors (2,)"),
+        ("< a, b | a b, a b >", "presentation is not perfect: det 0, invariant factors (1, 0)"),
+        # unimodular: past the row-addition cap, never "not perfect"
+        ("< a, b | a b^100001, b >", "matrix needs 100001 row additions, more than 100000"),
+    ],
+    ids=["det-2", "det-0", "row-addition-cap"],
+)
+def test_theorem3_error_texts(run, tmp_path, text, message):
+    bundle = tmp_path / "bundle"
+    rc, out, err = run("theorem3", write(tmp_path, "p.pres", text), "-o", bundle)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert not bundle.exists()
+
+
+def test_theorem3_higman_600_is_fast(run, tmp_path):
+    # one pass over the dual's relators, and Lemma 2 as the only test of
+    # unimodularity: a Bareiss determinant and n x n occurrence counts in
+    # front of it took 14 s CPU on a 2-CPU x86-64 host
+    rc, text, _ = run("corpus", "--family", "higman", "--m", 600)
+    assert rc == 0
+    bundle = tmp_path / "bundle"
+    t0 = time.process_time()
+    rc, out, _ = run("theorem3", write(tmp_path, "h.pres", text), "-o", bundle)
+    assert time.process_time() - t0 < 6
+    assert rc == 0 and out.startswith(f"WROTE {bundle}\nDUAL < x1, x2, ")
+
+
+def test_perfect_runs_one_smith_normal_form(run, tmp_path, monkeypatch):
+    calls = []
+    snf = intmatrix.smith_normal_form
+    monkeypatch.setattr(intmatrix, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+    path = write(tmp_path, "p.pres", "< a, b | a^2 b^3, a b^2 a b^2 >")
+    assert run("perfect", path) == (1, "PERFECT false\n", "")
+    rc, out, _ = run("perfect", path, "--format", "json")
+    assert rc == 1 and json.loads(out)["data"] == {"perfect": False, "invariant_factors": [1, 2]}
+    assert len(calls) == 2
 
 
 def test_theorem3_bundle_is_deterministic(run, tmp_path):

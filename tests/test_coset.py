@@ -225,7 +225,7 @@ def test_regular_action_matches_brute_force_closure():
 
 def test_lemma2_outputs_enumerate_to_one():
     from acforge.lemma2 import presentation_from_matrix
-    from tests.test_lemma2 import random_unimodular
+    from test_lemma2 import random_unimodular
 
     rng = random.Random(97)
     for _ in range(30):

@@ -223,7 +223,7 @@ def test_align_empty_presentation():
 
 def test_align_random_perfect_presentations():
     # start from duals of unimodular constructions, which are perfect by design
-    from tests.test_lemma2 import random_unimodular
+    from test_lemma2 import random_unimodular
 
     rng = random.Random(83)
     count = 0
@@ -233,6 +233,93 @@ def test_align_random_perfect_presentations():
         kc = align(p)
         assert verify_knot_certificate(kc) == []
         count += 1
+
+
+def reference_pads_and_witness(p, q):
+    """The two-phase pads and witness of ``align`` before its one-pass form,
+    kept as the differential reference: count the signed occurrences of
+    a_i in r_j and of x_j in q_i, append (a_i a_i^-1)^k to r_j where P has
+    k too few, then consume each (generator, relator, sign) class in scan
+    order along q_i followed by the Q-side surplus pairs.  Also returns
+    the generators that get both P-side pads and Q-side surplus."""
+    n = len(p.generators)
+
+    def signed_counts(relators):
+        plus = [[0] * n for _ in range(n)]
+        minus = [[0] * n for _ in range(n)]
+        for j, r in enumerate(relators):
+            for x in r:
+                (plus if x > 0 else minus)[abs(x) - 1][j] += 1
+        return plus, minus
+
+    plus_p, minus_p = signed_counts(p.relators)  # [i][j]: a_i in r_j
+    plus_q, minus_q = signed_counts(q.relators)  # [j][i]: x_j in q_i
+    rels = [list(r) for r in p.relators]
+    surplus = [[0] * n for _ in range(n)]
+    padded = set()
+    for j in range(n):
+        for i in range(n):
+            s = plus_p[i][j] - plus_q[j][i]
+            assert minus_p[i][j] - minus_q[j][i] == s
+            if s < 0:
+                rels[j] += [i + 1, -(i + 1)] * -s
+                padded.add(i)
+            else:
+                surplus[i][j] = s
+    augmented = AugmentedPresentation(p.generators, tuple(tuple(r) for r in rels))
+
+    lists = {}
+    for i, occs in enumerate(occurrence_lists(augmented), start=1):
+        for occ in occs:
+            lists.setdefault((i, occ.relator, occ.sign), []).append(occ)
+    pools = {key: iter(occs) for key, occs in lists.items()}
+    per_generator = []
+    for i in range(1, n + 1):
+        target = list(q.relators[i - 1])
+        for j in range(1, n + 1):
+            target.extend([j, -j] * surplus[i - 1][j - 1])
+        per_generator.append(tuple(next(pools[i, abs(x), 1 if x > 0 else -1]) for x in target))
+    both = {i for i in padded if any(surplus[i])}
+    return augmented, OrderingWitness(tuple(per_generator)), both
+
+
+def relabelled(p, rng):
+    """p with its generators and relators permuted, each relator rotated
+    and some of them inverted: the same group, the matrix permuted and
+    sign-changed."""
+    n = len(p.generators)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    rels = []
+    for r in rng.sample(p.relators, n):
+        k = rng.randrange(len(r) or 1)
+        w = [perm[abs(x) - 1] * (1 if x > 0 else -1) for x in r[k:] + r[:k]]
+        rels.append(tuple(-x for x in reversed(w)) if rng.random() < 0.5 else tuple(w))
+    return Presentation(p.generators, tuple(rels))
+
+
+def test_align_matches_the_two_phase_reference():
+    from test_lemma2 import random_unimodular
+
+    rng = random.Random(89)
+    inputs = []
+    for _ in range(40):
+        p, _ = presentation_from_matrix(random_unimodular(rng, rng.randint(1, 5), n_ops=12))
+        inputs += [p, dualize(p)]
+    for m in range(4, 9):
+        inputs += [higman_presentation(m), higman_presentation(m, variant=(2, 3))]
+    for _ in range(10):
+        inputs += [relabelled(POINCARE, rng), relabelled(RAPAPORT, rng)]
+
+    both = 0
+    for p in inputs:
+        kc = align(p)
+        augmented, witness, mixed = reference_pads_and_witness(p, kc.dual)
+        assert format_presentation(kc.augmented) == format_presentation(augmented)
+        assert format_witness(kc.witness) == format_witness(witness)
+        both += len(mixed)
+    # some generator is padded in one relator and in surplus in another
+    assert both > 0
 
 
 @pytest.mark.parametrize("text", ["1:0:", "1:1:+-", "1:0:x", "1:0:++", "1:0"])

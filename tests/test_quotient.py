@@ -18,7 +18,7 @@ from acforge.quotient import (
     permutation_group_order,
     verify_witness,
 )
-from tests.test_coset import perm_closure
+from test_coset import perm_closure
 
 POINCARE = parse_presentation("< a, b | a b^2 a b^-1, a^4 b a^-1 b >")
 RAPAPORT = parse_presentation("< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >")

@@ -255,7 +255,7 @@ def test_search_conjugated_start_needs_normalization_prefix():
 
 def seeded_searches():
     """Searches on 40 seeded Lemma-2 builds of 1x1 and 2x2 matrices."""
-    from tests.test_lemma2 import random_unimodular
+    from test_lemma2 import random_unimodular
 
     rng = random.Random(107)
     for _ in range(40):
