@@ -19,7 +19,7 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Iterable[Sequence[int]], ncols: int | None = None):
-        data = tuple(tuple(int(x) for x in r) for r in rows)
+        data = tuple(map(tuple, rows))
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -144,93 +144,79 @@ def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
 
     ``U @ a @ V`` is diagonal with the nonnegative invariant factors on the
     diagonal, each dividing the next (zeros last); U and V are unimodular.
+
+    One list of rows carries all three: rows ``[a_i | U_i]`` over the m rows
+    of V, so a row operation acts on a and U at once, and an operation on
+    the first m entries of every row is a column operation on a and V.
     """
     n, m = a.nrows, a.ncols
-    M: List[List[int]] = [list(r) for r in a.rows]
-    U: List[List[int]] = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    V: List[List[int]] = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_swap(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
+    B: List[List[int]] = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.rows)]
+    B += [[int(i == j) for j in range(m)] for i in range(m)]
 
     def col_swap(i, j):
-        for row in M:
+        for row in B:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(src, dst, c):  # row dst += c * row src
-        M[dst] = [x + c * y for x, y in zip(M[dst], M[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
 
     def col_addmul(src, dst, c):  # col dst += c * col src
-        for row in M:
+        for row in B:
             row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def row_negate(i):
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
 
     t = 0
     while t < min(n, m):
-        # pivot: nonzero entry of minimal absolute value in the active block
+        # pivot: the first nonzero entry of minimal absolute value in the
+        # active block, row-major; nothing is smaller than a unit
         pivot = None
         best = None
         for i in range(t, n):
+            row = B[i]
             for j in range(t, m):
-                v = M[i][j]
+                v = row[j]
                 if v != 0 and (best is None or abs(v) < best):
                     best = abs(v)
                     pivot = (i, j)
+            if best == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:
-            row_swap(t, pivot[0])
+            B[t], B[pivot[0]] = B[pivot[0]], B[t]
         if pivot[1] != t:
             col_swap(t, pivot[1])
         while True:
             # clear column t with row t, restarting if a smaller remainder appears
             dirty = False
             for i in range(n):
-                if i == t or M[i][t] == 0:
+                if i == t or B[i][t] == 0:
                     continue
-                q = M[i][t] // M[t][t]
-                row_addmul(t, i, -q)
-                if M[i][t] != 0:
-                    row_swap(t, i)
+                q = B[i][t] // B[t][t]
+                B[i] = [x - q * y for x, y in zip(B[i], B[t])]
+                if B[i][t] != 0:
+                    B[t], B[i] = B[i], B[t]
                     dirty = True
             if dirty:
                 continue
             for j in range(m):
-                if j == t or M[t][j] == 0:
+                if j == t or B[t][j] == 0:
                     continue
-                q = M[t][j] // M[t][t]
+                q = B[t][j] // B[t][t]
                 col_addmul(t, j, -q)
-                if M[t][j] != 0:
+                if B[t][j] != 0:
                     col_swap(t, j)
                     dirty = True
             if dirty:
                 continue
-            # divisibility: pivot must divide every remaining entry
-            witness = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if M[i][j] % M[t][t] != 0:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
+            # divisibility: pivot must divide every remaining entry (a unit does)
+            p = B[t][t]
+            rows = range(t + 1, n) if abs(p) != 1 else ()
+            witness = next((i for i in rows if any(B[i][j] % p for j in range(t + 1, m))), None)
             if witness is None:
                 break
-            row_addmul(witness, t, 1)
-        if M[t][t] < 0:
-            row_negate(t)
+            B[t] = [x + y for x, y in zip(B[t], B[witness])]
+        if B[t][t] < 0:
+            B[t] = [-x for x in B[t]]
         t += 1
-    factors = tuple(M[i][i] for i in range(min(n, m)))
-    return factors, IntMatrix(U, ncols=n), IntMatrix(V, ncols=m)
+    factors = tuple(B[i][i] for i in range(min(n, m)))
+    return factors, IntMatrix([r[m:] for r in B[:n]], ncols=n), IntMatrix(B[n:], ncols=m)
 
 
 def invariant_factors(a: IntMatrix) -> Tuple[int, ...]:

@@ -26,7 +26,9 @@ Memory is bounded as in the parser: a MultiplyRight or Stabilize whose
 result would hold more than ``MAX_LETTERS`` letters in total, counted
 before reduction from the running count, is refused with a plain
 ValueError before anything is built.  It is not a MoveError, so a replay
-that reaches it is inconclusive rather than failed.
+that reaches it is inconclusive rather than failed.  The certificate
+parse applies the parser's rule for one text to the whole file: the STAB
+words it parses hold at most ``MAX_LETTERS`` letters in all.
 
 An AcCertificate holds its moves in one normal form: each run of adjacent
 MultiplyRight moves on the same (i, j) with exponents of the same sign is
@@ -424,6 +426,7 @@ def parse_certificate(text: str) -> AcCertificate:
     moves: List[AcMove] = []
     names: Optional[_Names] = _Names(start.generators)
     prev = None
+    stab_letters = 0
     for lineno, line in lines[1:-1]:
         if line != prev:
             prev, fields = line, line.split()
@@ -445,6 +448,9 @@ def parse_certificate(text: str) -> AcCertificate:
                             "other than the last"
                         )
                     move = Stabilize(parse_word(line[len("STAB") :].strip(), names.index))
+                    stab_letters += len(move.word)
+                    if stab_letters > MAX_LETTERS:
+                        raise ValueError(f"STAB words expand to more than {MAX_LETTERS} letters")
                 elif op == "DESTAB":
                     g, i = args
                     move = Destabilize(int(g), int(i))

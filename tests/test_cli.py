@@ -305,6 +305,15 @@ def test_growth_past_the_letter_cap_is_an_error_not_a_failed_check(run, tmp_path
     assert time.perf_counter() - t0 < 2 and peak < 5 * 10**7
 
 
+def test_verify_cert_distinct_long_stab_lines_stop_at_the_parse(run, tmp_path):
+    # every distinct STAB word is parsed before the replay starts, so the
+    # letter cap on moves came after all ten of them (about 108 MB); the
+    # parse counts their letters and stops at the second line
+    lines = ["START < a | a >"] + ["STAB a^999999", "STAB a^999998"] * 5 + ["END < a | a >"]
+    path = write(tmp_path, "stab.cert", "\n".join(lines) + "\n")
+    assert run("verify-cert", path) == (2, "", f"error: line 3: STAB words expand to more than {MAX_LETTERS} letters\n")
+
+
 def test_theorem3_build_past_the_letter_cap(run, tmp_path, monkeypatch):
     # the dual of < a, b | a b^8, b > is built with 2 + 8 letters
     path = write(tmp_path, "p.pres", "< a, b | a b^8, b >")
