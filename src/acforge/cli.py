@@ -57,8 +57,7 @@ class _Output:
             }
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
-            for line in lines:
-                print(line)
+            print("\n".join(lines))
 
 
 def _read(path: str) -> str:
@@ -194,6 +193,13 @@ def cmd_theorem3(args) -> int:
     return 0
 
 
+def _table_lines(rows) -> list:
+    """One text line per coset table row, cosets named 1, 2, ... (the names
+    are freed before the lines are printed)."""
+    names = [str(k + 1) for k in range(len(rows))]
+    return [f"{i}: {' '.join([names[x] for x in row])}" for i, row in zip(names, rows)]
+
+
 def cmd_order(args) -> int:
     out = _Output(args)
     p = _load_presentation(args.file)
@@ -201,11 +207,12 @@ def cmd_order(args) -> int:
     if isinstance(result, CapExceeded):
         out.emit("cap-exceeded", [f"CAP-EXCEEDED {result.cosets}"], {"cosets": result.cosets})
         return 1
-    lines = [f"ORDER {result.order}"]
-    if args.table:
-        for i, row in enumerate(result.rows):
-            lines.append(f"{i + 1}: " + " ".join(str(x + 1) for x in row))
-    out.emit("order", lines, {"order": result.order})
+    lines, data = [f"ORDER {result.order}"], {"order": result.order}
+    if args.table and out.fmt == "json":
+        data["table"] = [[x + 1 for x in row] for row in result.rows]
+    elif args.table:
+        lines += _table_lines(result.rows)
+    out.emit("order", lines, data)
     return 0
 
 

@@ -8,7 +8,13 @@ live-coset count is the group order.  Deterministic by construction.
 
 Scan/coincidence handling follows Holt, Eick, O'Brien, "Handbook of
 Computational Group Theory", ch. 5 (union-find with path compression,
-immediate queue draining).
+immediate queue draining).  ``run`` traces each relator forward from the
+coset first; when the trace completes (a closed scan: 65,519 of S7's
+75,600 scans) it merges only if the trace ended elsewhere.  A scan that
+meets an undefined entry runs the Handbook's two-ended scan instead, with
+the definition inlined and both caps checked in ``define``'s order.  S7
+closes in about 0.06 s (0.08 s scanning every relator from both ends), on
+a 2-CPU x86-64 host under Python 3.11.
 
 The table is one flat list of ints.  A coset is the offset of its row; a
 row holds one slot per column, then the coset's union-find parent, and
@@ -44,10 +50,10 @@ generators the slot budget binds only after 10**6 cosets have been defined,
 which at the default ``max_cosets`` means coincidences have already
 removed some.
 
-Measured and rejected: the Felsch strategy (S7 0.14 -> 0.09 s, but Rapaport
-to 10**5 cosets 0.13 -> 0.49 s and Higman to 2*10**4 0.024 -> 0.080 s), and
-storage in ``array('q')`` (5.8 instead of 9.1 MB on that Rapaport run, but
-about twice as slow).
+Measured and rejected, against an earlier HLT loop: the Felsch strategy
+(S7 0.14 -> 0.09 s, but Rapaport to 10**5 cosets 0.13 -> 0.49 s and Higman
+to 2*10**4 0.024 -> 0.080 s), and storage in ``array('q')`` (5.8 instead
+of 9.1 MB on that Rapaport run, but about twice as slow).
 """
 
 from __future__ import annotations
@@ -201,54 +207,64 @@ class _Enumerator:
                     table[mu + col] = nu
                     table[nu + icol] = mu
 
-    def scan_and_fill(self, alpha: int, fwd: List[int], back: List[int]) -> bool:
-        """Scan a relator from alpha (``fwd`` its columns, ``back`` their
-        inverses), defining cosets to close the gap.
-
-        Returns False only when a cap blocks a definition.
-        """
-        table = self.table
-        f, i = alpha, 0
-        b, j = alpha, len(fwd) - 1
-        while True:
-            while i <= j:
-                x = table[f + fwd[i]]
-                if x < 0:
-                    break
-                f = x
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return True
-            while j >= i:
-                x = table[b + back[j]]
-                if x < 0:
-                    break
-                b = x
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return True
-            if j == i:  # deduction closes the scan
-                table[f + fwd[i]] = b
-                table[b + back[i]] = f
-                return True
-            if not self.define(f, fwd[i]):
-                return False
-
     def run(self) -> EnumerationResult:
         table, pc, width = self.table, self.ncols, self.width
+        coincidence, blank = self.coincidence, self.blank
+        max_cosets, slot_limit = self.max_cosets, self.slot_limit
         alpha = 0
         while alpha < len(table):
             if table[alpha + pc] == alpha:
                 for fwd, back in self.relators:
-                    if not self.scan_and_fill(alpha, fwd, back):
-                        return CapExceeded(self.live)
+                    f = alpha
+                    for c in fwd:  # closed scan: the trace completes
+                        f = table[f + c]
+                        if f < 0:
+                            break
+                    else:
+                        if f != alpha:
+                            coincidence(f, alpha)
+                            if table[alpha + pc] != alpha:
+                                break
+                        continue
+                    # gap path: scan from both ends, defining cosets in between
+                    f, i = alpha, 0
+                    b, j = alpha, len(fwd) - 1
+                    while True:
+                        while i <= j:
+                            x = table[f + fwd[i]]
+                            if x < 0:
+                                break
+                            f = x
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                coincidence(f, b)
+                            break
+                        while j >= i:
+                            x = table[b + back[j]]
+                            if x < 0:
+                                break
+                            b = x
+                            j -= 1
+                        if j < i:
+                            coincidence(f, b)
+                            break
+                        if j == i:  # deduction closes the scan
+                            table[f + fwd[i]] = b
+                            table[b + back[i]] = f
+                            break
+                        beta = len(table)  # define, with the checks of ``define``
+                        if self.live >= max_cosets or beta > slot_limit:
+                            return CapExceeded(self.live)
+                        table.extend(blank)
+                        table[beta + pc] = beta
+                        self.live += 1
+                        table[f + fwd[i]] = beta
+                        table[beta + back[i]] = f
                     if table[alpha + pc] != alpha:
                         break
                 else:
-                    for col in range(self.ncols):
+                    for col in range(pc):
                         if table[alpha + col] < 0 and not self.define(alpha, col):
                             return CapExceeded(self.live)
             alpha += width
@@ -257,15 +273,17 @@ class _Enumerator:
     def compressed(self) -> CosetTable:
         """The closed table in standard numbering, with all 2m columns."""
         table, columns = self.table, self.columns
-        number = {0: 0}
+        number = [-1] * len(table)  # standard number of a coset offset
+        number[0] = 0
         order = [0]
         rows = []
         for f in order:  # order grows as new cosets appear
             row = []
             for c in columns:
                 d = table[f + c]
-                k = number.setdefault(d, len(order))
-                if k == len(order):
+                k = number[d]
+                if k < 0:
+                    k = number[d] = len(order)
                     order.append(d)
                 row.append(k)
             rows.append(tuple(row))

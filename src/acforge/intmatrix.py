@@ -91,6 +91,8 @@ def matrix_from_text(text: str) -> IntMatrix:
     n, m = int(header[0]), int(header[1])
     if n < 0 or m < 0:
         raise ValueError("negative dimensions")
+    if m == 0 and len(tokens) == 1:  # n rows of no entries are n blank lines
+        return IntMatrix([[]] * n, ncols=0)
     if len(tokens) - 1 != n:
         raise ValueError(f"expected {n} rows, found {len(tokens) - 1}")
     rows = []

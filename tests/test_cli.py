@@ -11,7 +11,7 @@ import pytest
 
 from acforge import coset, intmatrix, lemma2, moves
 from acforge.cli import build_parser, main
-from acforge.presentation import MAX_LETTERS
+from acforge.presentation import MAX_LETTERS, parse_presentation
 
 DUAL_POINCARE = "< alpha, beta | alpha^2 beta^3, alpha^-1 beta^-2 >"
 AK2 = "< x, y | x^2 y^-3, x y x y^-1 x^-1 y^-1 >"
@@ -212,6 +212,48 @@ def test_order_table_depends_only_on_the_group(run, tmp_path):
         rng.shuffle(variant)
         path = write(tmp_path, f"v{k}.pres", text(variant))
         assert run("order", path, "--table") == (0, expected, "")
+
+
+def relabelled_s5(rng):
+    """Coxeter S5 under shuffled new names, relators rotated, perhaps
+    inverted and shuffled."""
+    rels = [[i, i] for i in range(1, 5)] + [[i, i + 1] * 3 for i in range(1, 4)]
+    rels += [[i, j] * 2 for i in range(1, 5) for j in range(i + 2, 5)]
+    names = ["u", "v", "w", "z"]
+    rng.shuffle(names)
+    words = []
+    for r in rels:
+        s = rng.randrange(len(r))
+        r = r[s:] + r[:s]
+        if rng.random() < 0.5:
+            r = [-x for x in reversed(r)]
+        words.append(" ".join(f"{names[abs(x) - 1]}^{1 if x > 0 else -1}" for x in r))
+    rng.shuffle(words)
+    return f"< {', '.join(sorted(names))} | {', '.join(words)} >"
+
+
+def test_order_table_bytes(run, tmp_path):
+    # the row format as first written: 1-based, one row per coset in standard order
+    text = relabelled_s5(random.Random(5))
+    t = coset.coset_table(parse_presentation(text))
+    expected = [f"ORDER {t.order}"]
+    for i, row in enumerate(t.rows):
+        expected.append(f"{i + 1}: " + " ".join(str(x + 1) for x in row))
+    assert t.order == 120
+    out = run("order", write(tmp_path, "s5.pres", text), "--table")
+    assert out == (0, "\n".join(expected) + "\n", "")
+
+
+def test_order_table_json_holds_the_rows(run, tmp_path):
+    path = write(tmp_path, "s5.pres", relabelled_s5(random.Random(6)))
+    rc, text, _ = run("order", path, "--table")
+    rows = [[int(x) for x in ln.split(": ")[1].split()] for ln in text.splitlines()[1:]]
+    rc_json, out, _ = run("order", path, "--table", "--format", "json")
+    payload = json.loads(out)
+    assert (rc, rc_json, payload["verdict"]) == (0, 0, "order")
+    assert payload["data"] == {"order": 120, "table": rows}
+    rc, out, _ = run("order", path, "--format", "json")
+    assert rc == 0 and json.loads(out)["data"] == {"order": 120}
 
 
 def test_order_slot_budget_caps_many_generators(run, tmp_path):

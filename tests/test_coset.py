@@ -328,3 +328,119 @@ def test_slot_budget_caps_wide_tables(monkeypatch):
     assert isinstance(result, CapExceeded) and len(e.table) <= 1000
     assert result.cosets == len(e.table) // e.width == 200
 
+
+def coxeter_symmetric(n):
+    """Coxeter presentation of S_n: s_i^2, (s_i s_i+1)^3, (s_i s_j)^2."""
+    rels = [(i, i) for i in range(1, n)]
+    rels += [(i, i + 1) * 3 for i in range(1, n - 1)]
+    rels += [(i, j) * 2 for i in range(1, n) for j in range(i + 2, n)]
+    return Presentation(tuple(f"s{i}" for i in range(1, n)), tuple(rels))
+
+
+RAPAPORT = "< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >"
+
+
+class LoopReference(_Enumerator):
+    """The HLT loop as it was before the closed-scan pass: every scan goes
+    through ``scan_and_fill`` and every definition through ``define``.
+    ``stopped`` records where a cap stopped it: "scan" or "fill"."""
+
+    stopped = None
+
+    def define(self, alpha, col):
+        table = self.table
+        beta = len(table)
+        if self.live >= self.max_cosets or beta > self.slot_limit:
+            return False
+        table.extend(self.blank)
+        table[beta + self.ncols] = beta
+        self.live += 1
+        table[alpha + col] = beta
+        table[beta + self.inv[col]] = alpha
+        return True
+
+    def scan_and_fill(self, alpha, fwd, back):
+        table = self.table
+        f, i = alpha, 0
+        b, j = alpha, len(fwd) - 1
+        while True:
+            while i <= j:
+                x = table[f + fwd[i]]
+                if x < 0:
+                    break
+                f = x
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return True
+            while j >= i:
+                x = table[b + back[j]]
+                if x < 0:
+                    break
+                b = x
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return True
+            if j == i:
+                table[f + fwd[i]] = b
+                table[b + back[i]] = f
+                return True
+            if not self.define(f, fwd[i]):
+                return False
+
+    def run(self):
+        table, pc, width = self.table, self.ncols, self.width
+        alpha = 0
+        while alpha < len(table):
+            if table[alpha + pc] == alpha:
+                for fwd, back in self.relators:
+                    if not self.scan_and_fill(alpha, fwd, back):
+                        self.stopped = "scan"
+                        return CapExceeded(self.live)
+                    if table[alpha + pc] != alpha:
+                        break
+                else:
+                    for col in range(self.ncols):
+                        if table[alpha + col] < 0 and not self.define(alpha, col):
+                            self.stopped = "fill"
+                            return CapExceeded(self.live)
+            alpha += width
+        return Finite(self.live)
+
+
+def assert_same_work(p, max_cosets):
+    """Run the enumerator and the reference on p; assert the same result,
+    flat table and live count.  Returns where the reference stopped."""
+    e, ref = _Enumerator(p, max_cosets), LoopReference(p, max_cosets)
+    result = e.run()
+    assert (result, e.table, e.live) == (ref.run(), ref.table, ref.live), p
+    return ref.stopped
+
+
+def test_run_does_the_work_of_the_reference_loop():
+    rng = random.Random(19)
+    stops = []
+    involutory = 0
+    for n in range(600):
+        p = random_presentation(rng) if n % 6 else von_dyck(rng.randint(2, 6), rng.randint(2, 6), rng)
+        involutory += has_involutory_relator(p)
+        stops.append(assert_same_work(p, rng.choice([5, 40, 300])))
+    for n in (4, 5, 6):
+        assert assert_same_work(coxeter_symmetric(n), 10**6) is None
+    stops.append(assert_same_work(pres(RAPAPORT), 2000))
+    stops.append(assert_same_work(pres("< a, b | a >"), 1))
+    assert stops[-2:] == ["scan", "fill"]
+    assert involutory >= 200 and stops.count("scan") >= 50 and stops.count("fill") >= 20
+    assert stops.count(None) >= 200
+
+
+def test_run_meets_the_slot_budget_where_the_reference_does(monkeypatch):
+    # a relator scan that runs out of slots, and a final fill that does; each
+    # budget is whole rows (Rapaport's are 7 slots, the other's 5), so the
+    # last row that fits exactly is defined
+    monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", 7 * 143)
+    assert assert_same_work(pres(RAPAPORT), 10**6) == "scan"
+    monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", 5 * 200)
+    assert assert_same_work(pres("< a, b | a^3 >"), 10**6) == "fill"

@@ -144,6 +144,21 @@ def test_matrix_text_round_trip():
     assert matrix_to_text(a).splitlines()[0] == "2 3"
 
 
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (2, 0), (5, 0), (0, 1), (0, 4), (1, 1), (2, 3), (4, 2)])
+def test_matrix_text_round_trip_every_shape(n, m):
+    rng = random.Random(n * 10 + m)
+    a = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)], ncols=m)
+    b = matrix_from_text(matrix_to_text(a))
+    assert b == a and (b.nrows, b.ncols) == (n, m)
+
+
+def test_matrix_text_zero_columns_keeps_the_row_check():
+    # n x 0 reads back from the header alone, but a row with entries is still refused
+    assert matrix_from_text("3 0\n").nrows == 3
+    with pytest.raises(ValueError, match="expected 0 entries per row, got 1"):
+        matrix_from_text("1 0\n5\n")
+
+
 def reference_snf(a):
     """The earlier three-matrix elimination: the same pivots, quotients,
     swaps and witness rows, with M, U and V kept apart and no early exits."""
