@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 negative or inconclusive verdict (NOT-FOUND,
-CAP-EXCEEDED, EXHAUSTED, a false predicate, a failed check), 2 usage or
-parse errors and inputs or results past a size cap (``MAX_LETTERS``
-letters, ``MAX_ROW_ADDITIONS`` row additions).  All outputs are
-deterministic byte-for-byte for identical inputs and flags; timings appear
-in json output only with --timings.
+Each ``cmd_*`` returns ``(verdict, lines, data)``; ``main`` prints it and
+exits 0, or 1 for a verdict in ``NEGATIVE`` (a false predicate,
+CAP-EXCEEDED, EXHAUSTED, NOT-FOUND, a failed check, a corpus
+``regression``), or 2 on usage or parse errors and inputs or results past
+a size cap (``MAX_LETTERS`` letters, ``MAX_ROW_ADDITIONS`` row additions).
+All outputs are deterministic byte-for-byte for identical inputs and
+flags; timings appear in json output only with --timings.
 """
 
 from __future__ import annotations
@@ -40,24 +41,8 @@ from .quotient import DEFAULT_MAX_DEGREE, cycle_notation, find_nontrivial_quotie
 from .search import SearchLimits, search_trivialization
 
 
-class _Output:
-    def __init__(self, args):
-        self.fmt = args.format
-        self.timings = args.timings
-        self.t0 = time.monotonic()
-
-    def emit(self, verdict: str, lines, data: dict) -> None:
-        if self.fmt == "json":
-            payload = {
-                "verdict": verdict,
-                "data": data,
-                "timings": (
-                    {"seconds": round(time.monotonic() - self.t0, 3)} if self.timings else {}
-                ),
-            }
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            print("\n".join(lines))
+# the verdicts that exit 1; every other verdict exits 0
+NEGATIVE = {"unbalanced", "imperfect", "cap-exceeded", "exhausted", "not-found", "failed", "regression"}
 
 
 def _read(path: str) -> str:
@@ -71,39 +56,32 @@ def _load_presentation(path: str):
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_parse(args) -> int:
-    out = _Output(args)
+def cmd_parse(args) -> tuple:
     p = _load_presentation(args.file)
     text = format_presentation(p)
-    out.emit(
+    return (
         "ok",
         [text],
         {"presentation": text, "generators": len(p.generators), "relators": len(p.relators)},
     )
-    return 0
 
 
-def cmd_balanced(args) -> int:
-    out = _Output(args)
+def cmd_balanced(args) -> tuple:
     p = _load_presentation(args.file)
     flag = is_balanced(p)
-    out.emit("balanced" if flag else "unbalanced", [f"BALANCED {str(flag).lower()}"], {"balanced": flag})
-    return 0 if flag else 1
+    return "balanced" if flag else "unbalanced", [f"BALANCED {str(flag).lower()}"], {"balanced": flag}
 
 
-def cmd_matrix(args) -> int:
-    out = _Output(args)
+def cmd_matrix(args) -> tuple:
     a = exponent_matrix(_load_presentation(args.file))
-    out.emit(
+    return (
         "ok",
         [matrix_to_text(a).rstrip("\n")],
         {"rows": a.nrows, "cols": a.ncols, "entries": [list(r) for r in a.rows]},
     )
-    return 0
 
 
-def cmd_snf(args) -> int:
-    out = _Output(args)
+def cmd_snf(args) -> tuple:
     a = matrix_from_text(_read(args.file))
     factors, u, v = smith_normal_form(a)
     lines = [
@@ -113,7 +91,7 @@ def cmd_snf(args) -> int:
         "V",
         matrix_to_text(v).rstrip("\n"),
     ]
-    out.emit(
+    return (
         "ok",
         lines,
         {
@@ -122,24 +100,20 @@ def cmd_snf(args) -> int:
             "v": [list(r) for r in v.rows],
         },
     )
-    return 0
 
 
-def cmd_perfect(args) -> int:
-    out = _Output(args)
+def cmd_perfect(args) -> tuple:
     p = _load_presentation(args.file)
     facs = invariant_factors(exponent_matrix(p))
     flag = trivial_abelianization(facs, len(p.generators))
-    out.emit(
+    return (
         "perfect" if flag else "imperfect",
         [f"PERFECT {str(flag).lower()}"],
         {"perfect": flag, "invariant_factors": list(facs)},
     )
-    return 0 if flag else 1
 
 
-def cmd_lemma2(args) -> int:
-    out = _Output(args)
+def cmd_lemma2(args) -> tuple:
     a = matrix_from_text(_read(args.file))
     p, cert = presentation_from_matrix(a)
     pres_text = format_presentation(p)
@@ -153,24 +127,20 @@ def cmd_lemma2(args) -> int:
         lines = [pres_text, f"LETTERS {letters}", f"WROTE {d / 'presentation.pres'}", f"WROTE {d / 'build.cert'}"]
     else:
         lines = [pres_text, f"LETTERS {letters}", cert_text.rstrip("\n")]
-    out.emit(
+    return (
         "ok",
         lines,
         {"presentation": pres_text, "letters": letters, "moves": cert.length},
     )
-    return 0
 
 
-def cmd_dualize(args) -> int:
-    out = _Output(args)
+def cmd_dualize(args) -> tuple:
     d = dualize(_load_presentation(args.file))
     text = format_presentation(d)
-    out.emit("ok", [text], {"dual": text})
-    return 0
+    return "ok", [text], {"dual": text}
 
 
-def cmd_theorem3(args) -> int:
-    out = _Output(args)
+def cmd_theorem3(args) -> tuple:
     kc = align(_load_presentation(args.file))
     d = Path(args.output)
     write_bundle(kc, d)
@@ -180,7 +150,7 @@ def cmd_theorem3(args) -> int:
         f"DUAL {dual_text}",
         f"MOVES {kc.trivialization.length}",
     ]
-    out.emit(
+    return (
         "ok",
         lines,
         {
@@ -190,7 +160,6 @@ def cmd_theorem3(args) -> int:
             "insertions": sum(len(a) - len(s) for a, s in zip(kc.augmented.relators, kc.source.relators)) // 2,
         },
     )
-    return 0
 
 
 def _table_lines(rows) -> list:
@@ -200,34 +169,29 @@ def _table_lines(rows) -> list:
     return [f"{i}: {' '.join([names[x] for x in row])}" for i, row in zip(names, rows)]
 
 
-def cmd_order(args) -> int:
-    out = _Output(args)
+def cmd_order(args) -> tuple:
     p = _load_presentation(args.file)
     result = (coset_table if args.table else enumerate_cosets)(p, args.max_cosets)
     if isinstance(result, CapExceeded):
-        out.emit("cap-exceeded", [f"CAP-EXCEEDED {result.cosets}"], {"cosets": result.cosets})
-        return 1
+        return "cap-exceeded", [f"CAP-EXCEEDED {result.cosets}"], {"cosets": result.cosets}
     lines, data = [f"ORDER {result.order}"], {"order": result.order}
-    if args.table and out.fmt == "json":
+    if args.table and args.format == "json":
         data["table"] = [[x + 1 for x in row] for row in result.rows]
     elif args.table:
         lines += _table_lines(result.rows)
-    out.emit("order", lines, data)
-    return 0
+    return "order", lines, data
 
 
-def cmd_quotient(args) -> int:
-    out = _Output(args)
+def cmd_quotient(args) -> tuple:
     p = _load_presentation(args.file)
     w = find_nontrivial_quotient(p, args.max_degree)
     if w is None:
-        out.emit("exhausted", [f"EXHAUSTED {args.max_degree}"], {"max_degree": args.max_degree})
-        return 1
+        return "exhausted", [f"EXHAUSTED {args.max_degree}"], {"max_degree": args.max_degree}
     lines = [f"DEGREE {w.degree}"]
     for name, img in zip(p.generators, w.images):
         lines.append(f"{name} -> {cycle_notation(img)}")
     lines.append(f"IMAGE-ORDER {w.image_order}")
-    out.emit(
+    return (
         "found",
         lines,
         {
@@ -236,11 +200,9 @@ def cmd_quotient(args) -> int:
             "image_order": w.image_order,
         },
     )
-    return 0
 
 
-def cmd_acsearch(args) -> int:
-    out = _Output(args)
+def cmd_acsearch(args) -> tuple:
     p = _load_presentation(args.file)
     limits = SearchLimits(
         max_total_letters=args.max_total_letters,
@@ -266,56 +228,49 @@ def cmd_acsearch(args) -> int:
             lines.append(f"WROTE {args.output}")
         else:
             lines.append(cert_text.rstrip("\n"))
-        out.emit(
+        return (
             "found",
             lines,
             dict(stats, depth=r.found_depth, moves=r.certificate.length),
         )
-        return 0
     lines = [
         "NOT-FOUND",
         f"STATES-SEEN {r.states_seen}",
         f"STATES-EXPANDED {r.states_expanded}",
         f"LIMIT {r.limit_hit or 'space-exhausted'}",
     ]
-    out.emit("not-found", lines, stats)
-    return 1
+    return "not-found", lines, stats
 
 
-def cmd_verify_cert(args) -> int:
-    out = _Output(args)
+def cmd_verify_cert(args) -> tuple:
     cert = parse_certificate(_read(args.file))
     ok, step, final = replay_trace(cert)
     if ok:
-        out.emit("verified", ["OK"], {"moves": cert.length})
-        return 0
-    out.emit(
+        return "verified", ["OK"], {"moves": cert.length}
+    return (
         "failed",
         [f"FAILED step {step}"],
         {"failed_step": step, "reached": format_presentation(final)},
     )
-    return 1
 
 
-def cmd_corpus(args) -> int:
-    out = _Output(args)
+def cmd_corpus(args) -> tuple:
     if args.family:
         variant = (1, 2) if args.family == "higman" else (2, 3)
         text = format_presentation(higman_presentation(args.m, variant))
-        out.emit("ok", [text], {"presentation": text, "family": args.family, "m": args.m})
-        return 0
+        return "ok", [text], {"presentation": text, "family": args.family, "m": args.m}
+    entries = all_entries()
     lines = []
     failures = {}
-    for entry in all_entries():
+    for entry in entries:
         problems = check_entry(entry)
         if problems:
             failures[entry.name] = problems
             lines.append(f"{entry.name}: FAIL ({'; '.join(problems)})")
         else:
             lines.append(f"{entry.name}: ok")
-    lines.append(f"{'FAIL' if failures else 'OK'} {len(all_entries()) - len(failures)}/{len(all_entries())}")
-    out.emit("ok" if not failures else "regression", lines, {"failures": failures})
-    return 0 if not failures else 1
+    lines.append(f"{'FAIL' if failures else 'OK'} {len(entries) - len(failures)}/{len(entries)}")
+    return "ok" if not failures else "regression", lines, {"failures": failures}
 
 
 # --- parser --------------------------------------------------------------------
@@ -395,11 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        verdict, lines, data = args.func(args)
+        if args.format == "json":
+            timings = {"seconds": round(time.monotonic() - t0, 3)} if args.timings else {}
+            payload = {"verdict": verdict, "data": data, "timings": timings}
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
     except (ValueError, OSError) as e:  # ParseError and CertificateError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 1 if verdict in NEGATIVE else 0
 
 
 if __name__ == "__main__":

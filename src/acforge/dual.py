@@ -275,15 +275,6 @@ def parse_witness(text: str) -> OrderingWitness:
     return OrderingWitness(tuple(per_generator))
 
 
-BUNDLE_FILES = (
-    "source.pres",
-    "augmented.pres",
-    "witness.txt",
-    "dual.pres",
-    "trivialization.cert",
-)
-
-
 def write_bundle(kc: KnotCertificate, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)

@@ -2,6 +2,7 @@
 success, 1 for a negative or inconclusive verdict, 2 for usage or parse
 errors."""
 
+import argparse
 import json
 import random
 import time
@@ -451,6 +452,84 @@ def test_acsearch_stdout_is_deterministic(run, tmp_path):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+# the exit code of each verdict, written out here rather than read from the CLI
+EXIT_CODES = {
+    "ok": 0,
+    "balanced": 0,
+    "unbalanced": 1,
+    "perfect": 0,
+    "imperfect": 1,
+    "order": 0,
+    "cap-exceeded": 1,
+    "found": 0,
+    "exhausted": 1,
+    "not-found": 1,
+    "verified": 0,
+    "failed": 1,
+    "regression": 1,
+}
+
+SHEAR = "2 2\n1 7\n0 1\n"
+STAB_CERT = "START < a | a >\nSTAB 1\nEND < a, x1 | a, x1 >\n"
+INVALID_MOVE_CERT = "START < a | a >\nINV 2\nSTAB a\nEND < a, x1 | a, x1 a >\n"
+
+# (command, input file text or None, flags, verdict): every verdict each command gives
+VERDICT_CASES = [
+    ("parse", POINCARE, (), "ok"),
+    ("balanced", POINCARE, (), "balanced"),
+    ("balanced", "< a, b | a^2 >", (), "unbalanced"),
+    ("matrix", POINCARE, (), "ok"),
+    ("snf", SHEAR, (), "ok"),
+    ("perfect", POINCARE, (), "perfect"),
+    ("perfect", "< a | a^2 >", (), "imperfect"),
+    ("lemma2", SHEAR, (), "ok"),
+    ("dualize", POINCARE, (), "ok"),
+    ("theorem3", POINCARE, (), "ok"),
+    ("order", "< a | a^5 >", (), "order"),
+    ("order", "< a | a^5 >", ("--max-cosets", 2), "cap-exceeded"),
+    ("quotient", "< a | a^5 >", (), "found"),
+    ("quotient", "< a | a >", ("--max-degree", 3), "exhausted"),
+    ("acsearch", DUAL_POINCARE, (), "found"),
+    ("acsearch", AK2, ("--max-states", 10), "not-found"),
+    ("verify-cert", STAB_CERT, (), "verified"),
+    ("verify-cert", INVALID_MOVE_CERT, (), "failed"),
+    ("corpus", None, (), "ok"),
+    ("corpus", None, (), "regression"),
+]
+
+
+@pytest.mark.parametrize("command, text, flags, verdict", VERDICT_CASES, ids=[f"{c[0]}-{c[3]}" for c in VERDICT_CASES])
+def test_verdict_sets_the_exit_code(run, tmp_path, monkeypatch, command, text, flags, verdict):
+    if verdict == "regression":
+        monkeypatch.setattr("acforge.cli.check_entry", lambda entry: ["broken"])
+    argv = [command] + ([write(tmp_path, "input", text)] if text is not None else []) + list(flags)
+    if command == "theorem3":
+        argv += ["-o", tmp_path / "bundle"]
+    text_rc, out, err = run(*argv)
+    assert err == "" and out.endswith("\n")
+    json_rc, out, err = run(*argv, "--format", "json")
+    assert err == "" and json.loads(out)["verdict"] == verdict
+    assert text_rc == json_rc == EXIT_CODES[verdict]
+
+
+def test_verdict_cases_cover_every_command_and_verdict():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {c[0] for c in VERDICT_CASES} == set(sub.choices)
+    assert {c[3] for c in VERDICT_CASES} == set(EXIT_CODES)
+
+
+def test_timings_only_with_the_flag_and_only_in_json(run, tmp_path):
+    path = write(tmp_path, "p.pres", "< a, b | a, b >")
+    rc, out, _ = run("order", path, "--format", "json", "--timings")
+    timings = json.loads(out)["timings"]
+    assert rc == 0 and list(timings) == ["seconds"]
+    assert isinstance(timings["seconds"], float) and timings["seconds"] >= 0
+    rc, out, _ = run("order", path, "--format", "json")
+    assert rc == 0 and json.loads(out)["timings"] == {}
+    for argv in (("order", path, "--table"), ("quotient", path, "--max-degree", 2)):
+        assert run(*argv, "--timings") == run(*argv)
 
 
 @pytest.mark.parametrize(
