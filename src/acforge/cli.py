@@ -117,16 +117,16 @@ def cmd_lemma2(args) -> tuple:
     a = matrix_from_text(_read(args.file))
     p, cert = presentation_from_matrix(a)
     pres_text = format_presentation(p)
-    cert_text = format_certificate(cert)
     letters = total_letters(p)
+    lines = [pres_text, f"LETTERS {letters}"]
     if args.output:
         d = Path(args.output)
         d.mkdir(parents=True, exist_ok=True)
         (d / "presentation.pres").write_text(pres_text + "\n")
-        (d / "build.cert").write_text(cert_text)
-        lines = [pres_text, f"LETTERS {letters}", f"WROTE {d / 'presentation.pres'}", f"WROTE {d / 'build.cert'}"]
-    else:
-        lines = [pres_text, f"LETTERS {letters}", cert_text.rstrip("\n")]
+        (d / "build.cert").write_text(format_certificate(cert))
+        lines += [f"WROTE {d / 'presentation.pres'}", f"WROTE {d / 'build.cert'}"]
+    elif args.format == "text":  # json prints no certificate, so none is formatted
+        lines.append(format_certificate(cert).rstrip("\n"))
     return (
         "ok",
         lines,
@@ -218,16 +218,15 @@ def cmd_acsearch(args) -> tuple:
         "frontier": list(r.frontier),
     }
     if r.found:
-        cert_text = format_certificate(r.certificate)
         lines = [
             f"FOUND depth={r.found_depth} moves={r.certificate.length} "
             f"states-seen={r.states_seen} states-expanded={r.states_expanded}"
         ]
         if args.output:
-            Path(args.output).write_text(cert_text)
+            Path(args.output).write_text(format_certificate(r.certificate))
             lines.append(f"WROTE {args.output}")
-        else:
-            lines.append(cert_text.rstrip("\n"))
+        elif args.format == "text":  # json prints no certificate, so none is formatted
+            lines.append(format_certificate(r.certificate).rstrip("\n"))
         return (
             "found",
             lines,
@@ -358,7 +357,7 @@ def main(argv=None) -> int:
             payload = {"verdict": verdict, "data": data, "timings": timings}
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
-            print("\n".join(lines))
+            print(*lines, sep="\n")
     except (ValueError, OSError) as e:  # ParseError and CertificateError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -32,10 +32,10 @@ equals g^-1 there.  Only the literal ``g g`` and ``g^-1 g^-1`` are dropped;
 any other relator, of length 2 or not, is scanned.  Each relator is coded
 once as its forward column word and the word of inverse columns, so a scan
 does no lookups.  With no such relator the columns are those of
-``column`` and the definition sequence is the same as with a column per
-letter.  With them far fewer cosets are defined: S7's Coxeter presentation,
-relators s_i^2, (s_i s_i+1)^3, (s_i s_j)^2 in that order, closes after
-6,411 definitions instead of 12,145.
+``words.column`` and the definition sequence is the same as with a column
+per letter.  With them far fewer cosets are defined: S7's Coxeter
+presentation, relators s_i^2, (s_i s_i+1)^3, (s_i s_j)^2 in that order,
+closes after 6,411 definitions instead of 12,145.
 
 ``coset_table`` numbers the closed table in standard order: coset 0 first,
 then cosets in order of first appearance, reading rows in that order and
@@ -53,7 +53,14 @@ removed some.
 Measured and rejected, against an earlier HLT loop: the Felsch strategy
 (S7 0.14 -> 0.09 s, but Rapaport to 10**5 cosets 0.13 -> 0.49 s and Higman
 to 2*10**4 0.024 -> 0.080 s), and storage in ``array('q')`` (5.8 instead
-of 9.1 MB on that Rapaport run, but about twice as slow).
+of 9.1 MB on that Rapaport run, but about twice as slow).  Against this
+loop, a gap path that resumes at the gap instead of tracing again from the
+coset (medians of seven interleaved in-process runs, same host; results
+and final tables equal): with the closed loop keeping the last defined
+coset in a temporary and the gap's index taken from its iterator's
+``__length_hint__``, S7 and S8 were 6-8 % slower for 2-4 % on Rapaport to
+10**5 and 10**6 cosets; with the closed loop as it is and the gap path
+tracing ``fwd[:i]`` again, every case was 0-12 % slower.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from dataclasses import dataclass
 from typing import Deque, List, NamedTuple, Tuple, Union
 
 from .presentation import Presentation
+from .words import column
 
 DEFAULT_MAX_COSETS = 10**6
 # bounds memory whatever the generator count: about 8 B a slot, so 200 MB
@@ -85,22 +93,13 @@ class CapExceeded(NamedTuple):
 EnumerationResult = Union[Finite, CapExceeded]
 
 
-def column(x: int) -> int:
-    """Table column of the signed letter x: 2(g-1) for g, 2(g-1)+1 for g^-1.
-
-    A letter and its inverse differ in the lowest bit, so ``c ^ 1`` is the
-    inverse column of c.
-    """
-    return 2 * (abs(x) - 1) + (x < 0)
-
-
 @dataclass
 class CosetTable:
     """Closed table: per live coset, the successor under g and g^-1.
 
-    Column 2(g-1) is the action of generator g, column 2(g-1)+1 of g^-1.
-    Rows are renumbered 0..order-1 in standard order (module docstring),
-    coset 0 being the subgroup coset.
+    Column ``words.column(x)`` is the action of the letter x.  Rows are
+    renumbered 0..order-1 in standard order (module docstring), coset 0
+    being the subgroup coset.
     """
 
     n_generators: int

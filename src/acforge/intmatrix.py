@@ -7,6 +7,7 @@ of an n-relator, m-generator presentation is n x m.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, List, Sequence, Tuple
 
 from .presentation import Presentation
@@ -81,14 +82,33 @@ def matrix_to_text(a: IntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(lineno: int, fields: List[str]) -> List[int]:
+    """The fields of one line of matrix text as ints; a ValueError names the line."""
+    out = []
+    for x in fields:
+        try:
+            out.append(int(x))
+        except ValueError as e:
+            digits = x.lstrip("+-")
+            if digits.isdecimal():  # a well-formed int past Python's conversion limit
+                raise ValueError(
+                    f"line {lineno}: an entry of {len(digits)} digits is past the limit "
+                    f"of {sys.get_int_max_str_digits()} digits"
+                ) from None
+            raise ValueError(f"line {lineno}: {e}") from None
+    return out
+
+
 def matrix_from_text(text: str) -> IntMatrix:
-    tokens = [ln for ln in text.splitlines() if ln.split("#")[0].strip()]
+    """Read the ``matrix_to_text`` format; ``#`` starts a comment in a row."""
+    tokens = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.split("#")[0].strip()]
     if not tokens:
         raise ValueError("empty matrix text")
-    header = tokens[0].split()
+    k, first = tokens[0]
+    header = first.split()
     if len(header) != 2:
-        raise ValueError(f"expected 'n m' header, got {tokens[0]!r}")
-    n, m = int(header[0]), int(header[1])
+        raise ValueError(f"expected 'n m' header, got {first!r}")
+    n, m = _ints(k, header)
     if n < 0 or m < 0:
         raise ValueError("negative dimensions")
     if m == 0 and len(tokens) == 1:  # n rows of no entries are n blank lines
@@ -96,8 +116,8 @@ def matrix_from_text(text: str) -> IntMatrix:
     if len(tokens) - 1 != n:
         raise ValueError(f"expected {n} rows, found {len(tokens) - 1}")
     rows = []
-    for ln in tokens[1:]:
-        row = [int(x) for x in ln.split("#")[0].split()]
+    for k, ln in tokens[1:]:
+        row = _ints(k, ln.split("#")[0].split())
         if len(row) != m:
             raise ValueError(f"expected {m} entries per row, got {len(row)}")
         rows.append(row)

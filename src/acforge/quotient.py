@@ -39,8 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coset import CosetTable, column
+from .coset import CosetTable
 from .presentation import Presentation
+from .words import column
 
 DEFAULT_MAX_DEGREE = 7  # largest subgroup index find_nontrivial_quotient tries
 

@@ -21,8 +21,8 @@ re-canonicalize relator i with unit rotations and one inversion).  A state
 collapses when its relators are single positive letters covering each
 generator exactly once; destabilizations finish the certificate.
 
-Inside the search a relator is a ``bytes`` word in the letter code ``2g``
-for generator g and ``2g + 1`` for its inverse, so a search takes at most
+Inside the search a relator is a ``bytes`` word in the package's letter
+code (``words.column``), one byte per letter, so a search takes at most
 ``MAX_GENERATORS`` = 127 generators and refuses more with a ValueError.
 The code preserves the letter order, so bytes comparison is the canonical
 order and a state's visited key is its sorted relator tuple.  Inversion
@@ -59,7 +59,7 @@ from .moves import (
     replay,
 )
 from .presentation import EMPTY_PRESENTATION, Presentation, is_balanced
-from .words import Word, cyclic_reduce, invert, rotate
+from .words import Word, column, cyclic_reduce, invert, letter, rotate
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class SearchLimits:
 # generators of a search; a letter's code must fit in one byte
 MAX_GENERATORS = 127
 
-# a word in the search's letter code: byte 2g is generator g, 2g + 1 its inverse
+# a word in the letter code of ``words.column``, one byte per letter
 Code = bytes
 
 # code -> code of the inverse letter
@@ -92,11 +92,11 @@ _FLIP = bytes(y ^ 1 for y in range(256))
 
 
 def _code(w: Word) -> Code:
-    return bytes([(x << 1) if x > 0 else ((-x << 1) | 1) for x in w])
+    return bytes(map(column, w))
 
 
 def _signed(c: Code) -> Word:
-    return tuple(-(y >> 1) if y & 1 else y >> 1 for y in c)
+    return tuple(map(letter, c))
 
 
 def _rotations(r: Code) -> List[Code]:
@@ -157,7 +157,7 @@ _State = Tuple[Code, ...]
 
 def _collapsible(rels: _State) -> bool:
     return all(len(r) == 1 for r in rels) and sorted(r[0] for r in rels) == list(
-        range(2, 2 * len(rels) + 1, 2)
+        range(0, 2 * len(rels), 2)
     )
 
 
@@ -168,7 +168,7 @@ def _successors(rels: _State, limits: SearchLimits):
     n = len(rels)
     nn = n * n
     out = []
-    top = 2 * n  # the last generator, the only one a destabilization removes
+    top = 2 * n - 2  # the last generator, the only one a destabilization removes
     alone = bytes((top,))
     for idx, r in enumerate(rels):
         if r == alone and all(

@@ -4,6 +4,12 @@ A letter is a nonzero int: ``+g`` is generator number ``g`` (1-based) and
 ``-g`` is its inverse.  Powers are expanded, so ``c^3`` is three letters.
 Every constructor returns a freely reduced tuple; free reduction is a
 normal form, so word equality is plain tuple equality.
+
+The package's tools that index by letter (the AC search's byte words, the
+coset table and the quotient backtrack) use one letter code, ``column``:
+the nonnegative int ``2(g-1)`` for generator g and ``2(g-1)+1`` for its
+inverse, decoded by ``letter``.  A letter and its inverse differ in the
+lowest bit, and the code's order is the letter order a < a^-1 < b < b^-1 ...
 """
 
 from __future__ import annotations
@@ -86,6 +92,22 @@ def rotate(w: Word, k: int) -> Word:
         return w
     k %= len(w)
     return w[k:] + w[:k]
+
+
+def column(x: int) -> int:
+    """Code of the signed letter x: ``2(g-1)`` for g, ``2(g-1)+1`` for g^-1.
+
+    ``c ^ 1`` is the code of the inverse letter, and codes compare in the
+    letter order a < a^-1 < b < b^-1 ..., so a word's codes sort like its
+    letters.  ``letter`` is the inverse map.  The code is a coset table's
+    column index, and the search stores it in one byte per letter.
+    """
+    return 2 * (abs(x) - 1) + (x < 0)
+
+
+def letter(c: int) -> int:
+    """The signed letter whose ``column`` is c."""
+    return -(c >> 1) - 1 if c & 1 else (c >> 1) + 1
 
 
 def exponent_vector(w: Sequence[int], n_gens: int) -> Tuple[int, ...]:

@@ -5,12 +5,13 @@ errors."""
 import argparse
 import json
 import random
+import sys
 import time
 import tracemalloc
 
 import pytest
 
-from acforge import coset, intmatrix, lemma2, moves
+from acforge import cli, coset, intmatrix, lemma2, moves
 from acforge.cli import build_parser, main
 from acforge.presentation import MAX_LETTERS, parse_presentation
 
@@ -285,6 +286,18 @@ def test_lemma2_malformed_matrix(run, tmp_path, text, message):
     rc, out, err = run("lemma2", write(tmp_path, "bad.mat", text))
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["snf", "lemma2"])
+def test_matrix_entry_past_the_digit_limit(run, tmp_path, command):
+    limit = sys.get_int_max_str_digits()
+    path = write(tmp_path, "big.mat", "1 1\n1" + "0" * limit + "\n")
+    rc, out, err = run(command, path)
+    assert (rc, out) == (2, "")
+    assert err == f"error: line 2: an entry of {limit + 1} digits is past the limit of {limit} digits\n"
+    rc, out, err = run(command, write(tmp_path, "bad.mat", "# a comment\n2 2\n1 0\n\nx 1\n"))
+    assert (rc, out) == (2, "")
+    assert err == "error: line 5: invalid literal for int() with base 10: 'x'\n"
 
 
 def test_lemma2_huge_entry_fails_fast(run, tmp_path):
@@ -648,3 +661,26 @@ def test_corpus_family_past_the_letter_cap(run, family, m, letters):
     assert (rc, out) == (2, "")
     assert err == f"error: m = {m} needs {letters} letters, more than {MAX_LETTERS}\n"
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [("lemma2", "shear.mat", "2 2\n1 7\n0 1\n"), ("acsearch", "dp.pres", DUAL_POINCARE)],
+    ids=["lemma2", "acsearch"],
+)
+def test_certificate_is_formatted_only_when_printed_or_written(run, tmp_path, monkeypatch, command, name, text):
+    calls = []
+
+    def counted(cert):
+        calls.append(cert)
+        return moves.format_certificate(cert)
+
+    monkeypatch.setattr(cli, "format_certificate", counted)
+    path = write(tmp_path, name, text)
+    rc, out, _ = run(command, path, "--format", "json")
+    assert rc == 0 and "moves" in json.loads(out)["data"] and calls == []
+    rc, out, _ = run(command, path)
+    assert rc == 0 and len(calls) == 1
+    assert out.endswith(moves.format_certificate(calls[0]))
+    rc, _, _ = run(command, path, "-o", tmp_path / "out")
+    assert rc == 0 and len(calls) == 2

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acforge.lemma2 import presentation_from_matrix
 from acforge.moves import Destabilize, InvertRelator, MultiplyRight, replay
 from acforge.presentation import EMPTY_PRESENTATION, Presentation, parse_presentation
 from acforge.search import (
+    MAX_GENERATORS,
     SearchLimits,
     _code,
     _least,
@@ -88,6 +91,17 @@ def test_letter_code_orders_like_the_letter_key():
     ]
     assert sorted(words, key=_code) == sorted(words, key=letter_key)
     assert all(_signed(_code(w)) == w for w in words)
+
+
+# words over every generator a search takes; deterministic, no example database
+WORDS = st.lists(st.integers(-MAX_GENERATORS, MAX_GENERATORS).filter(bool), max_size=12).map(tuple)
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(WORDS, WORDS)
+def test_letter_code_property(u, v):
+    assert (_code(u) < _code(v)) == (letter_key(u) < letter_key(v))
+    assert _signed(_code(u)) == u
 
 
 def test_least_is_the_least_rotation():

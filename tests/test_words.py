@@ -1,14 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acforge.search import MAX_GENERATORS
 from acforge.words import (
+    column,
     concat,
     cyclic_reduce,
     exponent_vector,
     free_reduce,
     invert,
     is_cyclically_reduced,
+    letter,
     power,
     rotate,
 )
@@ -162,3 +167,27 @@ def test_rotate():
     assert rotate(w, 4) == rotate(w, 1)
     assert rotate((), 5) == ()
 
+
+# deterministic, with no example database
+PROPERTY = settings(derandomize=True, database=None, max_examples=500)
+LETTERS = st.integers(-MAX_GENERATORS, MAX_GENERATORS).filter(bool)
+
+
+@PROPERTY
+@given(LETTERS)
+def test_letter_decodes_column(x):
+    c = column(x)
+    assert 0 <= c < 2 * MAX_GENERATORS and letter(c) == x
+    assert column(-x) == c ^ 1
+
+
+@PROPERTY
+@given(LETTERS, LETTERS)
+def test_column_follows_the_letter_order(x, y):
+    # a < a^-1 < b < b^-1 < ...
+    assert (column(x) < column(y)) == ((abs(x), x < 0) < (abs(y), y < 0))
+
+
+def test_column_examples():
+    assert [column(x) for x in (A, -A, B, -B, C)] == [0, 1, 2, 3, 4]
+    assert [letter(c) for c in range(5)] == [A, -A, B, -B, C]
