@@ -23,6 +23,7 @@ from .corpus import all_entries, check_entry, higman_presentation
 from .dual import align, dualize, write_bundle
 from .intmatrix import (
     exponent_matrix,
+    ints_text,
     invariant_factors,
     matrix_from_text,
     matrix_to_text,
@@ -84,12 +85,14 @@ def cmd_matrix(args) -> tuple:
 def cmd_snf(args) -> tuple:
     a = matrix_from_text(_read(args.file))
     factors, u, v = smith_normal_form(a)
+    # built in json mode too: json.dumps writes ints under the same digit
+    # limit, and an entry past it is named here
     lines = [
-        "FACTORS " + " ".join(str(f) for f in factors),
+        "FACTORS " + ints_text(factors, "FACTORS"),
         "U",
-        matrix_to_text(u).rstrip("\n"),
+        matrix_to_text(u, "U").rstrip("\n"),
         "V",
-        matrix_to_text(v).rstrip("\n"),
+        matrix_to_text(v, "V").rstrip("\n"),
     ]
     return (
         "ok",
@@ -166,7 +169,7 @@ def _table_lines(rows) -> list:
     """One text line per coset table row, cosets named 1, 2, ... (the names
     are freed before the lines are printed)."""
     names = [str(k + 1) for k in range(len(rows))]
-    return [f"{i}: {' '.join([names[x] for x in row])}" for i, row in zip(names, rows)]
+    return [f"{i}: {' '.join(map(names.__getitem__, row))}" for i, row in zip(names, rows)]
 
 
 def cmd_order(args) -> tuple:
@@ -347,6 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+LINES_PER_WRITE = 4096
+
+
+def write_lines(lines) -> None:
+    """Write what ``print(*lines, sep="\\n")`` writes, a lone newline for no
+    lines, joining blocks of ``LINES_PER_WRITE`` lines: print makes two
+    writes a line, and one joined string of every line would double the
+    memory of a long table."""
+    write = sys.stdout.write
+    for k in range(0, len(lines) or 1, LINES_PER_WRITE):
+        write("\n".join(lines[k : k + LINES_PER_WRITE]))
+        write("\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
@@ -357,7 +374,7 @@ def main(argv=None) -> int:
             payload = {"verdict": verdict, "data": data, "timings": timings}
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
-            print(*lines, sep="\n")
+            write_lines(lines)
     except (ValueError, OSError) as e:  # ParseError and CertificateError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -75,10 +75,38 @@ class IntMatrix:
         return self.nrows == self.ncols
 
 
-def matrix_to_text(a: IntMatrix) -> str:
-    """Interchange format: first line ``n m``, then n rows of m integers."""
+def _decimal_digits(x: int) -> int:
+    """The number of decimal digits of |x|, counted without writing x out."""
+    x = abs(x)
+    d = max(1, int((x.bit_length() - 1) * 0.30102999566398))  # at most the count
+    while 10**d <= x:
+        d += 1
+    return d
+
+
+def ints_text(xs: Sequence[int], where: str) -> str:
+    """The ints xs joined by spaces.  An int past Python's int-to-text digit
+    limit raises a ValueError that names ``where``, the entry and the limit,
+    worded like the reader's (``_ints``)."""
+    try:
+        return " ".join(map(str, xs))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        for k, x in enumerate(xs, 1):
+            if limit and _decimal_digits(x) > limit:
+                raise ValueError(
+                    f"{where} entry {k}: an integer of {_decimal_digits(x)} digits is past "
+                    f"the limit of {limit} digits"
+                ) from None
+        raise
+
+
+def matrix_to_text(a: IntMatrix, name: str = "matrix") -> str:
+    """Interchange format: first line ``n m``, then n rows of m integers.
+    An entry past the digit limit is a ValueError naming ``name``, its row
+    and column."""
     lines = [f"{a.nrows} {a.ncols}"]
-    lines.extend(" ".join(str(x) for x in row) for row in a.rows)
+    lines.extend(ints_text(row, f"{name} row {i}") for i, row in enumerate(a.rows, 1))
     return "\n".join(lines) + "\n"
 
 

@@ -29,8 +29,9 @@ has seen every subgroup of finite index, so the search stops there.
 Exhaustion means only "no nontrivial quotient of degree <= d", never
 "trivial group".
 
-Permutations are image tuples over 0..d-1 internally; cycle notation is
-1-based for display.  The order of the image group is computed by
+Permutations are image tuples over 0..d-1 internally, composed by
+``coset.multiply`` (one C-level gather); cycle notation is 1-based for
+display.  The order of the image group is computed by
 Schreier-Sims, so it needs no list of the group's elements.
 """
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coset import CosetTable
+from .coset import CosetTable, multiply
 from .presentation import Presentation
 from .words import column
 
@@ -50,11 +51,6 @@ Permutation = Tuple[int, ...]
 
 def identity_perm(degree: int) -> Permutation:
     return tuple(range(degree))
-
-
-def multiply(p: Permutation, q: Permutation) -> Permutation:
-    """p then q (left-to-right action)."""
-    return tuple(q[i] for i in p)
 
 
 def inverse(p: Permutation) -> Permutation:

@@ -246,6 +246,52 @@ def test_order_table_bytes(run, tmp_path):
     assert out == (0, "\n".join(expected) + "\n", "")
 
 
+S4_TABLE = (
+    "ORDER 24\n"
+    "1: 2 2 3 3 4 4\n"
+    "2: 1 1 5 5 6 6\n"
+    "3: 7 7 1 1 8 8\n"
+    "4: 6 6 9 9 1 1\n"
+    "5: 10 10 2 2 11 11\n"
+    "6: 4 4 12 12 2 2\n"
+    "7: 3 3 10 10 13 13\n"
+    "8: 13 13 14 14 3 3\n"
+    "9: 15 15 4 4 14 14\n"
+    "10: 5 5 7 7 16 16\n"
+    "11: 16 16 17 17 5 5\n"
+    "12: 18 18 6 6 17 17\n"
+    "13: 8 8 19 19 7 7\n"
+    "14: 20 20 8 8 9 9\n"
+    "15: 9 9 18 18 20 20\n"
+    "16: 11 11 21 21 10 10\n"
+    "17: 22 22 11 11 12 12\n"
+    "18: 12 12 15 15 22 22\n"
+    "19: 23 23 13 13 21 21\n"
+    "20: 14 14 23 23 15 15\n"
+    "21: 24 24 16 16 19 19\n"
+    "22: 17 17 24 24 18 18\n"
+    "23: 19 19 20 20 24 24\n"
+    "24: 21 21 22 22 23 23\n"
+)
+
+
+def test_order_table_bytes_are_pinned(run, tmp_path):
+    # Coxeter S4: the bytes order --table printed when its output was one print call
+    text = "< s1, s2, s3 | s1^2, s2^2, s3^2, s1 s2 s1 s2 s1 s2, s2 s3 s2 s3 s2 s3, s1 s3 s1 s3 >"
+    assert run("order", write(tmp_path, "s4.pres", text), "--table") == (0, S4_TABLE, "")
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4095, 4096, 8193])
+def test_write_lines_writes_what_print_writes(capsys, count):
+    # blocks of 4096 lines; one empty line, and no lines, print a lone newline
+    assert cli.LINES_PER_WRITE == 4096
+    lines = [f"line {k}" for k in range(count)] if count != 1 else [""]
+    cli.write_lines(lines)
+    written = capsys.readouterr().out
+    print(*lines, sep="\n")
+    assert written == capsys.readouterr().out
+
+
 def test_order_table_json_holds_the_rows(run, tmp_path):
     path = write(tmp_path, "s5.pres", relabelled_s5(random.Random(6)))
     rc, text, _ = run("order", path, "--table")
@@ -588,6 +634,25 @@ def test_snf(run, tmp_path):
     assert run("snf", path) == (0, expected, "")
     rc, out, err = run("snf", write(tmp_path, "bad.mat", "2 2\n1 7\n"))
     assert (rc, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_snf_result_past_the_digit_limit(run, tmp_path, fmt):
+    # entries of 3,001 digits, which the reader accepts; the second factor has 6,001
+    big = "1" + "0" * 3000
+    path = write(tmp_path, "big.mat", f"2 2\n{big} 1\n0 {big}\n")
+    limit = sys.get_int_max_str_digits()
+    assert run("snf", path, "--format", fmt) == (
+        2,
+        "",
+        f"error: FACTORS entry 2: an integer of 6001 digits is past the limit of {limit} digits\n",
+    )
+
+
+def test_matrix_text_names_the_entry_past_the_digit_limit():
+    a = intmatrix.IntMatrix([[1, 2], [3, 10 ** (sys.get_int_max_str_digits() + 5)]])
+    with pytest.raises(ValueError, match=r"^U row 2 entry 2: an integer of \d+ digits is past the limit"):
+        intmatrix.matrix_to_text(a, "U")
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,19 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acforge import coset
 from acforge.coset import (
     CapExceeded,
+    CosetTable,
     Finite,
     _Enumerator,
     column,
     coset_table,
     enumerate_cosets,
+    multiply,
     validate_table,
 )
 from acforge.presentation import Presentation, parse_presentation
@@ -444,3 +448,132 @@ def test_run_meets_the_slot_budget_where_the_reference_does(monkeypatch):
     assert assert_same_work(pres(RAPAPORT), 10**6) == "scan"
     monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", 5 * 200)
     assert assert_same_work(pres("< a, b | a^3 >"), 10**6) == "fill"
+
+
+def reference_validate(p, t):
+    """The former validate_table: every relator traced from every coset, one
+    table lookup per letter.  An entry past the table raises IndexError and
+    -1 wraps to the last row."""
+    problems = []
+    n = t.order
+    rows = t.rows
+    for g in range(1, t.n_generators + 1):
+        fwd = tuple(row[column(g)] for row in rows)
+        if sorted(fwd) != list(range(n)):
+            problems.append(f"generator {g} does not act as a permutation")
+            continue
+        back = column(-g)
+        for c in range(n):
+            if rows[fwd[c]][back] != c:
+                problems.append(f"g then g^-1 does not return to start (g={g}, coset={c})")
+                break
+    for k, r in enumerate(p.relators, start=1):
+        word = [column(x) for x in r]
+        for c in range(n):
+            d = c
+            for col in word:
+                d = rows[d][col]
+            if d != c:
+                problems.append(f"relator {k} does not fix coset {c}")
+                break
+    return problems
+
+
+def changed(t, edits):
+    """t with rows[row][col] = value for each (row, col, value)."""
+    rows = [list(row) for row in t.rows]
+    for row, col, value in edits:
+        rows[row][col] = value
+    return CosetTable(t.n_generators, tuple(map(tuple, rows)))
+
+
+S3 = "< a, b | a^2, b^3, a b a b >"
+
+
+def test_multiply_is_p_then_q_in_every_degree():
+    assert multiply((), ()) == ()
+    assert multiply((0,), (0,)) == (0,)
+    assert multiply((1, 0), (1, 0)) == (0, 1)
+    assert multiply((1, 2, 0), (0, 2, 1)) == (2, 1, 0)
+    rng = random.Random(3)
+    for degree in range(2, 9):
+        p, q = list(range(degree)), list(range(degree))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        assert multiply(tuple(p), tuple(q)) == tuple(q[i] for i in p)
+
+
+def closed_table(seed):
+    """The first closed table of 2..300 cosets of the random presentations
+    drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    while True:
+        if rng.random() < 0.8:
+            p = random_presentation(rng)
+        else:
+            p = von_dyck(rng.randint(2, 5), rng.randint(2, 5), rng)
+        t = coset_table(p, 300)
+        if not isinstance(t, CapExceeded) and t.order > 1:
+            return p, t
+
+
+EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), EDITS)
+def test_validate_table_matches_the_reference_loop(seed, edits):
+    # closed tables, then 0-3 entries each set to a coset or to -1 or n
+    p, t = closed_table(seed)
+    n, width = t.order, 2 * t.n_generators
+    t = changed(t, [(i % n, j % width, v % (n + 2) - 1) for i, j, v in edits])
+    problems = validate_table(p, t)
+    if all(0 <= x < n for row in t.rows for x in row):
+        assert problems == reference_validate(p, t), (p, t)
+    else:
+        assert problems and all(" is outside 0.." in msg for msg in problems), (p, t, problems)
+
+
+def test_planted_faults_are_caught():
+    p = pres(S3)
+    t = coset_table(p)
+    assert validate_table(p, t) == reference_validate(p, t) == []
+    # one entry changed: a's column is no longer a permutation
+    bad = changed(t, [(0, column(1), 2)])
+    assert validate_table(p, bad) == reference_validate(p, bad)
+    assert validate_table(p, bad)[0] == "generator 1 does not act as a permutation"
+    # b^-1's column with two entries swapped is a permutation, but not b's inverse
+    col = column(-2)
+    bad = changed(t, [(0, col, t.rows[1][col]), (1, col, t.rows[0][col])])
+    assert validate_table(p, bad) == reference_validate(p, bad)
+    assert validate_table(p, bad)[0] == "g then g^-1 does not return to start (g=2, coset=3)"
+    # a ragged row: the reference raises, the check names the row
+    ragged = CosetTable(2, t.rows[:2] + (t.rows[2][:3],) + t.rows[3:])
+    with pytest.raises(IndexError):
+        reference_validate(p, ragged)
+    assert validate_table(p, ragged) == ["row 2 has 3 entries, not 4"]
+
+
+def test_entries_out_of_range_are_named_not_raised():
+    p = pres(S3)
+    t = coset_table(p)
+    past = changed(t, [(0, 0, 99)])
+    with pytest.raises(IndexError):
+        reference_validate(p, past)
+    assert validate_table(p, past) == ["row 0 column 0: entry 99 is outside 0..5"]
+    # -1 wraps to the last row in Python's indexing; here it is an entry out of range
+    wraps = changed(t, [(3, 2, -1), (5, 1, 6)])
+    assert validate_table(p, wraps) == [
+        "row 5 column 1: entry 6 is outside 0..5",
+        "row 3 column 2: entry -1 is outside 0..5",
+    ]
+    assert validate_table(p, changed(t, [(4, 3, None)])) == ["row 4 column 3: entry None is outside 0..5"]
+    assert validate_table(pres("< a | a^2 >"), t) == ["table has 2 generators, presentation has 1"]
+
+
+def test_a_passing_table_does_not_certify_the_order():
+    # < a | a^6 > has order 6; a 3-cycle satisfies a^6, so this 3-row table passes
+    t = CosetTable(1, ((1, 2), (2, 0), (0, 1)))
+    assert validate_table(pres("< a | a^6 >"), t) == []
+    # no generators: the one row has no entries and there is nothing to gather
+    assert validate_table(pres("< | >"), CosetTable(0, ((),))) == []
