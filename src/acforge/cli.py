@@ -190,19 +190,10 @@ def cmd_quotient(args) -> tuple:
     w = find_nontrivial_quotient(p, args.max_degree)
     if w is None:
         return "exhausted", [f"EXHAUSTED {args.max_degree}"], {"max_degree": args.max_degree}
-    lines = [f"DEGREE {w.degree}"]
-    for name, img in zip(p.generators, w.images):
-        lines.append(f"{name} -> {cycle_notation(img)}")
+    images = {name: cycle_notation(img) for name, img in zip(p.generators, w.images)}
+    lines = [f"DEGREE {w.degree}", *(f"{name} -> {c}" for name, c in images.items())]
     lines.append(f"IMAGE-ORDER {w.image_order}")
-    return (
-        "found",
-        lines,
-        {
-            "degree": w.degree,
-            "images": {name: cycle_notation(img) for name, img in zip(p.generators, w.images)},
-            "image_order": w.image_order,
-        },
-    )
+    return "found", lines, {"degree": w.degree, "images": images, "image_order": w.image_order}
 
 
 def cmd_acsearch(args) -> tuple:

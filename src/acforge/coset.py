@@ -319,13 +319,23 @@ def _first_moved(perm: Tuple[int, ...]) -> int:
     return next(c for c, d in enumerate(perm) if d != c)
 
 
-def _in_range(images: Tuple[int, ...], n: int) -> bool:
-    """Whether every entry is 0..n-1.  A set of the cosets would be faster,
-    but at n = 5040 it is a 512 kB block, and freeing it raises glibc's
-    mmap threshold and with it the peak memory of later, larger work."""
+def _ints(images: Tuple[int, ...]) -> bool:
+    """Whether every entry is an int (a bool counts, as in Python): a float
+    or a None makes the sum another type or raises."""
     try:
-        return min(images, default=0) >= 0 and max(images, default=-1) < n
-    except TypeError:  # an entry that is not an int
+        return type(sum(images)) is int
+    except TypeError:
+        return False
+
+
+def _in_range(images: Tuple[int, ...], n: int) -> bool:
+    """Whether every entry is an int 0..n-1, bounds first.  A set of the
+    cosets would be faster, but at n = 5040 it is a 512 kB block, and freeing
+    it raises glibc's mmap threshold and with it the peak memory of later,
+    larger work."""
+    try:
+        return min(images, default=0) >= 0 and max(images, default=-1) < n and _ints(images)
+    except TypeError:  # an entry that does not compare with an int
         return False
 
 
@@ -333,28 +343,33 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     """Problems with t as a coset table of p, one line each; [] if none.
 
     Checks in order: the table has p's generator count; every row has one
-    entry per column (2m); every entry is a coset 0..n-1; each generator
-    column is a permutation; g then g^-1 returns every coset to itself; each
-    relator of p fixes every coset.  The first three are checks of form:
-    they name the first row at fault (for entries, in each column) and end
-    the check, so a malformed table gives problems, never an exception, and
-    nothing is traced through an entry out of range.  The later checks each
-    name the first coset that fails.
+    entry per column (2m); every entry is an int 0..n-1 (a bool counts, a
+    float such as 1.0 does not); each generator column is a permutation; g
+    then g^-1 returns every coset to itself; each relator of p fixes every
+    coset.  The first three are checks of form: they name the first row at
+    fault (for entries, in each column) and end the check, so a malformed
+    table gives problems, never an exception, and nothing is traced through
+    an entry out of range.  The later checks each name the first coset that
+    fails.
 
     The kernel is a gather over whole columns: each column is an image
     tuple, and ``multiply`` composes two of them for all n cosets in one
     C-level ``itemgetter(*cur)(col)``.  A relator of k letters is traced by
     k - 1 gathers from its first letter's column, and g then g^-1 is one
     gather of the inverse column through the forward one; with g's column in
-    range, that being the identity makes both columns permutations, so the
-    set-based checks run only for a generator that fails it.  Only a check
-    that fails goes on to search for its first coset.
+    range, that being the identity makes both columns permutations (the
+    inverse column's entries, then equal to cosets, need only ``_ints``), so
+    the set-based checks run only for a generator that fails it.  Only a
+    check that fails goes on to search for its first coset or entry.
 
     A table that passes is an action of the group of p on n points, so it
     shows a quotient of that group; it does not certify ``ORDER n``, which
     needs the action to be regular.  The 3-row table
     ``((1, 2), (2, 0), (0, 1))`` passes for ``< a | a^6 >``, a group of
     order 6.
+
+    Called by ``quotient.verify_witness`` on a witness's table; the tests
+    run it on the tables ``coset_table`` closes.
     """
     n, m, rows = t.order, t.n_generators, t.rows
     if len(p.generators) != m:
@@ -364,19 +379,18 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
         return [f"row {c} has {len(rows[c])} entries, not {2 * m}"]
     cols = list(zip(*rows)) if n else [()] * (2 * m)
     identity = tuple(range(n))
-    # g's column in range and g then g^-1 the identity make both of g's
-    # columns permutations of 0..n-1
-    failed = []
+    failed = []  # generators whose two columns are not inverse permutations of ints
     for g in range(1, m + 1):
-        fwd = cols[column(g)]
-        if not (_in_range(fwd, n) and multiply(fwd, cols[column(-g)]) == identity):
+        fwd, back = cols[column(g)], cols[column(-g)]
+        if not (_in_range(fwd, n) and multiply(fwd, back) == identity and _ints(back)):
             failed.append(g)
     problems = []
     for col in [column(x) for g in failed for x in (g, -g)]:
-        images = cols[col]
-        if not _in_range(images, n):
-            c = next(c for c, x in enumerate(images) if x not in range(n))
-            problems.append(f"row {c} column {col}: entry {images[c]!r} is outside 0..{n - 1}")
+        for c, x in enumerate(cols[col]):
+            if not (isinstance(x, int) and 0 <= x < n):
+                why = f"outside 0..{n - 1}" if isinstance(x, int) else "not an int"
+                problems.append(f"row {c} column {col}: entry {x!r} is {why}")
+                break
     if problems:
         return problems
     for g in failed:

@@ -33,18 +33,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import DefaultDict, Deque, List, NamedTuple, Tuple
 
-from .intmatrix import IntMatrix, exponent_matrix, invariant_factors
+from .intmatrix import exponent_matrix, invariant_factors
 from .lemma2 import NotUnimodular, presentation_from_matrix
 from .moves import AcCertificate, format_certificate, parse_certificate, replay
 from .presentation import (
     Presentation,
     check_generator_names,
     format_presentation,
-    is_balanced,
     parse_presentation,
     parse_raw,
+    require_balanced,
 )
-from .words import Word, exponent_vector, free_reduce
+from .words import Word, free_reduce
 
 
 class Occurrence(NamedTuple):
@@ -105,15 +105,6 @@ class KnotCertificate:
     trivialization: AcCertificate
 
 
-def _require_balanced(p) -> int:
-    if not is_balanced(p):
-        raise ValueError(
-            f"presentation is not balanced: {len(p.generators)} generator(s), "
-            f"{len(p.relators)} relator(s)"
-        )
-    return len(p.generators)
-
-
 def occurrence_lists(p) -> Tuple[Tuple[Occurrence, ...], ...]:
     """All occurrences of each generator, scanning r_1..r_n left to right."""
     out: List[List[Occurrence]] = [[] for _ in p.generators]
@@ -125,7 +116,7 @@ def occurrence_lists(p) -> Tuple[Tuple[Occurrence, ...], ...]:
 
 def default_witness(p) -> OrderingWitness:
     """Occurrences in plain scan order; accepts reduced or augmented input."""
-    _require_balanced(p)
+    require_balanced(p)
     return OrderingWitness(occurrence_lists(p))
 
 
@@ -153,7 +144,7 @@ def dualize(p, w: OrderingWitness | None = None) -> Presentation:
     Dual relator i reads off (dual generator j)^sign per occurrence of
     generator i, in witness order; stored freely reduced.
     """
-    n = _require_balanced(p)
+    require_balanced(p)
     if w is None:
         w = default_witness(p)
     else:
@@ -161,7 +152,7 @@ def dualize(p, w: OrderingWitness | None = None) -> Presentation:
     relators = tuple(
         free_reduce([occ.sign * occ.relator for occ in occs]) for occs in w.per_generator
     )
-    return Presentation(dual_generator_names(n), relators)
+    return Presentation(dual_generator_names(len(p.generators)), relators)
 
 
 def align(p: Presentation) -> KnotCertificate:
@@ -172,7 +163,7 @@ def align(p: Presentation) -> KnotCertificate:
     identity (``dualize(augmented, witness) == dual`` among them) is
     checked once, by ``verify_knot_certificate``, before returning.
     """
-    _require_balanced(p)
+    require_balanced(p)
     a = exponent_matrix(p)
     try:
         q, cert = presentation_from_matrix(a.transpose())
@@ -226,10 +217,8 @@ def verify_knot_certificate(kc: KnotCertificate) -> List[str]:
     problems = []
     if kc.augmented.reduced() != kc.source:
         problems.append("augmented presentation does not reduce to the source")
-    m = len(kc.source.generators)
     src_matrix = exponent_matrix(kc.source)
-    aug_rows = [exponent_vector(r, m) for r in kc.augmented.relators]
-    if IntMatrix(aug_rows, ncols=m) != src_matrix:
+    if exponent_matrix(kc.augmented) != src_matrix:
         problems.append("pair insertion changed the exponent matrix")
     try:
         dual = dualize(kc.augmented, kc.witness)

@@ -88,6 +88,15 @@ def is_balanced(p: Presentation) -> bool:
     return len(p.generators) == len(p.relators)
 
 
+def require_balanced(p) -> None:
+    """ValueError naming both counts unless p (or an augmented p) is balanced."""
+    if not is_balanced(p):
+        raise ValueError(
+            f"presentation is not balanced: {len(p.generators)} generator(s), "
+            f"{len(p.relators)} relator(s)"
+        )
+
+
 def total_letters(p: Presentation) -> int:
     return sum(map(len, p.relators))
 

@@ -33,6 +33,9 @@ Permutations are image tuples over 0..d-1 internally, composed by
 ``coset.multiply`` (one C-level gather); cycle notation is 1-based for
 display.  The order of the image group is computed by
 Schreier-Sims, so it needs no list of the group's elements.
+
+``verify_witness`` checks the relators with ``coset.validate_table``, on the
+table of the witness's images and their inverses.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coset import CosetTable, multiply
+from .coset import CosetTable, _first_moved, multiply, validate_table
 from .presentation import Presentation
 from .words import column
 
@@ -60,14 +63,6 @@ def inverse(p: Permutation) -> Permutation:
     return tuple(out)
 
 
-def evaluate_word(word, images: Sequence[Permutation], degree: int) -> Permutation:
-    acc = identity_perm(degree)
-    for x in word:
-        g = images[abs(x) - 1]
-        acc = multiply(acc, g if x > 0 else inverse(g))
-    return acc
-
-
 def permutation_group_order(gens: Sequence[Permutation], degree: int) -> int:
     """Order of <gens>: the product of the basic orbit lengths of a base and
     strong generating set built by deterministic Schreier-Sims (Holt, Eick,
@@ -80,7 +75,7 @@ def permutation_group_order(gens: Sequence[Permutation], degree: int) -> int:
     def add_generator(h: Permutation, top: int, level: int) -> None:
         """Add h (it fixes base[:top]) to levels level..top and refresh them."""
         if top == len(base):
-            base.append(next(x for x in range(degree) if h[x] != x))
+            base.append(_first_moved(h))
             strong.append([])
             orbits.append({})
         for i in range(level, top + 1):
@@ -155,17 +150,24 @@ class FiniteQuotientWitness:
 
 
 def verify_witness(p: Presentation, w: FiniteQuotientWitness) -> bool:
-    """Re-verify by direct permutation evaluation of every relator."""
-    if len(w.images) != len(p.generators):
+    """Re-verify w.  ``coset.validate_table`` checks the table whose columns
+    are each image and its inverse (some column, if the image is no
+    permutation): the generator count, entries, permutations and relators,
+    so an entry that is None, a float or out of range gives False, not an
+    exception.  Then the images must not all be the identity, and
+    ``image_order`` must be the order of the group they generate."""
+    d = w.degree
+    if any(len(img) != d for img in w.images):
         return False
-    if any(sorted(img) != list(range(w.degree)) for img in w.images):
+    cols = []
+    for img in w.images:
+        cols += [img, tuple(map(dict(zip(img, range(d))).get, range(d)))]
+    if validate_table(p, CosetTable(len(w.images), tuple(zip(*cols)))):
         return False
-    identity = identity_perm(w.degree)
+    identity = identity_perm(d)
     if all(img == identity for img in w.images):
         return False
-    if any(evaluate_word(r, w.images, w.degree) != identity for r in p.relators):
-        return False
-    return permutation_group_order(w.images, w.degree) == w.image_order
+    return permutation_group_order(w.images, d) == w.image_order
 
 
 Table = List[List[Optional[int]]]

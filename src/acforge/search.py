@@ -58,7 +58,7 @@ from .moves import (
     _Replay,
     replay,
 )
-from .presentation import EMPTY_PRESENTATION, Presentation, is_balanced
+from .presentation import EMPTY_PRESENTATION, Presentation, require_balanced
 from .words import Word, column, cyclic_reduce, invert, letter, rotate
 
 
@@ -268,11 +268,7 @@ def search_trivialization(
     """
     if limits is None:
         limits = SearchLimits()
-    if not is_balanced(p):
-        raise ValueError(
-            f"search requires a balanced presentation, got {len(p.generators)} "
-            f"generator(s) and {len(p.relators)} relator(s)"
-        )
+    require_balanced(p)
     if len(p.generators) > MAX_GENERATORS:
         raise ValueError(
             f"search codes each letter in one byte and takes at most {MAX_GENERATORS} "

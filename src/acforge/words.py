@@ -82,10 +82,6 @@ def power(w: Word, e: int) -> Word:
     return u + core * e + invert(u)
 
 
-def is_cyclically_reduced(w: Word) -> bool:
-    return len(w) < 2 or w[0] != -w[-1]
-
-
 def rotate(w: Word, k: int) -> Word:
     """Raw cyclic rotation by ``k`` positions (no free reduction)."""
     if not w:

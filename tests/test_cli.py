@@ -489,6 +489,14 @@ def test_acsearch_usage_errors(run, tmp_path, text, flags):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["acsearch", "dualize", "theorem3"])
+def test_unbalanced_input_has_one_message(run, tmp_path, command):
+    # one check, presentation.require_balanced, for the search, the dual and align
+    extra = ("-o", tmp_path / "bundle") if command == "theorem3" else ()
+    rc, out, err = run(command, write(tmp_path, "p.pres", "< a, b | a >"), *extra)
+    assert (rc, out, err) == (2, "", "error: presentation is not balanced: 2 generator(s), 1 relator(s)\n")
+
+
 def test_acsearch_generator_limit(run, tmp_path):
     # letters are coded in one byte: 127 generators search, 128 are refused
     def pres(m):

@@ -567,8 +567,24 @@ def test_entries_out_of_range_are_named_not_raised():
         "row 5 column 1: entry 6 is outside 0..5",
         "row 3 column 2: entry -1 is outside 0..5",
     ]
-    assert validate_table(p, changed(t, [(4, 3, None)])) == ["row 4 column 3: entry None is outside 0..5"]
+    assert validate_table(p, changed(t, [(4, 3, None)])) == ["row 4 column 3: entry None is not an int"]
     assert validate_table(pres("< a | a^2 >"), t) == ["table has 2 generators, presentation has 1"]
+
+
+@pytest.mark.parametrize(
+    "rows, problems",
+    [
+        (((1, 1), (0.0, 0)), ["row 1 column 0: entry 0.0 is not an int"]),
+        # g then g^-1 gathers (0, 1.0), which equals the identity tuple
+        (((1, 1.0), (0, 0)), ["row 0 column 1: entry 1.0 is not an int"]),
+        # 1.0 is in range(2) by equality, so it is named before the 5 after it
+        (((1.0, 1), (5, 0)), ["row 0 column 0: entry 1.0 is not an int"]),
+        (((True, 1), (False, 0)), []),  # a bool is an int, as in Python
+    ],
+    ids=["forward", "inverse", "first-entry", "bool"],
+)
+def test_entries_that_are_not_ints_are_named(rows, problems):
+    assert validate_table(pres("< a | a^2 >"), CosetTable(1, rows)) == problems
 
 
 def test_a_passing_table_does_not_certify_the_order():

@@ -348,3 +348,16 @@ def test_bundle_round_trip(tmp_path):
     back = read_bundle(tmp_path / "out")
     assert back == kc
     assert verify_knot_certificate(back) == []
+
+
+def test_tampered_bundle_gives_problems_not_an_exception(tmp_path):
+    # augmented.pres declares a third generator and appends it to relator 2;
+    # the exponent matrices then differ in shape, and the check says so
+    write_bundle(align(POINCARE), tmp_path)
+    (tmp_path / "augmented.pres").write_text("< a, b, c | a b^2 a b^-1, a^4 b a^-1 b c >\n")
+    problems = verify_knot_certificate(read_bundle(tmp_path))
+    assert problems == [
+        "augmented presentation does not reduce to the source",
+        "pair insertion changed the exponent matrix",
+        "witness invalid: presentation is not balanced: 3 generator(s), 2 relator(s)",
+    ]

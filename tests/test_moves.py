@@ -29,7 +29,7 @@ from acforge.search import search_trivialization
 def nonunit_factors(a):
     """Invariant factors other than 1, sorted; the AC-move invariant."""
     return tuple(sorted(f for f in invariant_factors(a) if f != 1))
-from acforge.words import free_reduce, is_cyclically_reduced
+from acforge.words import cyclic_reduce, free_reduce
 
 
 def pres(text):
@@ -63,7 +63,7 @@ def random_move(rng, p, invertible_only=False):
         return InvertRelator(rng.randint(1, n))
     if kind == "cyc":
         if invertible_only:
-            ok = [i for i in range(1, n + 1) if is_cyclically_reduced(p.relators[i - 1])]
+            ok = [i for i in range(1, n + 1) if not cyclic_reduce(p.relators[i - 1])[1]]
             if not ok:
                 return InvertRelator(rng.randint(1, n))
             i = rng.choice(ok)

@@ -4,13 +4,14 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acforge.corpus import higman_presentation
 from acforge.presentation import Presentation, parse_presentation
 from acforge.quotient import (
     FiniteQuotientWitness,
     cycle_notation,
-    evaluate_word,
     find_nontrivial_quotient,
     identity_perm,
     inverse,
@@ -22,6 +23,31 @@ from test_coset import perm_closure
 
 POINCARE = parse_presentation("< a, b | a b^2 a b^-1, a^4 b a^-1 b >")
 RAPAPORT = parse_presentation("< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >")
+
+
+def evaluate_word(word, images, degree):
+    """The product of the images of word's letters, one letter at a time:
+    the reference evaluator (``coset.validate_table`` gathers whole columns)."""
+    acc = identity_perm(degree)
+    for x in word:
+        g = images[abs(x) - 1]
+        acc = multiply(acc, g if x > 0 else inverse(g))
+    return acc
+
+
+def reference_verify(p, w):
+    """The former ``verify_witness``: every relator evaluated letter by
+    letter.  An entry that is None or a float makes it raise TypeError."""
+    if len(w.images) != len(p.generators):
+        return False
+    if any(sorted(img) != list(range(w.degree)) for img in w.images):
+        return False
+    identity = identity_perm(w.degree)
+    if all(img == identity for img in w.images):
+        return False
+    if any(evaluate_word(r, w.images, w.degree) != identity for r in p.relators):
+        return False
+    return permutation_group_order(w.images, w.degree) == w.image_order
 
 
 def test_perm_arithmetic():
@@ -126,6 +152,9 @@ def test_verify_witness_rejects_junk():
     assert not verify_witness(p, FiniteQuotientWitness(2, ((1, 0),), 7))
     q = parse_presentation("< a | a^3 >")
     assert not verify_witness(q, FiniteQuotientWitness(2, ((1, 0),), 2))
+    # malformed entries and image lengths give False, not an exception
+    for images in [((1, None),), ((1.0, 0),), ((1, -1),), ((1, 2),), ((1, 0, 2),), ((1,),)]:
+        assert not verify_witness(p, FiniteQuotientWitness(2, images, 2)), images
 
 
 # --- reference: the image-tuple search that the low-index backtrack replaced ---
@@ -188,7 +217,62 @@ def test_low_index_agrees_with_image_tuple_search():
             assert w.degree == expected[0], p
             assert verify_witness(p, w), p
             assert w.image_order == len(perm_closure(w.images))
+            # entry 0 of the first image replaced by entry 1: not a permutation
+            first = w.images[0]
+            broken = (first[1:2] + first[1:],) + w.images[1:]
+            assert not verify_witness(p, FiniteQuotientWitness(w.degree, broken, w.image_order)), p
     assert 100 < found < 300  # both verdicts are exercised
+
+
+ENTRIES = st.one_of(st.integers(-1, 5), st.none(), st.sampled_from([0.0, 1.0, 2.5]))
+
+
+@st.composite
+def presentations_and_witnesses(draw):
+    """A random presentation on 1-3 generators and a witness for it: half
+    the time the one ``find_nontrivial_quotient`` returns, as it is or with
+    two entries of one image exchanged; otherwise drawn images, mostly
+    permutations, else tuples of ints (negative and past the degree among
+    them), None and floats, with the image count or an image's length
+    sometimes wrong."""
+    m = draw(st.integers(1, 3))
+    letters = [x for g in range(1, m + 1) for x in (g, -g)]
+    relators = draw(st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=7), max_size=3))
+    p = Presentation(tuple("abc"[:m]), tuple(map(tuple, relators)))
+    w = find_nontrivial_quotient(p, 4) if draw(st.booleans()) else None
+    if w is not None:
+        if draw(st.booleans()):
+            k = draw(st.integers(0, m - 1))
+            i, j = draw(st.lists(st.integers(0, w.degree - 1), min_size=2, max_size=2, unique=True))
+            img = list(w.images[k])
+            img[i], img[j] = img[j], img[i]
+            w = FiniteQuotientWitness(w.degree, w.images[:k] + (tuple(img),) + w.images[k + 1 :], w.image_order)
+        return p, w
+    d = draw(st.integers(1, 5))
+    images, perms = [], True
+    for _ in range(draw(st.sampled_from([m] * 8 + [m - 1, m + 1]))):
+        if draw(st.integers(0, 3)):
+            images.append(tuple(draw(st.permutations(range(d)))))
+        else:
+            size = draw(st.sampled_from([d] * 4 + [d - 1, d + 1]))
+            images.append(tuple(draw(st.lists(ENTRIES, min_size=size, max_size=size))))
+            perms = False
+    if perms and draw(st.integers(0, 3)):
+        order = len(perm_closure(images))
+    else:
+        order = draw(st.integers(1, 6))
+    return p, FiniteQuotientWitness(d, tuple(images), order)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(presentations_and_witnesses())
+def test_verify_witness_matches_the_reference_evaluator(pw):
+    p, w = pw
+    try:
+        expected = reference_verify(p, w)
+    except TypeError:  # None or a float among the entries: a malformed witness
+        expected = False
+    assert verify_witness(p, w) is expected
 
 
 def test_witness_is_the_action_on_cosets():
