@@ -8,8 +8,7 @@ inconclusive outcomes (coset cap, search limits) are acceptable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .coset import CapExceeded, Finite, enumerate_cosets
 from .intmatrix import is_perfect_presentation
@@ -48,8 +47,7 @@ TRIVIAL_OR_CAP = "trivial-or-cap"  # order 1 or inconclusive; never a nontrivial
 NONTRIVIAL_OR_CAP = "nontrivial-or-cap"  # order > 1 or inconclusive; never order 1
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """A balanced perfect presentation and what each tool should report on it."""
 
     name: str

@@ -66,7 +66,6 @@ tracing ``fwd[:i]`` again, every case was 0-12 % slower.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Deque, List, NamedTuple, Tuple, Union
 
@@ -94,8 +93,7 @@ class CapExceeded(NamedTuple):
 EnumerationResult = Union[Finite, CapExceeded]
 
 
-@dataclass
-class CosetTable:
+class CosetTable(NamedTuple):
     """Closed table: per live coset, the successor under g and g^-1.
 
     Column ``words.column(x)`` is the action of the letter x.  Rows are
@@ -339,18 +337,29 @@ def _in_range(images: Tuple[int, ...], n: int) -> bool:
         return False
 
 
+def _row_problem(rows, width: int) -> str:
+    """The first row that is not a sequence of ``width`` entries, named."""
+    for c, row in enumerate(rows):
+        try:
+            k = len(row)
+        except TypeError:
+            return f"row {c} is not a sequence"
+        if k != width:
+            return f"row {c} has {k} entries, not {width}"
+
+
 def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     """Problems with t as a coset table of p, one line each; [] if none.
 
-    Checks in order: the table has p's generator count; every row has one
-    entry per column (2m); every entry is an int 0..n-1 (a bool counts, a
-    float such as 1.0 does not); each generator column is a permutation; g
-    then g^-1 returns every coset to itself; each relator of p fixes every
-    coset.  The first three are checks of form: they name the first row at
-    fault (for entries, in each column) and end the check, so a malformed
-    table gives problems, never an exception, and nothing is traced through
-    an entry out of range.  The later checks each name the first coset that
-    fails.
+    Checks in order: the table has p's generator count; every row is a
+    sequence of one entry per column (2m); every entry is an int 0..n-1 (a
+    bool counts, a float such as 1.0 does not); each generator column is a
+    permutation; g then g^-1 returns every coset to itself; each relator of
+    p fixes every coset.  The first three are checks of form: they name the
+    first row at fault (for entries, in each column) and end the check, so
+    a malformed table gives problems, never an exception, and nothing is
+    traced through an entry out of range.  The later checks each name the
+    first coset that fails.
 
     The kernel is a gather over whole columns: each column is an image
     tuple, and ``multiply`` composes two of them for all n cosets in one
@@ -374,9 +383,12 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     n, m, rows = t.order, t.n_generators, t.rows
     if len(p.generators) != m:
         return [f"table has {m} generators, presentation has {len(p.generators)}"]
-    if set(map(len, rows)) - {2 * m}:
-        c = next(c for c, row in enumerate(rows) if len(row) != 2 * m)
-        return [f"row {c} has {len(rows[c])} entries, not {2 * m}"]
+    try:
+        ragged = set(map(len, rows)) - {2 * m}
+    except TypeError:  # a row without a length
+        ragged = True
+    if ragged:
+        return [_row_problem(rows, 2 * m)]
     cols = list(zip(*rows)) if n else [()] * (2 * m)
     identity = tuple(range(n))
     failed = []  # generators whose two columns are not inverse permutations of ints

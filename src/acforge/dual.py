@@ -29,7 +29,6 @@ inserted pairs must stay addressable as occurrences.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import DefaultDict, Deque, List, NamedTuple, Tuple
 
@@ -44,6 +43,7 @@ from .presentation import (
     parse_raw,
     require_balanced,
 )
+from .record import Record, set_field
 from .words import Word, free_reduce
 
 
@@ -56,38 +56,36 @@ class Occurrence(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class OrderingWitness:
+class OrderingWitness(NamedTuple):
     """Per generator, an ordering of all its occurrences across relators."""
 
     per_generator: Tuple[Tuple[Occurrence, ...], ...]
 
 
-@dataclass(frozen=True)
-class AugmentedPresentation:
+class AugmentedPresentation(Record):
     """A presentation whose relators are raw letter sequences.
 
     Cancelling pairs are preserved; ``reduced()`` collapses back to the
     ordinary presentation.
     """
 
-    generators: Tuple[str, ...]
-    relators: Tuple[Word, ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        check_generator_names(self.generators)
-        m = len(self.generators)
-        for r in self.relators:
+    def __init__(self, generators: Tuple[str, ...], relators: Tuple[Word, ...]):
+        check_generator_names(generators)
+        m = len(generators)
+        for r in relators:
             for x in r:
                 if not isinstance(x, int) or x == 0 or abs(x) > m:
                     raise ValueError(f"bad relator letter {x!r}")
+        set_field(self, "generators", generators)
+        set_field(self, "relators", relators)
 
     def reduced(self) -> Presentation:
         return Presentation(self.generators, tuple(free_reduce(r) for r in self.relators))
 
 
-@dataclass(frozen=True)
-class KnotCertificate:
+class KnotCertificate(NamedTuple):
     """The full output bundle pairing a perfect balanced presentation with
     an aligned, trivializable dual.
 

@@ -49,7 +49,6 @@ insertion and deletion lines of older files, is rejected as unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import List, Optional, Tuple, Union
 
@@ -61,6 +60,7 @@ from .presentation import (
     parse_presentation,
     parse_word,
 )
+from .record import Record, set_field
 from .words import Word, concat, free_reduce, invert, power, rotate
 
 
@@ -72,41 +72,51 @@ class CertificateError(ValueError):
     """A certificate is malformed or does not replay."""
 
 
-@dataclass(frozen=True)
-class CyclicPermute:
+class CyclicPermute(Record):
     """Replace relator i by the free reduction of its rotation by ``shift``."""
 
-    relator: int
-    shift: int
+    __slots__ = ("relator", "shift")
+
+    def __init__(self, relator: int, shift: int):
+        set_field(self, "relator", relator)
+        set_field(self, "shift", shift)
 
 
-@dataclass(frozen=True)
-class InvertRelator:
-    relator: int
+class InvertRelator(Record):
+    __slots__ = ("relator",)
+
+    def __init__(self, relator: int):
+        set_field(self, "relator", relator)
 
 
-@dataclass(frozen=True)
-class MultiplyRight:
+class MultiplyRight(Record):
     """r_i -> r_i r_j^exponent, j != i, exponent a nonzero int."""
 
-    relator: int
-    other: int
-    exponent: int = 1
+    __slots__ = ("relator", "other", "exponent")
+
+    def __init__(self, relator: int, other: int, exponent: int = 1):
+        set_field(self, "relator", relator)
+        set_field(self, "other", other)
+        set_field(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Stabilize:
+class Stabilize(Record):
     """Add a fresh generator x and the relator x.w (w over the old generators)."""
 
-    word: Word = ()
+    __slots__ = ("word",)
+
+    def __init__(self, word: Word = ()):
+        set_field(self, "word", word)
 
 
-@dataclass(frozen=True)
-class Destabilize:
+class Destabilize(Record):
     """Remove the last generator g=m together with relator i = g.w, g nowhere else."""
 
-    generator: int
-    relator: int
+    __slots__ = ("generator", "relator")
+
+    def __init__(self, generator: int, relator: int):
+        set_field(self, "generator", generator)
+        set_field(self, "relator", relator)
 
 
 AcMove = Union[
@@ -130,23 +140,22 @@ def _units(move: AcMove) -> int:
     return abs(move.exponent) if _run_key(move) else 1
 
 
-@dataclass(frozen=True)
-class AcCertificate:
+class AcCertificate(Record):
     """A replayable move sequence claimed to transform start into end, its
     moves kept in normal form (each run of MultiplyRight moves merged)."""
 
-    start: Presentation
-    moves: Tuple[AcMove, ...]
-    end: Presentation
+    __slots__ = ("start", "moves", "end")
 
-    def __post_init__(self):
-        moves: List[AcMove] = []
-        for key, run in groupby(self.moves, _run_key):
+    def __init__(self, start: Presentation, moves: Tuple[AcMove, ...], end: Presentation):
+        merged: List[AcMove] = []
+        for key, run in groupby(moves, _run_key):
             if key is None:
-                moves.extend(run)
+                merged.extend(run)
             else:
-                moves.append(MultiplyRight(key[0], key[1], sum(mv.exponent for mv in run)))
-        object.__setattr__(self, "moves", tuple(moves))
+                merged.append(MultiplyRight(key[0], key[1], sum(mv.exponent for mv in run)))
+        set_field(self, "start", start)
+        set_field(self, "moves", tuple(merged))
+        set_field(self, "end", end)
 
     @property
     def length(self) -> int:

@@ -29,9 +29,9 @@ already been scanned.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
+from .record import Record, set_field
 from .words import Word, free_reduce
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -60,14 +60,20 @@ def check_generator_names(names: Sequence[str]) -> None:
         seen.add(name)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Ordered generator names plus freely reduced relator words."""
 
-    generators: Tuple[str, ...]
-    relators: Tuple[Word, ...]
+    __slots__ = ("generators", "relators")
+
+    def __init__(self, generators: Tuple[str, ...], relators: Tuple[Word, ...]):
+        set_field(self, "generators", generators)
+        set_field(self, "relators", relators)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the names and letters and store the relators reduced; a
+        method of its own, looked up on each construction, so that a
+        profiler can wrap it."""
         check_generator_names(self.generators)
         m = len(self.generators)
         reduced = []
@@ -77,7 +83,7 @@ class Presentation:
                 if abs(x) > m:
                     raise ValueError(f"relator letter {x} exceeds generator count {m}")
             reduced.append(w)
-        object.__setattr__(self, "relators", tuple(reduced))
+        set_field(self, "relators", tuple(reduced))
 
 
 EMPTY_PRESENTATION = Presentation((), ())

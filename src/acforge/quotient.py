@@ -40,10 +40,9 @@ table of the witness's images and their inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .coset import CosetTable, _first_moved, multiply, validate_table
+from .coset import CosetTable, _first_moved, _ints, multiply, validate_table
 from .presentation import Presentation
 from .words import column
 
@@ -140,8 +139,7 @@ def cycle_notation(p: Permutation) -> str:
     return "".join(parts) if parts else "()"
 
 
-@dataclass(frozen=True)
-class FiniteQuotientWitness:
+class FiniteQuotientWitness(NamedTuple):
     """Generator images satisfying every relator, not all the identity."""
 
     degree: int
@@ -150,24 +148,30 @@ class FiniteQuotientWitness:
 
 
 def verify_witness(p: Presentation, w: FiniteQuotientWitness) -> bool:
-    """Re-verify w.  ``coset.validate_table`` checks the table whose columns
-    are each image and its inverse (some column, if the image is no
+    """Re-verify w.  The degree must be an int and the images a tuple of
+    tuples of that length.  ``coset.validate_table`` checks the table whose
+    columns are each image and its inverse (some column, if the image is no
     permutation): the generator count, entries, permutations and relators,
-    so an entry that is None, a float or out of range gives False, not an
-    exception.  Then the images must not all be the identity, and
+    so an entry that is None, a float, a list or out of range gives False,
+    not an exception.  Then the images must not all be the identity, and
     ``image_order`` must be the order of the group they generate."""
-    d = w.degree
-    if any(len(img) != d for img in w.images):
+    d, images = w.degree, w.images
+    if not isinstance(d, int) or not isinstance(images, tuple):
+        return False
+    if not all(isinstance(img, tuple) and len(img) == d for img in images):
         return False
     cols = []
-    for img in w.images:
-        cols += [img, tuple(map(dict(zip(img, range(d))).get, range(d)))]
-    if validate_table(p, CosetTable(len(w.images), tuple(zip(*cols)))):
+    for img in images:
+        # an image with an entry that is no int gets a column of Nones,
+        # which validate_table names; its entries may not be hashable
+        inv = dict(zip(img, range(d))) if _ints(img) else {}
+        cols += [img, tuple(map(inv.get, range(d)))]
+    if validate_table(p, CosetTable(len(images), tuple(zip(*cols)))):
         return False
     identity = identity_perm(d)
-    if all(img == identity for img in w.images):
+    if all(img == identity for img in images):
         return False
-    return permutation_group_order(w.images, d) == w.image_order
+    return permutation_group_order(images, d) == w.image_order
 
 
 Table = List[List[Optional[int]]]

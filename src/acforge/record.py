@@ -1,0 +1,47 @@
+"""A base for the package's small immutable value classes.
+
+A subclass names its fields in ``__slots__``, in the order of its
+constructor's parameters, and sets them in ``__init__`` with ``set_field``
+(records are frozen, so plain assignment raises).  Equality and hash go
+by type and fields, so records of different classes never compare equal
+and a record never equals a tuple; the repr is ``Name(field=value, ...)``.
+Plain records with no checks in their constructor are
+``typing.NamedTuple`` classes instead.  Both forms are cheap to define,
+which keeps the start of every CLI process short: neither imports
+``inspect`` nor generates code per class.
+"""
+
+from __future__ import annotations
+
+# sets a field of a record, past the frozen ``__setattr__``
+set_field = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor; by default they would
+        set the slots through the frozen ``__setattr__``."""
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -45,8 +45,7 @@ no trivialization exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .moves import (
     AcCertificate,
@@ -59,26 +58,28 @@ from .moves import (
     replay,
 )
 from .presentation import EMPTY_PRESENTATION, Presentation, require_balanced
+from .record import Record, set_field
 from .words import Word, column, cyclic_reduce, invert, letter, rotate
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(Record):
     """Desk-scale caps; exceeding any of them yields NotFound, not evidence."""
 
-    max_total_letters: int = 40
-    max_relator_letters: int = 16
-    max_depth: int = 12
-    max_states: int = 5_000_000
+    __slots__ = ("max_total_letters", "max_relator_letters", "max_depth", "max_states")
 
-    def __post_init__(self):
-        if min(
-            self.max_total_letters,
-            self.max_relator_letters,
-            self.max_depth,
-            self.max_states,
-        ) <= 0:
+    def __init__(
+        self,
+        max_total_letters: int = 40,
+        max_relator_letters: int = 16,
+        max_depth: int = 12,
+        max_states: int = 5_000_000,
+    ):
+        if min(max_total_letters, max_relator_letters, max_depth, max_states) <= 0:
             raise ValueError("all search limits must be positive")
+        set_field(self, "max_total_letters", max_total_letters)
+        set_field(self, "max_relator_letters", max_relator_letters)
+        set_field(self, "max_depth", max_depth)
+        set_field(self, "max_states", max_states)
 
 
 # generators of a search; a letter's code must fit in one byte
@@ -136,8 +137,7 @@ def canonical_relator(w: Word) -> Word:
     return _signed(_least(_code(cyclic_reduce(w)[0])))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     certificate: Optional[AcCertificate]
     found_depth: Optional[int]
     states_seen: int

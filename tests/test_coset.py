@@ -587,6 +587,12 @@ def test_entries_that_are_not_ints_are_named(rows, problems):
     assert validate_table(pres("< a | a^2 >"), CosetTable(1, rows)) == problems
 
 
+@pytest.mark.parametrize("row", [None, 5], ids=["None", "int"])
+def test_a_row_that_is_not_a_sequence_is_named(row):
+    t = CosetTable(1, ((1, 0), row))
+    assert validate_table(pres("< a | a^2 >"), t) == ["row 1 is not a sequence"]
+
+
 def test_a_passing_table_does_not_certify_the_order():
     # < a | a^6 > has order 6; a 3-cycle satisfies a^6, so this 3-row table passes
     t = CosetTable(1, ((1, 2), (2, 0), (0, 1)))

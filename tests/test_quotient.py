@@ -155,6 +155,18 @@ def test_verify_witness_rejects_junk():
     # malformed entries and image lengths give False, not an exception
     for images in [((1, None),), ((1.0, 0),), ((1, -1),), ((1, 2),), ((1, 0, 2),), ((1,),)]:
         assert not verify_witness(p, FiniteQuotientWitness(2, images, 2)), images
+    # so do a witness of the wrong types and an entry that cannot be hashed
+    ab = parse_presentation("< a, b | a^2 >")
+    assert verify_witness(ab, FiniteQuotientWitness(2, ((1, 0), (0, 1)), 2))
+    for w in [
+        FiniteQuotientWitness(2, ((1, 0), None), 2),
+        FiniteQuotientWitness(2, None, 2),
+        FiniteQuotientWitness(2.0, ((1, 0), (0, 1)), 2),
+        FiniteQuotientWitness(2, ((1, 0), ([0], 1)), 2),
+        # a list never equals the identity tuple, so it got past that check
+        FiniteQuotientWitness(2, ([0, 1], (0, 1)), 1),
+    ]:
+        assert not verify_witness(ab, w), w
 
 
 # --- reference: the image-tuple search that the low-index backtrack replaced ---
