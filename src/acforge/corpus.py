@@ -144,7 +144,7 @@ def check_entry(entry: CorpusEntry) -> List[str]:
 
     result = enumerate_cosets(p, entry.max_cosets)
     if entry.order_expectation == EXACT:
-        if result != Finite(entry.order):
+        if not (isinstance(result, Finite) and result.order == entry.order):
             problems.append(f"order: expected {entry.order}, got {result}")
     elif entry.order_expectation == TRIVIAL_OR_CAP:
         if not (result == Finite(1) or isinstance(result, CapExceeded)):

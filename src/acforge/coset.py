@@ -339,6 +339,8 @@ def _in_range(images: Tuple[int, ...], n: int) -> bool:
 
 def _row_problem(rows, width: int) -> str:
     """The first row that is not a sequence of ``width`` entries, named."""
+    if not hasattr(rows, "__len__"):
+        return "table rows are not a sequence"
     for c, row in enumerate(rows):
         try:
             k = len(row)
@@ -351,15 +353,15 @@ def _row_problem(rows, width: int) -> str:
 def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     """Problems with t as a coset table of p, one line each; [] if none.
 
-    Checks in order: the table has p's generator count; every row is a
-    sequence of one entry per column (2m); every entry is an int 0..n-1 (a
-    bool counts, a float such as 1.0 does not); each generator column is a
-    permutation; g then g^-1 returns every coset to itself; each relator of
-    p fixes every coset.  The first three are checks of form: they name the
-    first row at fault (for entries, in each column) and end the check, so
-    a malformed table gives problems, never an exception, and nothing is
-    traced through an entry out of range.  The later checks each name the
-    first coset that fails.
+    Checks in order: the table has p's generator count (an int); the rows
+    are a sequence of sequences of one entry per column (2m); every entry
+    is an int 0..n-1 (a bool counts, a float such as 1.0 does not); each
+    generator column is a permutation; g then g^-1 returns every coset to
+    itself; each relator of p fixes every coset.  The first three are
+    checks of form: they name the first row at fault (for entries, in each
+    column) and end the check, so a malformed table gives problems, never
+    an exception, and nothing is traced through an entry out of range.  The
+    later checks each name the first coset that fails.
 
     The kernel is a gather over whole columns: each column is an image
     tuple, and ``multiply`` composes two of them for all n cosets in one
@@ -380,12 +382,12 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     Called by ``quotient.verify_witness`` on a witness's table; the tests
     run it on the tables ``coset_table`` closes.
     """
-    n, m, rows = t.order, t.n_generators, t.rows
-    if len(p.generators) != m:
+    m, rows = t.n_generators, t.rows
+    if not isinstance(m, int) or len(p.generators) != m:
         return [f"table has {m} generators, presentation has {len(p.generators)}"]
     try:
-        ragged = set(map(len, rows)) - {2 * m}
-    except TypeError:  # a row without a length
+        n, ragged = len(rows), set(map(len, rows)) - {2 * m}
+    except TypeError:  # the rows, or a row, without a length
         ragged = True
     if ragged:
         return [_row_problem(rows, 2 * m)]

@@ -8,16 +8,18 @@ of an n-relator, m-generator presentation is n x m.
 from __future__ import annotations
 
 import sys
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .presentation import Presentation
+from .record import Record, set_field
 from .words import exponent_vector
 
 
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable rectangular integer matrix (possibly 0 rows or columns)."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("rows", "ncols")
 
     def __init__(self, rows: Iterable[Sequence[int]], ncols: int | None = None):
         data = tuple(map(tuple, rows))
@@ -30,46 +32,26 @@ class IntMatrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        self.rows = data
-        self.nrows = len(data)
-        self.ncols = ncols
+        set_field(self, "rows", data)
+        set_field(self, "ncols", ncols)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.ncols, self.rows))
-
-    def __repr__(self):
-        return f"IntMatrix({self.nrows}x{self.ncols}, {list(map(list, self.rows))})"
-
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        # zip has no columns to give when there are no rows
+        return IntMatrix(list(zip(*self.rows)) or [()] * self.ncols, ncols=self.nrows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        return IntMatrix(
-            [
-                [
-                    sum(self.rows[i][k] * other.rows[k][j] for k in range(self.ncols))
-                    for j in range(other.ncols)
-                ]
-                for i in range(self.nrows)
-            ],
-            ncols=other.ncols,
-        )
+        cols = other.transpose().rows
+        return IntMatrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows], ncols=other.ncols)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -110,21 +92,24 @@ def matrix_to_text(a: IntMatrix, name: str = "matrix") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(x: str) -> int:
+    """One field of text as an int; one past Python's conversion limit is a
+    ValueError that names its digits and the limit."""
+    try:
+        return int(x)
+    except ValueError:
+        digits = x[1:] if x[0] in "+-" else x
+        if not digits.isdecimal():  # not a well-formed int
+            raise
+    raise ValueError(f"an entry of {len(digits)} digits is past the limit of {sys.get_int_max_str_digits()} digits")
+
+
 def _ints(lineno: int, fields: List[str]) -> List[int]:
     """The fields of one line of matrix text as ints; a ValueError names the line."""
-    out = []
-    for x in fields:
-        try:
-            out.append(int(x))
-        except ValueError as e:
-            digits = x.lstrip("+-")
-            if digits.isdecimal():  # a well-formed int past Python's conversion limit
-                raise ValueError(
-                    f"line {lineno}: an entry of {len(digits)} digits is past the limit "
-                    f"of {sys.get_int_max_str_digits()} digits"
-                ) from None
-            raise ValueError(f"line {lineno}: {e}") from None
-    return out
+    try:
+        return list(map(_int, fields))
+    except ValueError as e:
+        raise ValueError(f"line {lineno}: {e}") from None
 
 
 def matrix_from_text(text: str) -> IntMatrix:

@@ -52,6 +52,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import List, Optional, Tuple, Union
 
+from .intmatrix import _int
 from .presentation import (
     MAX_LETTERS,
     Presentation,
@@ -165,22 +166,15 @@ class AcCertificate(Record):
 
 class _Names:
     """Generator names followed through moves without rebuilding them: the
-    names in order, their 1-based index (built on first use), and a k with
-    every x1 .. x(k-1) taken, so a fresh name costs amortized O(1) along a
-    run of STABs."""
+    names in order, their 1-based index, and a k with every x1 .. x(k-1)
+    taken, so a fresh name costs amortized O(1) along a run of STABs."""
 
-    __slots__ = ("names", "_index", "k")
+    __slots__ = ("names", "index", "k")
 
     def __init__(self, names):
         self.names = list(names)
-        self._index = None
+        self.index = dict(zip(self.names, range(1, len(self.names) + 1)))
         self.k = 1
-
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = dict(zip(self.names, range(1, len(self.names) + 1)))
-        return self._index
 
     def fresh(self) -> str:
         index, name = self.index, f"x{self.k}"
@@ -194,15 +188,14 @@ class _Names:
         applies.  False once the names cannot be followed: after a DESTAB of
         a generator other than the last, a move that never applies."""
         if isinstance(move, Stabilize):
-            name = self.fresh()  # builds the index
+            name = self.fresh()
             self.names.append(name)
-            self._index[name] = len(self.names)
+            self.index[name] = len(self.names)
         elif isinstance(move, Destabilize):
             if move.generator != len(self.names):
                 return False
             name = self.names.pop()
-            if self._index is not None:
-                del self._index[name]
+            del self.index[name]
             # x{j} with 1 <= j < k is free again; a longer digit string is > k
             digits = name[1:]
             if name[0] == "x" and 0 < len(digits) <= len(str(self.k)) and digits[0] != "0" and digits.isdecimal():
@@ -443,13 +436,13 @@ def parse_certificate(text: str) -> AcCertificate:
             try:
                 if op == "CYC":
                     i, k = args
-                    move: AcMove = CyclicPermute(int(i), int(k))
+                    move: AcMove = CyclicPermute(_int(i), _int(k))
                 elif op == "INV":
                     (i,) = args
-                    move = InvertRelator(int(i))
+                    move = InvertRelator(_int(i))
                 elif op in ("MULR", "MULRI"):
                     i, j = args
-                    move = MultiplyRight(int(i), int(j), 1 if op == "MULR" else -1)
+                    move = MultiplyRight(_int(i), _int(j), 1 if op == "MULR" else -1)
                 elif op == "STAB":
                     if names is None:
                         raise ValueError(
@@ -462,7 +455,7 @@ def parse_certificate(text: str) -> AcCertificate:
                         raise ValueError(f"STAB words expand to more than {MAX_LETTERS} letters")
                 elif op == "DESTAB":
                     g, i = args
-                    move = Destabilize(int(g), int(i))
+                    move = Destabilize(_int(g), _int(i))
                 else:
                     raise ValueError(f"unknown move keyword {op!r}")
             except ValueError as e:

@@ -72,10 +72,6 @@ def power(w: Word, e: int) -> Word:
     ``w^e = u c^e u^-1`` and no seam of that product cancels, so it is
     returned without a reduction pass: O(|w| + |e| |c|).
     """
-    if e == 1:
-        return w
-    if e == -1:
-        return invert(w)
     core, u = cyclic_reduce(w)
     if e < 0:
         core, e = invert(core), -e

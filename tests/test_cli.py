@@ -346,6 +346,14 @@ def test_matrix_entry_past_the_digit_limit(run, tmp_path, command):
     assert err == "error: line 5: invalid literal for int() with base 10: 'x'\n"
 
 
+def test_certificate_integer_past_the_digit_limit(run, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    text = f"START < a | a >\nCYC 1 {'9' * (limit + 700)}\nEND < a | a >\n"
+    rc, out, err = run("verify-cert", write(tmp_path, "big.cert", text))
+    assert (rc, out) == (2, "")
+    assert err == f"error: line 2: an entry of {limit + 700} digits is past the limit of {limit} digits\n"
+
+
 def test_lemma2_huge_entry_fails_fast(run, tmp_path):
     # a 21-byte matrix file whose certificate would need 10**9 moves
     path = write(tmp_path, "huge.mat", "2 2\n1 1000000000\n0 1\n")
@@ -476,6 +484,31 @@ def test_acsearch_not_found_under_state_cap(run, tmp_path):
     data = json.loads(out)["data"]
     assert rc == 1 and data["limit_hit"] == "states"
     assert data["frontier"][0] == 1 and sum(data["frontier"]) == data["states_seen"] == 3000
+
+
+def test_acsearch_certificate_with_a_rotated_multiplier(run, tmp_path):
+    # the path multiplies relator 2 by a rotation of relator 1, which the
+    # certificate writes as CYC, MULR, CYC back
+    path = write(tmp_path, "rot.pres", "< a, b, c | b^-1 c, c^-1 a^-1 c^-1 b a, a^-1 >")
+    cert = tmp_path / "rot.cert"
+    rc, out, err = run("acsearch", path, "-o", cert)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "FOUND depth=2 moves=13 states-seen=498 states-expanded=15"
+    assert cert.read_text().splitlines()[6:9] == ["CYC 1 1", "MULR 2 1", "CYC 1 -1"]
+    assert run("verify-cert", cert) == (0, "OK\n", "")
+
+
+def test_acsearch_not_found_when_the_space_is_exhausted(run, tmp_path):
+    path = write(tmp_path, "p.pres", "< a, b | a^2, b >")
+    caps = ("--max-total-letters", 6, "--max-letters", 4)
+    assert run("acsearch", path, *caps) == (
+        1,
+        "NOT-FOUND\nSTATES-SEEN 8\nSTATES-EXPANDED 8\nLIMIT space-exhausted\n",
+        "",
+    )
+    rc, out, _ = run("acsearch", path, *caps, "--format", "json")
+    data = json.loads(out)["data"]
+    assert rc == 1 and data["limit_hit"] is None and data["frontier"] == [1, 5, 2]
 
 
 @pytest.mark.parametrize(

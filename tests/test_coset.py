@@ -593,6 +593,19 @@ def test_a_row_that_is_not_a_sequence_is_named(row):
     assert validate_table(pres("< a | a^2 >"), t) == ["row 1 is not a sequence"]
 
 
+@pytest.mark.parametrize(
+    "table, problem",
+    [
+        (CosetTable(1, None), "table rows are not a sequence"),
+        (CosetTable(1, 5), "table rows are not a sequence"),
+        (CosetTable(1.0, ((1, 0), (0, 1))), "table has 1.0 generators, presentation has 1"),
+    ],
+    ids=["None", "int", "float-generators"],
+)
+def test_a_table_of_the_wrong_form_is_named_not_raised(table, problem):
+    assert validate_table(pres("< a | a^2 >"), table) == [problem]
+
+
 def test_a_passing_table_does_not_certify_the_order():
     # < a | a^6 > has order 6; a 3-cycle satisfies a^6, so this 3-row table passes
     t = CosetTable(1, ((1, 2), (2, 0), (0, 1)))

@@ -21,7 +21,14 @@ from acforge.corpus import higman_presentation
 from acforge.coset import Finite, enumerate_cosets
 from acforge.intmatrix import exponent_matrix
 from acforge.lemma2 import presentation_from_matrix
-from acforge.moves import replay, invert_certificate
+from acforge.moves import (
+    AcCertificate,
+    CyclicPermute,
+    MultiplyRight,
+    apply_move,
+    invert_certificate,
+    replay,
+)
 from acforge.presentation import (
     EMPTY_PRESENTATION,
     Presentation,
@@ -361,3 +368,50 @@ def test_tampered_bundle_gives_problems_not_an_exception(tmp_path):
         "pair insertion changed the exponent matrix",
         "witness invalid: presentation is not balanced: 3 generator(s), 2 relator(s)",
     ]
+
+
+def one_more_move(kc, move, move_dual=True):
+    """kc with ``move`` appended to its trivialization, whose end, and with
+    ``move_dual`` the dual too, becomes the presentation the move gives."""
+    t = kc.trivialization
+    end = apply_move(t.end, move)
+    kc = kc._replace(trivialization=AcCertificate(t.start, t.moves + (move,), end))
+    return kc._replace(dual=end) if move_dual else kc
+
+
+@pytest.mark.parametrize(
+    "move, move_dual, problems",
+    [
+        # a rotation keeps the exponent matrix: only the dualize check sees it
+        (CyclicPermute(1, 1), True, ["dual does not equal dualize(augmented, witness)"]),
+        (
+            MultiplyRight(1, 2),
+            True,
+            ["dual does not equal dualize(augmented, witness)", "dual's exponent matrix is not the transpose"],
+        ),
+        (CyclicPermute(2, 1), False, ["trivialization does not end at the dual"]),
+    ],
+    ids=["dual-rotated", "dual-matrix", "trivialization-end"],
+)
+def test_verify_knot_certificate_names_a_changed_dual(move, move_dual, problems):
+    kc = one_more_move(align(POINCARE), move, move_dual)
+    assert replay(kc.trivialization)
+    assert verify_knot_certificate(kc) == problems
+
+
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        # starts at < a | a > and destabilizes it first, so it still replays
+        ("START < | >\n", "START < a | a >\nDESTAB 1 1\n", "trivialization does not start at the empty presentation"),
+        ("MULRI 1 2\n", "MULR 1 2\n", "trivialization certificate does not replay"),
+    ],
+    ids=["start", "replay"],
+)
+def test_verify_knot_certificate_names_a_changed_trivialization(tmp_path, old, new, problem):
+    write_bundle(align(POINCARE), tmp_path)
+    path = tmp_path / "trivialization.cert"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert verify_knot_certificate(read_bundle(tmp_path)) == [problem]

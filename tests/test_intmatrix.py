@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from typing import List
 
@@ -90,6 +91,21 @@ def check_snf(a):
     return facs
 
 
+@pytest.mark.parametrize("n, k, m", [(0, 3, 1), (2, 0, 4), (3, 0, 0), (0, 0, 2), (2, 3, 2), (1, 4, 3)])
+def test_transpose_and_product_of_every_shape(n, k, m):
+    rng = random.Random(100 * n + 10 * k + m)
+    a = IntMatrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)], ncols=k)
+    b = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)], ncols=m)
+    t = a.transpose()
+    assert (t.nrows, t.ncols) == (k, n) and t.transpose() == a
+    assert all(t.rows[j][i] == a.rows[i][j] for i in range(n) for j in range(k))
+    c = a @ b
+    assert (c.nrows, c.ncols) == (n, m)
+    assert c.rows == tuple(
+        tuple(sum(a.rows[i][l] * b.rows[l][j] for l in range(k)) for j in range(m)) for i in range(n)
+    )
+
+
 def test_snf_examples():
     assert check_snf(IntMatrix.identity(3)) == (1, 1, 1)
     assert check_snf(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
@@ -157,6 +173,15 @@ def test_matrix_text_zero_columns_keeps_the_row_check():
     assert matrix_from_text("3 0\n").nrows == 3
     with pytest.raises(ValueError, match="expected 0 entries per row, got 1"):
         matrix_from_text("1 0\n5\n")
+
+
+def test_only_a_well_formed_int_is_called_past_the_digit_limit():
+    # a sign, then digits past the limit, is well formed; two signs are not
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(ValueError, match=f"^line 2: an entry of {digits} digits is past the limit"):
+        matrix_from_text(f"1 1\n-{'9' * digits}\n")
+    with pytest.raises(ValueError, match="^line 2: invalid literal for int\\(\\) with base 10: '\\+-5'$"):
+        matrix_from_text("1 1\n+-5\n")
 
 
 def reference_snf(a):

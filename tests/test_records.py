@@ -1,5 +1,6 @@
 """The contract of the package's value classes: slot records (the moves,
-presentations, certificates and search limits) and NamedTuple records."""
+presentations, certificates, search limits and integer matrices) and
+NamedTuple records."""
 
 import copy
 import pickle
@@ -11,6 +12,7 @@ import pytest
 
 from acforge.coset import CosetTable
 from acforge.dual import AugmentedPresentation, OrderingWitness
+from acforge.intmatrix import IntMatrix
 from acforge.moves import (
     AcCertificate,
     CyclicPermute,
@@ -37,6 +39,7 @@ SLOT_RECORDS = [
     AugmentedPresentation(("a", "b"), ((1, 2, -2), (2,))),
     AcCertificate(P, (InvertRelator(2),), P),
     SearchLimits(max_states=7),
+    IntMatrix([[1, -2], [0, 3]]),
 ]
 IDS = [type(r).__name__ for r in SLOT_RECORDS]
 
@@ -48,6 +51,8 @@ def test_equality_is_by_type_and_fields():
     assert P != (P.generators, P.relators)
     assert P != AugmentedPresentation(P.generators, P.relators)
     assert InvertRelator(1) != 1
+    assert IntMatrix([], ncols=2) != IntMatrix([], ncols=3)
+    assert IntMatrix([[1]]) != ((1,),)
 
 
 @pytest.mark.parametrize("record", SLOT_RECORDS, ids=IDS)
@@ -137,6 +142,7 @@ def test_repr_names_the_fields():
         "FiniteQuotientWitness(degree=2, images=((1, 0),), image_order=2)"
     )
     assert repr(OrderingWitness(())) == "OrderingWitness(per_generator=())"
+    assert repr(IntMatrix([[1, 2]])) == "IntMatrix(rows=((1, 2),), ncols=2)"
 
 
 @pytest.mark.parametrize("record", SLOT_RECORDS, ids=IDS)
@@ -149,6 +155,14 @@ def test_slot_records_are_frozen_and_pickle(record):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_a_matrix_counts_its_rows_and_keeps_its_width():
+    a = IntMatrix([], ncols=3)
+    assert (a.nrows, a.ncols) == (0, 3)
+    with pytest.raises(AttributeError):
+        a.nrows = 1
+    assert copy.deepcopy(a) == a == pickle.loads(pickle.dumps(a))
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
