@@ -32,7 +32,7 @@ from collections import defaultdict, deque
 from pathlib import Path
 from typing import DefaultDict, Deque, List, NamedTuple, Tuple
 
-from .intmatrix import exponent_matrix, invariant_factors
+from .intmatrix import _int, exponent_matrix, invariant_factors
 from .lemma2 import NotUnimodular, presentation_from_matrix
 from .moves import AcCertificate, format_certificate, parse_certificate, replay
 from .presentation import (
@@ -251,13 +251,19 @@ def format_witness(w: OrderingWitness) -> str:
 
 def parse_witness(text: str) -> OrderingWitness:
     per_generator = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         occs = []
-        for triple in line.split():
-            j, pos, sign = triple.split(":")
-            if sign not in ("+", "-"):
-                raise ValueError(f"bad sign {sign!r} in witness triple {triple!r}")
-            occs.append(Occurrence(int(j), int(pos), 1 if sign == "+" else -1))
+        try:
+            for triple in line.split():
+                fields = triple.split(":")
+                if len(fields) != 3:
+                    raise ValueError(f"witness triple {triple!r} has {len(fields)} fields, not 3")
+                j, pos, sign = fields
+                if sign not in ("+", "-"):
+                    raise ValueError(f"bad sign {sign!r} in witness triple {triple!r}")
+                occs.append(Occurrence(_int(j), _int(pos), 1 if sign == "+" else -1))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
         per_generator.append(tuple(occs))
     return OrderingWitness(tuple(per_generator))
 

@@ -98,7 +98,7 @@ def _int(x: str) -> int:
     try:
         return int(x)
     except ValueError:
-        digits = x[1:] if x[0] in "+-" else x
+        digits = x[1:] if x[:1] in "+-" else x
         if not digits.isdecimal():  # not a well-formed int
             raise
     raise ValueError(f"an entry of {len(digits)} digits is past the limit of {sys.get_int_max_str_digits()} digits")
@@ -174,6 +174,19 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _step(p: int, q: int) -> Tuple[int, int, int, int]:
+    """Coefficients (s, u, v, w) of a unimodular 2x2 step taking (p, q) to
+    (g, 0): s*p + u*q = g and v*p + w*q = 0, with s*w - u*v = 1.  When p
+    divides q it is the subtraction (1, 0, -q/p, 1) and g = p; otherwise g
+    is +-gcd(p, q), from the extended Euclidean algorithm."""
+    if q % p == 0:
+        return 1, 0, -(q // p), 1
+    s, s1, g, g1 = 1, 0, p, q  # invariant: g = s*p (mod q), and g1 likewise with s1
+    while g1:
+        s, s1, g, g1 = s1, s - g // g1 * s1, g1, g % g1
+    return s, (g - s * p) // q, -(q // g), p // g
+
+
 def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatrix]:
     """Diagonalize over the integers: returns ``(factors, U, V)``.
 
@@ -183,21 +196,21 @@ def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
     One list of rows carries all three: rows ``[a_i | U_i]`` over the m rows
     of V, so a row operation acts on a and U at once, and an operation on
     the first m entries of every row is a column operation on a and V.
+
+    Each pivot t is the least nonzero entry of the active block.  Column t
+    is cleared by ``_step`` on rows (t, i), then row t by ``_step`` on
+    columns (t, j) (gcd-step elimination, Cohen 1993, Alg. 2.4.14); if the
+    pivot does not divide every entry left, the row holding one is added to
+    row t.  A step on an entry the pivot divides is a plain subtraction;
+    a gcd step there could flip the pivot's sign and loop forever.  So the
+    loop ends: a gcd step makes |pivot| strictly smaller, since it becomes
+    |gcd(p, q)| < |p|; column t can fill again only after a gcd step on
+    the columns; and the divisibility fix is always followed by one.
     """
     n, m = a.nrows, a.ncols
     B: List[List[int]] = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.rows)]
     B += [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def col_swap(i, j):
-        for row in B:
-            row[i], row[j] = row[j], row[i]
-
-    def col_addmul(src, dst, c):  # col dst += c * col src
-        for row in B:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(n, m):
+    for t in range(min(n, m)):
         # pivot: the first nonzero entry of minimal absolute value in the
         # active block, row-major; nothing is smaller than a unit
         pivot = None
@@ -213,32 +226,23 @@ def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
                 break
         if pivot is None:
             break
-        if pivot[0] != t:
-            B[t], B[pivot[0]] = B[pivot[0]], B[t]
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
+        i, j = pivot
+        B[t], B[i] = B[i], B[t]
+        for row in B:
+            row[t], row[j] = row[j], row[t]
         while True:
-            # clear column t with row t, restarting if a smaller remainder appears
-            dirty = False
-            for i in range(n):
-                if i == t or B[i][t] == 0:
-                    continue
-                q = B[i][t] // B[t][t]
-                B[i] = [x - q * y for x, y in zip(B[i], B[t])]
-                if B[i][t] != 0:
-                    B[t], B[i] = B[i], B[t]
-                    dirty = True
-            if dirty:
-                continue
-            for j in range(m):
-                if j == t or B[t][j] == 0:
-                    continue
-                q = B[t][j] // B[t][t]
-                col_addmul(t, j, -q)
-                if B[t][j] != 0:
-                    col_swap(t, j)
-                    dirty = True
-            if dirty:
+            for i in range(t + 1, n):
+                if B[i][t]:
+                    s, u, v, w = _step(B[t][t], B[i][t])
+                    r, ri = B[t], B[i]
+                    B[t] = [s * x + u * y for x, y in zip(r, ri)]
+                    B[i] = [v * x + w * y for x, y in zip(r, ri)]
+            for j in range(t + 1, m):
+                if B[t][j]:
+                    s, u, v, w = _step(B[t][t], B[t][j])
+                    for row in B:
+                        row[t], row[j] = s * row[t] + u * row[j], v * row[t] + w * row[j]
+            if any(B[i][t] for i in range(t + 1, n)):
                 continue
             # divisibility: pivot must divide every remaining entry (a unit does)
             p = B[t][t]
@@ -249,7 +253,6 @@ def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
             B[t] = [x + y for x, y in zip(B[t], B[witness])]
         if B[t][t] < 0:
             B[t] = [-x for x in B[t]]
-        t += 1
     factors = tuple(B[i][i] for i in range(min(n, m)))
     return factors, IntMatrix([r[m:] for r in B[:n]], ncols=n), IntMatrix(B[n:], ncols=m)
 

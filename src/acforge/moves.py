@@ -423,6 +423,11 @@ def parse_certificate(text: str) -> AcCertificate:
     def _pres(line, keyword):
         return parse_presentation(line[len(keyword) :].strip())
 
+    def _fields(op, args, k):
+        if len(args) != k:
+            raise ValueError(f"{op} takes {k} field{'s' * (k != 1)}, got {len(args)}")
+        return map(_int, args)
+
     start = _pres(lines[0][1], "START")
     end = _pres(lines[-1][1], "END")
     moves: List[AcMove] = []
@@ -435,14 +440,11 @@ def parse_certificate(text: str) -> AcCertificate:
             op, args = fields[0], fields[1:]
             try:
                 if op == "CYC":
-                    i, k = args
-                    move: AcMove = CyclicPermute(_int(i), _int(k))
+                    move: AcMove = CyclicPermute(*_fields(op, args, 2))
                 elif op == "INV":
-                    (i,) = args
-                    move = InvertRelator(_int(i))
+                    move = InvertRelator(*_fields(op, args, 1))
                 elif op in ("MULR", "MULRI"):
-                    i, j = args
-                    move = MultiplyRight(_int(i), _int(j), 1 if op == "MULR" else -1)
+                    move = MultiplyRight(*_fields(op, args, 2), 1 if op == "MULR" else -1)
                 elif op == "STAB":
                     if names is None:
                         raise ValueError(
@@ -454,8 +456,7 @@ def parse_certificate(text: str) -> AcCertificate:
                     if stab_letters > MAX_LETTERS:
                         raise ValueError(f"STAB words expand to more than {MAX_LETTERS} letters")
                 elif op == "DESTAB":
-                    g, i = args
-                    move = Destabilize(_int(g), _int(i))
+                    move = Destabilize(*_fields(op, args, 2))
                 else:
                     raise ValueError(f"unknown move keyword {op!r}")
             except ValueError as e:

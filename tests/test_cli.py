@@ -14,6 +14,7 @@ import pytest
 from acforge import cli, coset, intmatrix, lemma2, moves
 from acforge.cli import build_parser, main
 from acforge.presentation import MAX_LETTERS, parse_presentation
+from test_intmatrix import dense_matrix
 
 DUAL_POINCARE = "< alpha, beta | alpha^2 beta^3, alpha^-1 beta^-2 >"
 AK2 = "< x, y | x^2 y^-3, x y x y^-1 x^-1 y^-1 >"
@@ -78,6 +79,8 @@ def test_verify_cert_malformed(run, tmp_path, text):
     assert err.startswith("error: ")
     if "PAIR" in text:
         assert "unknown move keyword" in err
+    if "MULR 1" in text:
+        assert "MULR takes 2 fields, got " in err
 
 
 def test_verify_cert_stab_after_invalid_move_is_a_failed_step(run, tmp_path):
@@ -688,6 +691,40 @@ def test_snf_result_past_the_digit_limit(run, tmp_path, fmt):
         "",
         f"error: FACTORS entry 2: an integer of 6001 digits is past the limit of {limit} digits\n",
     )
+
+
+def dense_presentation(e):
+    """< a1..an | ... >: relator i is a1^e_i1 ... an^e_in, zero exponents left out."""
+    gens = ", ".join(f"a{j}" for j in range(1, e.ncols + 1))
+    rels = ", ".join(" ".join(f"a{j}^{x}" for j, x in enumerate(row, 1) if x) for row in e.rows)
+    return f"< {gens} | {rels} >\n"
+
+
+def timed(run, *argv):
+    t0 = time.process_time()
+    result = run(*argv)
+    assert time.process_time() - t0 < 5, argv[0]
+    return result
+
+
+def test_dense_14_generators(run, tmp_path):
+    # the floor-division Smith normal form did not finish these in 60 s
+    e = dense_matrix(14)
+    pres = write(tmp_path, "d.pres", dense_presentation(e))
+    assert timed(run, "perfect", pres) == (1, "PERFECT false\n", "")
+    factors = (1,) * 13 + (1438117468352700,)
+    assert timed(run, "theorem3", pres, "-o", tmp_path / "bundle") == (
+        2,
+        "",
+        f"error: presentation is not perfect: det 1438117468352700, invariant factors {factors}\n",
+    )
+    rc, out, err = timed(run, "snf", write(tmp_path, "d.mat", intmatrix.matrix_to_text(e)))
+    assert (rc, err) == (0, "")
+    head, rest = out.split("\nU\n")
+    u, v = rest.split("V\n")
+    assert head == "FACTORS " + " ".join(map(str, factors))
+    d = intmatrix.matrix_from_text(u) @ e @ intmatrix.matrix_from_text(v)
+    assert d.rows == tuple(tuple(f if i == j else 0 for j in range(14)) for i, f in enumerate(factors))
 
 
 def test_matrix_text_names_the_entry_past_the_digit_limit():

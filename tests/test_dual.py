@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -36,6 +37,7 @@ from acforge.presentation import (
     parse_presentation,
 )
 from acforge.words import free_reduce
+from test_coset import exactly
 
 RAPAPORT = parse_presentation("< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >")
 POINCARE = parse_presentation("< a, b | a b^2 a b^-1, a^4 b a^-1 b >")
@@ -168,7 +170,7 @@ def test_align_poincare():
     assert verify_knot_certificate(kc) == []
     assert dualize(kc.augmented, kc.witness) == kc.dual
     assert replay(kc.trivialization)
-    assert enumerate_cosets(kc.dual, max_cosets=10_000) == Finite(1)
+    assert exactly(enumerate_cosets(kc.dual, max_cosets=10_000), Finite(1))
     assert replay(invert_certificate(kc.trivialization))
 
 
@@ -176,7 +178,7 @@ def test_align_rapaport():
     kc = align(RAPAPORT)
     assert kc.source == RAPAPORT
     assert verify_knot_certificate(kc) == []
-    assert enumerate_cosets(kc.dual, max_cosets=10_000) == Finite(1)
+    assert exactly(enumerate_cosets(kc.dual, max_cosets=10_000), Finite(1))
 
 
 @pytest.mark.parametrize(
@@ -329,10 +331,41 @@ def test_align_matches_the_two_phase_reference():
     assert both > 0
 
 
-@pytest.mark.parametrize("text", ["1:0:", "1:1:+-", "1:0:x", "1:0:++", "1:0"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1:0:",
+        "1:1:+-",
+        "1:0:x",
+        "1:0:++",
+        "1:0",
+        pytest.param("1:" + "9" * 5000 + ":+", id="5000-digits"),
+        "1:2",
+        ":0:+",
+    ],
+)
 def test_parse_witness_rejects_bad_triples(text):
-    with pytest.raises(ValueError):
+    # a ValueError naming the line, never an IndexError or a bare unpacking error
+    with pytest.raises(ValueError, match=r"^line 1: "):
         parse_witness(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "1:" + "9" * 5000 + ":+",
+            f"line 1: an entry of 5000 digits is past the limit of {sys.get_int_max_str_digits()} digits",
+        ),
+        ("1:2", "line 1: witness triple '1:2' has 2 fields, not 3"),
+        ("1:0:+\n2:1:- 3:1:+:5", "line 2: witness triple '3:1:+:5' has 4 fields, not 3"),
+    ],
+    ids=["digits", "two-fields", "second-line"],
+)
+def test_parse_witness_names_the_line_and_the_field(text, message):
+    with pytest.raises(ValueError) as e:
+        parse_witness(text)
+    assert str(e.value) == message
 
 
 def test_dualize_checks_only_a_witness_it_is_given(monkeypatch):

@@ -273,14 +273,15 @@ def snf_triple(a, snf=smith_normal_form):
 
 
 def test_snf_matches_reference_on_random_matrices():
-    # the one-row-list form and its unit-pivot exits change no operation,
-    # so factors, U and V are equal, not just equivalent
+    # where the pivot does not divide an entry, a gcd step replaces the
+    # reference's floor division and swap, so U and V may differ; the
+    # factors are equal and U and V are checked on their own
     rng = random.Random(31)
     for _ in range(3000):
         n = rng.randint(0, 6)
         m = rng.randint(0, 6)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)], ncols=m)
-        assert snf_triple(a) == snf_triple(a, reference_snf), a
+        assert check_snf(a) == reference_snf(a)[0], a
 
 
 @pytest.mark.parametrize("variant", [(1, 2), (2, 3)])
@@ -302,6 +303,31 @@ def test_snf_factors_match_sympy():
         expected = [int(f) for f in normalforms.invariant_factors(Matrix(rows), domain=ZZ)]
         expected += [0] * (min(n, m) - len(expected))
         assert invariant_factors(IntMatrix(rows, ncols=m)) == tuple(expected), rows
+
+
+def dense_matrix(n, hi=9):
+    rng = random.Random(7)
+    return IntMatrix([[rng.randint(-hi, hi) for _ in range(n)] for _ in range(n)])
+
+
+def test_snf_stays_small_on_a_dense_matrix():
+    # floor division with swaps and restarts reached 211,832-bit entries
+    # of U and V here, after 12 s; gcd steps stay near 550 bits
+    a = dense_matrix(12)
+    check_snf(a)
+    _, u, v = smith_normal_form(a)
+    assert max(abs(x).bit_length() for w in (u, v) for r in w.rows for x in r) <= 1000
+
+
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("hi", [9, 99])
+def test_snf_factors_match_sympy_on_dense_matrices(n, hi):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    a = dense_matrix(n, hi)
+    expected = [int(f) for f in normalforms.invariant_factors(Matrix(a.rows), domain=ZZ)]
+    assert check_snf(a) == tuple(expected + [0] * (n - len(expected)))
 
 
 def test_perfect_higman_600_is_fast():

@@ -458,6 +458,23 @@ def test_parse_certificate_errors():
             parse_certificate(f"START < a, b | a, b >\n{line}\nEND < a, b | a, b >\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("CYC 1", "CYC takes 2 fields, got 1"),
+        ("INV", "INV takes 1 field, got 0"),
+        ("INV 1 2", "INV takes 1 field, got 2"),
+        ("MULR 1", "MULR takes 2 fields, got 1"),
+        ("MULRI 1 2 3", "MULRI takes 2 fields, got 3"),
+        ("DESTAB 2", "DESTAB takes 2 fields, got 1"),
+    ],
+)
+def test_parse_certificate_names_the_field_count(line, message):
+    with pytest.raises(CertificateError) as e:
+        parse_certificate(f"START < a, b | a, b >\n{line}\nEND < a, b | a, b >\n")
+    assert str(e.value) == f"line 2: {message}"
+
+
 def test_trusted_results_equal_validated_ones():
     # apply_move skips the validating constructor; its results must be exactly
     # what that constructor would store, along whole chains of moves
