@@ -152,8 +152,6 @@ def check_entry(entry: CorpusEntry) -> List[str]:
     elif entry.order_expectation == NONTRIVIAL_OR_CAP:
         if isinstance(result, Finite) and result.order == 1:
             problems.append("order: triviality wrongly claimed")
-    else:
-        problems.append(f"unknown order expectation {entry.order_expectation!r}")
 
     if entry.ac_trivializable is not None:
         limits = SearchLimits(max_depth=entry.search_depth)

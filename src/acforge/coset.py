@@ -108,10 +108,6 @@ class CosetTable(NamedTuple):
     def order(self) -> int:
         return len(self.rows)
 
-    def generator_permutation(self, g: int) -> Tuple[int, ...]:
-        """Action of generator g (1-based) on cosets, as an image tuple."""
-        return tuple(map(itemgetter(column(g)), self.rows))
-
 
 class _Enumerator:
     """HLT enumeration on one flat list (layout in the module docstring)."""

@@ -44,7 +44,7 @@ from .presentation import (
     require_balanced,
 )
 from .record import Record, set_field
-from .words import Word, free_reduce
+from .words import Word
 
 
 class Occurrence(NamedTuple):
@@ -82,7 +82,7 @@ class AugmentedPresentation(Record):
         set_field(self, "relators", relators)
 
     def reduced(self) -> Presentation:
-        return Presentation(self.generators, tuple(free_reduce(r) for r in self.relators))
+        return Presentation(self.generators, self.relators)
 
 
 class KnotCertificate(NamedTuple):
@@ -132,10 +132,6 @@ def _check_witness(p, w: OrderingWitness):
             )
 
 
-def dual_generator_names(n: int) -> Tuple[str, ...]:
-    return tuple(f"x{k}" for k in range(1, n + 1))
-
-
 def dualize(p, w: OrderingWitness | None = None) -> Presentation:
     """The dual presentation under the given (default: scan-order) witness.
 
@@ -147,10 +143,8 @@ def dualize(p, w: OrderingWitness | None = None) -> Presentation:
         w = default_witness(p)
     else:
         _check_witness(p, w)
-    relators = tuple(
-        free_reduce([occ.sign * occ.relator for occ in occs]) for occs in w.per_generator
-    )
-    return Presentation(dual_generator_names(len(p.generators)), relators)
+    relators = tuple([occ.sign * occ.relator for occ in occs] for occs in w.per_generator)
+    return Presentation(tuple(f"x{k}" for k in range(1, len(p.generators) + 1)), relators)
 
 
 def align(p: Presentation) -> KnotCertificate:

@@ -41,10 +41,10 @@ exponent e is |e| lines, any other move one line.
 Certificate files are line-based: ``START <presentation>``, one unit move
 per line (``MULR i j`` for exponent +1, ``MULRI i j`` for -1), ``END
 <presentation>``.  Indices are 1-based.  STAB words are written with
-generator names, which reading and writing follow from the START names
-alone (STAB appends the first free x-name, DESTAB drops the last name);
-neither replays the moves.  Any other keyword, including the pair
-insertion and deletion lines of older files, is rejected as unknown.
+generator names, followed from the START names without replay by one
+rule: STAB appends the first free x-name, a DESTAB of the last generator
+drops it, any other DESTAB changes no name.  Any other keyword, including
+the pair insertion and deletion lines of older files, is rejected as unknown.
 """
 
 from __future__ import annotations
@@ -183,24 +183,22 @@ class _Names:
             name = f"x{self.k}"
         return name
 
-    def follow(self, move: AcMove) -> bool:
-        """Follow ``move`` without applying it: exact for every move that
-        applies.  False once the names cannot be followed: after a DESTAB of
-        a generator other than the last, a move that never applies."""
+    def follow(self, move: AcMove) -> None:
+        """Follow ``move`` by the naming rule of certificate text: a STAB
+        appends the first free x-name, a DESTAB of the last generator drops
+        that name, nothing else renames.  Exact until a move fails replay, as
+        any other DESTAB does, so no later STAB word can change a verdict."""
         if isinstance(move, Stabilize):
             name = self.fresh()
             self.names.append(name)
             self.index[name] = len(self.names)
-        elif isinstance(move, Destabilize):
-            if move.generator != len(self.names):
-                return False
+        elif isinstance(move, Destabilize) and move.generator == len(self.names) > 0:
             name = self.names.pop()
             del self.index[name]
             # x{j} with 1 <= j < k is free again; a longer digit string is > k
             digits = name[1:]
             if name[0] == "x" and 0 < len(digits) <= len(str(self.k)) and digits[0] != "0" and digits.isdecimal():
                 self.k = min(self.k, int(digits))
-        return True
 
 
 def _relator(p, i: int) -> Word:
@@ -380,10 +378,11 @@ def invert_certificate(cert: AcCertificate) -> AcCertificate:
 
 
 def format_certificate(cert: AcCertificate) -> str:
-    """Serialize, one line per unit move; STAB words print with the
-    generator names live at that step."""
+    """Serialize, one line per unit move.  STAB words print with the names
+    ``parse_certificate`` follows (``_Names.follow``: STAB appends a fresh
+    x-name, DESTAB of the last generator drops it, no other move renames)."""
     lines = [f"START {format_presentation(cert.start)}"]
-    names: Optional[_Names] = _Names(cert.start.generators)
+    names = _Names(cert.start.generators)
     for move in cert.moves:
         if isinstance(move, CyclicPermute):
             lines.append(f"CYC {move.relator} {move.shift}")
@@ -393,23 +392,23 @@ def format_certificate(cert: AcCertificate) -> str:
             op = "MULR" if move.exponent > 0 else "MULRI"
             lines.extend([f"{op} {move.relator} {move.other}"] * abs(move.exponent))
         elif isinstance(move, Stabilize):
-            if names is None or any(abs(x) > len(names.names) for x in move.word):
+            if any(abs(x) > len(names.names) for x in move.word):
                 raise CertificateError(f"step {len(lines) - 1}: cannot name the letters of the STAB word")
             lines.append(f"STAB {format_word(move.word, names.names)}")
         elif isinstance(move, Destabilize):
             lines.append(f"DESTAB {move.generator} {move.relator}")
         else:
             raise CertificateError(f"unknown move {move!r}")
-        if names is not None and not names.follow(move):
-            names = None
+        names.follow(move)
     lines.append(f"END {format_presentation(cert.end)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> AcCertificate:
-    """Parse a certificate file; STAB words resolve against the generator
-    names followed from START, without replaying the moves.  A line equal
-    to the one before it is the same move again and is not parsed twice."""
+    """Parse a certificate file.  STAB words resolve against the names
+    followed from START without replay (``_Names.follow``: STAB appends a
+    fresh x-name, DESTAB of the last generator drops it, no other move
+    renames).  A line equal to the one before is the same move, parsed once."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -420,18 +419,15 @@ def parse_certificate(text: str) -> AcCertificate:
     if not lines[-1][1].startswith("END"):
         raise CertificateError("certificate must finish with an END line")
 
-    def _pres(line, keyword):
-        return parse_presentation(line[len(keyword) :].strip())
-
     def _fields(op, args, k):
         if len(args) != k:
             raise ValueError(f"{op} takes {k} field{'s' * (k != 1)}, got {len(args)}")
         return map(_int, args)
 
-    start = _pres(lines[0][1], "START")
-    end = _pres(lines[-1][1], "END")
+    start = parse_presentation(lines[0][1][len("START") :].strip())
+    end = parse_presentation(lines[-1][1][len("END") :].strip())
     moves: List[AcMove] = []
-    names: Optional[_Names] = _Names(start.generators)
+    names = _Names(start.generators)
     prev = None
     stab_letters = 0
     for lineno, line in lines[1:-1]:
@@ -446,11 +442,6 @@ def parse_certificate(text: str) -> AcCertificate:
                 elif op in ("MULR", "MULRI"):
                     move = MultiplyRight(*_fields(op, args, 2), 1 if op == "MULR" else -1)
                 elif op == "STAB":
-                    if names is None:
-                        raise ValueError(
-                            "cannot resolve STAB word after a DESTAB of a generator "
-                            "other than the last"
-                        )
                     move = Stabilize(parse_word(line[len("STAB") :].strip(), names.index))
                     stab_letters += len(move.word)
                     if stab_letters > MAX_LETTERS:
@@ -462,6 +453,5 @@ def parse_certificate(text: str) -> AcCertificate:
             except ValueError as e:
                 raise CertificateError(f"line {lineno}: {e}")
         moves.append(move)
-        if names is not None and not names.follow(move):
-            names = None
+        names.follow(move)
     return AcCertificate(start, tuple(moves), end)

@@ -290,9 +290,8 @@ def find_nontrivial_quotient(
     for bound in range(2, max_degree + 1):
         table, refused = _low_index_table(words_by_col, 2 * m, bound)
         if table is not None:
-            t = CosetTable(m, tuple(map(tuple, table)))
-            images = tuple(t.generator_permutation(g) for g in range(1, m + 1))
-            return FiniteQuotientWitness(t.order, images, permutation_group_order(images, t.order))
+            images = tuple(zip(*table))[::2]  # the columns of g = 1..m
+            return FiniteQuotientWitness(len(table), images, permutation_group_order(images, len(table)))
         if not refused:
             break
     return None

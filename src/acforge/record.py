@@ -5,10 +5,11 @@ constructor's parameters, and sets them in ``__init__`` with ``set_field``
 (records are frozen, so plain assignment raises).  Equality and hash go
 by type and fields, so records of different classes never compare equal
 and a record never equals a tuple; the repr is ``Name(field=value, ...)``.
-Plain records with no checks in their constructor are
-``typing.NamedTuple`` classes instead.  Both forms are cheap to define,
-which keeps the start of every CLI process short: neither imports
-``inspect`` nor generates code per class.
+Records are the classes whose constructor checks its fields, and the five
+AC moves, which check nothing but need that equality: ``CyclicPermute(1, 2)``
+is not ``Destabilize(1, 2)``.  The rest are ``typing.NamedTuple`` classes.
+Both forms are cheap to define, so every CLI process starts quickly:
+neither imports ``inspect`` nor generates code per class.
 """
 
 from __future__ import annotations

@@ -99,11 +99,24 @@ def test_verify_cert_failed_step_counts_lines_not_merged_moves(run, tmp_path):
 
 
 def test_verify_cert_stab_after_destab_of_inner_generator(run, tmp_path):
-    # which name such a DESTAB would drop is unknown, so the STAB cannot be read
+    # a DESTAB of a generator other than the last changes no name and fails
+    # replay, so the STAB after it is read against the START names and the
+    # file is a failed step, like any other invalid move
     text = "START < a, b | a, b >\nDESTAB 1 1\nSTAB b\nEND < b | b >\n"
-    rc, out, err = run("verify-cert", write(tmp_path, "c.cert", text))
-    assert (rc, out) == (2, "")
-    assert "cannot resolve STAB word" in err
+    assert run("verify-cert", write(tmp_path, "c.cert", text)) == (1, "FAILED step 0\n", "")
+
+
+@pytest.mark.parametrize(
+    "moves, step",
+    [(["DESTAB 0 1"], 0), (["DESTAB 1 1", "DESTAB 0 1"], 1)],
+    ids=["from-empty", "after-the-last"],
+)
+def test_verify_cert_destab_of_generator_zero_is_a_failed_step(run, tmp_path, moves, step):
+    # no generator is left to drop, so the names stay as they are and the
+    # move fails replay; it must not pop from an empty name list
+    start = "< | >" if step == 0 else "< a | a >"
+    text = "\n".join([f"START {start}"] + moves + ["END < | >"]) + "\n"
+    assert run("verify-cert", write(tmp_path, "c.cert", text)) == (1, f"FAILED step {step}\n", "")
 
 
 @pytest.mark.parametrize("popped", ["x0", "x" + "9" * 4301], ids=["x0", "x_4301_digits"])
@@ -335,6 +348,20 @@ def test_lemma2_malformed_matrix(run, tmp_path, text, message):
     rc, out, err = run("lemma2", write(tmp_path, "bad.mat", text))
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["snf", "lemma2"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty matrix text"),
+        ("2\n", "expected 'n m' header, got '2'"),
+        ("-1 2\n", "negative dimensions"),
+    ],
+    ids=["empty", "one-field-header", "negative"],
+)
+def test_malformed_matrix_header(run, tmp_path, command, text, message):
+    assert run(command, write(tmp_path, "bad.mat", text)) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["snf", "lemma2"])

@@ -438,8 +438,11 @@ def test_verify_knot_certificate_names_a_changed_dual(move, move_dual, problems)
         # starts at < a | a > and destabilizes it first, so it still replays
         ("START < | >\n", "START < a | a >\nDESTAB 1 1\n", "trivialization does not start at the empty presentation"),
         ("MULRI 1 2\n", "MULR 1 2\n", "trivialization certificate does not replay"),
+        # no generator is left to drop: the move fails replay, and reading it
+        # must not pop from an empty name list
+        ("START < | >\n", "START < | >\nDESTAB 0 1\n", "trivialization certificate does not replay"),
     ],
-    ids=["start", "replay"],
+    ids=["start", "replay", "destab-0"],
 )
 def test_verify_knot_certificate_names_a_changed_trivialization(tmp_path, old, new, problem):
     write_bundle(align(POINCARE), tmp_path)

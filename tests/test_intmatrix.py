@@ -175,6 +175,13 @@ def test_matrix_text_zero_columns_keeps_the_row_check():
         matrix_from_text("1 0\n5\n")
 
 
+def test_intmatrix_refuses_ragged_rows_and_a_wrong_ncols():
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ncols=2 does not match row width 1"):
+        IntMatrix([[1]], ncols=2)
+
+
 def test_only_a_well_formed_int_is_called_past_the_digit_limit():
     # a sign, then digits past the limit, is well formed; two signs are not
     digits = sys.get_int_max_str_digits() + 1

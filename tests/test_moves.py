@@ -443,6 +443,15 @@ def test_certificate_text_round_trips_random_chains():
         assert parse_certificate(format_certificate(cert)) == cert
 
 
+def test_format_certificate_of_a_destab_with_no_generator_left():
+    # DESTAB 0 drops no name; the writer prints it and goes on
+    cert = AcCertificate(EMPTY_PRESENTATION, (Destabilize(0, 1), Stabilize(())), pres("< x1 | x1 >"))
+    text = format_certificate(cert)
+    assert text == "START < | >\nDESTAB 0 1\nSTAB 1\nEND < x1 | x1 >\n"
+    assert parse_certificate(text) == cert
+    assert replay_trace(cert)[:2] == (False, 0)
+
+
 def test_parse_certificate_errors():
     with pytest.raises(CertificateError):
         parse_certificate("INV 1\nEND < | >\n")
