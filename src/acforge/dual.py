@@ -44,7 +44,7 @@ from .presentation import (
     require_balanced,
 )
 from .record import Record, set_field
-from .words import Word
+from .words import Word, check_letters
 
 
 class Occurrence(NamedTuple):
@@ -65,19 +65,16 @@ class OrderingWitness(NamedTuple):
 class AugmentedPresentation(Record):
     """A presentation whose relators are raw letter sequences.
 
-    Cancelling pairs are preserved; ``reduced()`` collapses back to the
-    ordinary presentation.
+    Cancelling pairs are preserved (letters pass ``words.check_letters``);
+    ``reduced()`` collapses back to the ordinary presentation.
     """
 
     __slots__ = ("generators", "relators")
 
     def __init__(self, generators: Tuple[str, ...], relators: Tuple[Word, ...]):
         check_generator_names(generators)
-        m = len(generators)
         for r in relators:
-            for x in r:
-                if not isinstance(x, int) or x == 0 or abs(x) > m:
-                    raise ValueError(f"bad relator letter {x!r}")
+            check_letters(r, len(generators))
         set_field(self, "generators", generators)
         set_field(self, "relators", relators)
 

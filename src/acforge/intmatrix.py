@@ -193,9 +193,30 @@ def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
     ``U @ a @ V`` is diagonal with the nonnegative invariant factors on the
     diagonal, each dividing the next (zeros last); U and V are unimodular.
 
-    One list of rows carries all three: rows ``[a_i | U_i]`` over the m rows
-    of V, so a row operation acts on a and U at once, and an operation on
-    the first m entries of every row is a column operation on a and V.
+    One list of rows carries all three through ``_eliminate``: rows
+    ``[a_i | U_i]`` over the m rows of V, so a row operation acts on a and
+    U at once, and an operation on the first m entries of every row is a
+    column operation on a and V.
+    """
+    n, m = a.nrows, a.ncols
+    B: List[List[int]] = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.rows)]
+    B += [[int(i == j) for j in range(m)] for i in range(m)]
+    factors = _eliminate(B, n, m)
+    return factors, IntMatrix([r[m:] for r in B[:n]], ncols=n), IntMatrix(B[n:], ncols=m)
+
+
+def invariant_factors(a: IntMatrix) -> Tuple[int, ...]:
+    """The factors of ``smith_normal_form(a)``, by the same elimination on
+    the rows of a alone, so no U or V is built."""
+    return _eliminate([list(r) for r in a.rows], a.nrows, a.ncols)
+
+
+def _eliminate(B: List[List[int]], n: int, m: int) -> Tuple[int, ...]:
+    """Bring the top-left n x m block of the rows B to Smith normal form in
+    place and return its diagonal.  A row operation acts on a whole row
+    among the first n, a column operation on column t or j of every row,
+    so entries past the block (U beside it, V below) follow the same steps
+    and the block's pivots and steps do not depend on them.
 
     Each pivot t is the least nonzero entry of the active block.  Column t
     is cleared by ``_step`` on rows (t, i), then row t by ``_step`` on
@@ -207,9 +228,6 @@ def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
     |gcd(p, q)| < |p|; column t can fill again only after a gcd step on
     the columns; and the divisibility fix is always followed by one.
     """
-    n, m = a.nrows, a.ncols
-    B: List[List[int]] = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.rows)]
-    B += [[int(i == j) for j in range(m)] for i in range(m)]
     for t in range(min(n, m)):
         # pivot: the first nonzero entry of minimal absolute value in the
         # active block, row-major; nothing is smaller than a unit
@@ -253,12 +271,7 @@ def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
             B[t] = [x + y for x, y in zip(B[t], B[witness])]
         if B[t][t] < 0:
             B[t] = [-x for x in B[t]]
-    factors = tuple(B[i][i] for i in range(min(n, m)))
-    return factors, IntMatrix([r[m:] for r in B[:n]], ncols=n), IntMatrix(B[n:], ncols=m)
-
-
-def invariant_factors(a: IntMatrix) -> Tuple[int, ...]:
-    return smith_normal_form(a)[0]
+    return tuple(B[i][i] for i in range(min(n, m)))
 
 
 def trivial_abelianization(factors: Sequence[int], m: int) -> bool:

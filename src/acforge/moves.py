@@ -20,7 +20,8 @@ edits one replay state in place: a list of relators, a running letter
 count, and the generator names followed through STAB and DESTAB.  A
 Presentation is built only where a caller keeps one, and without the
 validating constructor: every move keeps the relators freely reduced and
-in range, and a new generator takes the first free name x1, x2, ....
+in range (a STAB word passes ``words.check_letters`` unreduced), and a new
+generator takes the first free name x1, x2, ....
 
 Memory is bounded as in the parser: a MultiplyRight or Stabilize whose
 result would hold more than ``MAX_LETTERS`` letters in total, counted
@@ -62,7 +63,7 @@ from .presentation import (
     parse_word,
 )
 from .record import Record, set_field
-from .words import Word, concat, free_reduce, invert, power, rotate
+from .words import Word, check_letters, concat, free_reduce, invert, power, rotate
 
 
 class MoveError(ValueError):
@@ -263,10 +264,11 @@ class _Replay:
         elif isinstance(move, Stabilize):
             m = len(self.generators)
             self._grow(1 + len(move.word))
+            try:
+                check_letters(move.word, m)
+            except ValueError as e:
+                raise MoveError(f"STAB word: {e}") from None
             w = free_reduce(move.word)
-            for x in w:
-                if abs(x) > m:
-                    raise MoveError(f"stabilizing word letter {x} exceeds generator count {m}")
             self._follow(move)
             rels.append((m + 1,) + w)
             self.letters += 1 + len(w)
@@ -392,8 +394,10 @@ def format_certificate(cert: AcCertificate) -> str:
             op = "MULR" if move.exponent > 0 else "MULRI"
             lines.extend([f"{op} {move.relator} {move.other}"] * abs(move.exponent))
         elif isinstance(move, Stabilize):
-            if any(abs(x) > len(names.names) for x in move.word):
-                raise CertificateError(f"step {len(lines) - 1}: cannot name the letters of the STAB word")
+            try:
+                check_letters(move.word, len(names.names))
+            except ValueError as e:
+                raise CertificateError(f"step {len(lines) - 1}: STAB word: {e}") from None
             lines.append(f"STAB {format_word(move.word, names.names)}")
         elif isinstance(move, Destabilize):
             lines.append(f"DESTAB {move.generator} {move.relator}")

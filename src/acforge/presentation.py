@@ -32,7 +32,7 @@ import re
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .record import Record, set_field
-from .words import Word, free_reduce
+from .words import Word, check_letters, free_reduce
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -71,18 +71,15 @@ class Presentation(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the names and letters and store the relators reduced; a
-        method of its own, looked up on each construction, so that a
-        profiler can wrap it."""
+        """Check the names, and each raw relator with ``words.check_letters``,
+        and store the relators reduced; a method of its own, looked up on
+        each construction, so that a profiler can wrap it."""
         check_generator_names(self.generators)
         m = len(self.generators)
         reduced = []
         for r in self.relators:
-            w = free_reduce(r)
-            for x in w:
-                if abs(x) > m:
-                    raise ValueError(f"relator letter {x} exceeds generator count {m}")
-            reduced.append(w)
+            check_letters(r, m)
+            reduced.append(free_reduce(r))
         set_field(self, "relators", tuple(reduced))
 
 

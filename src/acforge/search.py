@@ -59,7 +59,7 @@ from .moves import (
 )
 from .presentation import EMPTY_PRESENTATION, Presentation, require_balanced
 from .record import Record, set_field
-from .words import Word, column, cyclic_reduce, invert, letter, rotate
+from .words import Word, column, cyclic_reduce, letter
 
 
 class SearchLimits(Record):
@@ -224,13 +224,13 @@ def _normalize_relator(state: _Replay, i: int, moves: List[AcMove]) -> None:
     step: List[AcMove] = [CyclicPermute(i, 1)] * len(conjugator)
     target = canonical_relator(core)
     if core != target:
-        n = len(core)
-        inv = invert(core)
-        k = ([rotate(core, b) for b in range(n)] + [rotate(inv, b) for b in range(n)]).index(target)
-        if k >= n:
+        c, t = _code(core), _code(target)
+        k = (c * 2).find(t)  # the first match is the least shift
+        if k < 0:
             step.append(InvertRelator(i))
-        if k % n:
-            step.append(CyclicPermute(i, k % n))
+            k = (c[::-1].translate(_FLIP) * 2).find(t)
+        if k:
+            step.append(CyclicPermute(i, k))
     for mv in step:
         state.apply(mv)
     moves.extend(step)

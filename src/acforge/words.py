@@ -5,6 +5,9 @@ A letter is a nonzero int: ``+g`` is generator number ``g`` (1-based) and
 Every constructor returns a freely reduced tuple; free reduction is a
 normal form, so word equality is plain tuple equality.
 
+A letter of m generators is an int x with 1 <= |x| <= m; ``check_letters``
+is the one check of that rule, made on the raw word before any reduction.
+
 The package's tools that index by letter (the AC search's byte words, the
 coset table and the quotient backtrack) use one letter code, ``column``:
 the nonnegative int ``2(g-1)`` for generator g and ``2(g-1)+1`` for its
@@ -102,13 +105,21 @@ def letter(c: int) -> int:
     return -(c >> 1) - 1 if c & 1 else (c >> 1) + 1
 
 
+def check_letters(w: Sequence[int], m: int) -> None:
+    """Raise ValueError naming the first entry of w that is not a letter of
+    m generators, that is not an int x with 1 <= |x| <= m."""
+    for x in w:
+        if not isinstance(x, int) or not 0 < abs(x) <= m:
+            # an earlier occurrence of the same object would have failed first
+            k = next(k for k, y in enumerate(w, 1) if y is x)
+            raise ValueError(f"entry {k} of the word, {x!r}, is not a letter of {m} generator(s)")
+
+
 def exponent_vector(w: Sequence[int], n_gens: int) -> Tuple[int, ...]:
     """Signed occurrence count of each generator, as a length-``n_gens`` tuple."""
+    check_letters(w, n_gens)
     vec = [0] * n_gens
     for x in w:
-        g = abs(x)
-        if g > n_gens:
-            raise ValueError(f"letter {x} out of range for {n_gens} generator(s)")
-        vec[g - 1] += 1 if x > 0 else -1
+        vec[abs(x) - 1] += 1 if x > 0 else -1
     return tuple(vec)
 

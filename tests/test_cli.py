@@ -754,6 +754,18 @@ def test_dense_14_generators(run, tmp_path):
     assert d.rows == tuple(tuple(f if i == j else 0 for j in range(14)) for i, f in enumerate(factors))
 
 
+def test_dense_40_generators(run, tmp_path):
+    # the factors took about a minute while U and V were built beside them
+    pres = write(tmp_path, "d.pres", dense_presentation(dense_matrix(40)))
+    assert timed(run, "perfect", pres) == (1, "PERFECT false\n", "")
+    det = 11266311261325612794844974514138411613282906372394540
+    assert timed(run, "theorem3", pres, "-o", tmp_path / "bundle") == (
+        2,
+        "",
+        f"error: presentation is not perfect: det {det}, invariant factors {(1,) * 39 + (det,)}\n",
+    )
+
+
 def test_matrix_text_names_the_entry_past_the_digit_limit():
     a = intmatrix.IntMatrix([[1, 2], [3, 10 ** (sys.get_int_max_str_digits() + 5)]])
     with pytest.raises(ValueError, match=r"^U row 2 entry 2: an integer of \d+ digits is past the limit"):
@@ -791,14 +803,16 @@ def test_theorem3_higman_600_is_fast(run, tmp_path):
 
 
 def test_perfect_runs_one_smith_normal_form(run, tmp_path, monkeypatch):
-    calls = []
-    snf = intmatrix.smith_normal_form
-    monkeypatch.setattr(intmatrix, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+    # one elimination per run, on the matrix alone: U and V are never built
+    calls, snf_calls = [], []
+    eliminate, snf = intmatrix._eliminate, intmatrix.smith_normal_form
+    monkeypatch.setattr(intmatrix, "_eliminate", lambda *a: calls.append(a) or eliminate(*a))
+    monkeypatch.setattr(intmatrix, "smith_normal_form", lambda a: snf_calls.append(a) or snf(a))
     path = write(tmp_path, "p.pres", "< a, b | a^2 b^3, a b^2 a b^2 >")
     assert run("perfect", path) == (1, "PERFECT false\n", "")
     rc, out, _ = run("perfect", path, "--format", "json")
     assert rc == 1 and json.loads(out)["data"] == {"perfect": False, "invariant_factors": [1, 2]}
-    assert len(calls) == 2
+    assert len(calls) == 2 and snf_calls == []
 
 
 def test_theorem3_bundle_is_deterministic(run, tmp_path):

@@ -58,6 +58,16 @@ def random_balanced(rng, max_gens=4, max_len=10):
     return Presentation(gens, rels)
 
 
+def test_letters_are_checked_before_reduction_in_both_presentations():
+    # a cancelling pair of an out-of-range letter used to be reduced away
+    # by Presentation and rejected by AugmentedPresentation
+    message = "^entry 1 of the word, 5, is not a letter of 1 generator\\(s\\)$"
+    with pytest.raises(ValueError, match=message):
+        Presentation(("a",), ((5, -5),))
+    with pytest.raises(ValueError, match=message):
+        AugmentedPresentation(("a",), ((5, -5),))
+
+
 def test_default_witness_single_generator():
     w = default_witness(parse_presentation("< a | a >"))
     assert w.per_generator == ((Occurrence(1, 0, 1),),)

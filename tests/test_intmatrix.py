@@ -42,6 +42,16 @@ def random_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
+def test_matrix_of_no_rows_has_no_columns():
+    a = IntMatrix([])
+    assert (a.nrows, a.ncols, a.rows) == (0, 0, ())
+
+
+def test_product_of_mismatched_shapes_is_refused():
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
+
+
 def test_exponent_matrix_examples():
     assert exponent_matrix(RAPAPORT).rows == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
     assert exponent_matrix(POINCARE).rows == ((2, 1), (3, 2))
@@ -288,7 +298,9 @@ def test_snf_matches_reference_on_random_matrices():
         n = rng.randint(0, 6)
         m = rng.randint(0, 6)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)], ncols=m)
-        assert check_snf(a) == reference_snf(a)[0], a
+        factors = check_snf(a)
+        assert factors == reference_snf(a)[0], a
+        assert invariant_factors(a) == factors, a
 
 
 @pytest.mark.parametrize("variant", [(1, 2), (2, 3)])

@@ -1,7 +1,11 @@
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acforge.intmatrix import IntMatrix, determinant, exponent_matrix
 from acforge.lemma2 import MAX_ROW_ADDITIONS, decompose_unimodular, presentation_from_matrix
@@ -253,3 +257,38 @@ def test_random_matrices_round_trip():
         assert replay(cert)
         assert replay(invert_certificate(cert))
         assert total_letters(p) < 100_000  # no silent blowup at this scale
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """I of size 1..4 after up to 8 row negations and row additions
+    row t += c * row s, c in -3..3."""
+    n = draw(st.integers(1, 4))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        t = draw(st.integers(0, n - 1))
+        s = draw(st.integers(0, n - 1))
+        if s == t:
+            rows[t] = [-x for x in rows[t]]
+        else:
+            c = draw(st.integers(-3, 3))
+            rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
+    return IntMatrix(rows, ncols=n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(unimodular_matrices())
+def test_lemma2_certificate_replays_in_the_benchmark_replayer(a):
+    # the benchmark's replayer shares no code with acforge.moves
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import check
+        import inputs
+    finally:
+        sys.path.pop(0)
+    q, cert = presentation_from_matrix(a)
+    start, end, moves = check.replay_certificate(format_certificate(cert))
+    assert start == check.EMPTY
+    assert inputs.format_pres(end) == format_presentation(q)
+    assert moves == cert.length
+    assert inputs.exponent_matrix(end) == [list(r) for r in a.rows]

@@ -135,6 +135,34 @@ def test_move_errors():
         apply_move(p, Stabilize((3,)))  # word letter out of range
 
 
+def test_stab_word_letters_are_checked_before_reduction():
+    # (2, -2) reduces to the empty word, but 2 is no letter of < a | a >
+    with pytest.raises(MoveError, match=r"^STAB word: entry 1 of the word, 2, is not a letter of 1 generator\(s\)$"):
+        apply_move(pres("< a | a >"), Stabilize((2, -2)))
+
+
+def test_replay_of_a_stab_of_the_letter_zero_fails_at_its_step():
+    p = pres("< a, b | a, b >")
+    assert replay_trace(AcCertificate(p, (Stabilize((0,)),), p)) == (False, 0, p)
+
+
+def test_format_certificate_names_the_step_of_a_stab_letter_it_cannot_name():
+    # the letter 0 was written as b^-1, which reads back as Stabilize((-2,))
+    p = pres("< a, b | a, b >")
+    message = r"^step 0: STAB word: entry 1 of the word, 0, is not a letter of 2 generator\(s\)$"
+    with pytest.raises(CertificateError, match=message):
+        format_certificate(AcCertificate(p, (Stabilize((0,)),), p))
+
+
+def test_unknown_move_is_a_move_error():
+    p = pres("< a | a >")
+    with pytest.raises(MoveError, match="^unknown move 'INV 1'$"):
+        apply_move(p, "INV 1")
+    with pytest.raises(MoveError, match="^unknown move 'INV 1'$"):
+        inverse_move("INV 1", p)
+    assert replay_trace(AcCertificate(p, ("INV 1",), p)) == (False, 0, p)
+
+
 def test_growth_past_the_letter_cap_is_a_value_error_not_a_move_error():
     # counted before reduction, as the parser counts; a move that reaches
     # exactly MAX_LETTERS letters applies
@@ -225,6 +253,20 @@ def test_invert_certificate_names_a_destab_that_stab_would_rename():
     assert replay(found)
     with pytest.raises(CertificateError, match="removes generator 'b', which STAB would name 'x1'$"):
         invert_certificate(found)
+
+
+def test_invert_certificate_of_a_certificate_that_misses_its_end():
+    p = pres("< a | a >")
+    with pytest.raises(CertificateError, match="^input certificate does not replay to its end$"):
+        invert_certificate(AcCertificate(p, (InvertRelator(1),), p))
+
+
+def test_invert_certificate_whose_inverse_does_not_replay():
+    # the undoing STAB appends x2's relator last, after x1's
+    cert = parse_certificate("START < x1, x2 | x2, x1 >\nDESTAB 2 1\nEND < x1 | x1 >\n")
+    assert replay(cert)
+    with pytest.raises(CertificateError, match=r"^certificate is not invertible \(inverse fails at step 1\)$"):
+        invert_certificate(cert)
 
 
 @pytest.mark.parametrize(

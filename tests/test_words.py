@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from acforge.search import MAX_GENERATORS
 from acforge.words import (
+    check_letters,
     column,
     concat,
     cyclic_reduce,
@@ -145,6 +146,33 @@ def test_exponent_vector_examples():
 def test_exponent_vector_range_check():
     with pytest.raises(ValueError):
         exponent_vector((A, C), 2)
+
+
+def test_exponent_vector_rejects_the_letter_zero():
+    # a range check of g > n_gens alone read 0 as generator n_gens inverted
+    with pytest.raises(ValueError, match=r"^entry 1 of the word, 0, is not a letter of 2 generator\(s\)$"):
+        exponent_vector((0,), 2)
+
+
+@pytest.mark.parametrize(
+    "w, m, entry",
+    [
+        ((A, 0), 2, "entry 2 of the word, 0,"),
+        ((A, -C, C), 2, "entry 2 of the word, -3,"),
+        ((1.0,), 1, "entry 1 of the word, 1.0,"),
+        ((None,), 1, "entry 1 of the word, None,"),
+        ((A,), 0, "entry 1 of the word, 1,"),
+    ],
+)
+def test_check_letters_names_the_first_bad_entry(w, m, entry):
+    with pytest.raises(ValueError) as info:
+        check_letters(w, m)
+    assert str(info.value).startswith(entry)
+
+
+def test_check_letters_accepts_letters_of_m_generators():
+    assert check_letters((A, -B, C, -C, -A), 3) is None
+    assert check_letters((), 0) is None
 
 
 def test_exponent_vector_homomorphism():
