@@ -369,9 +369,13 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     the set-based checks run only for a generator that fails it.  Only a
     check that fails goes on to search for its first coset or entry.
 
-    A table that passes is an action of the group of p on n points, so it
-    shows a quotient of that group; it does not certify ``ORDER n``, which
-    needs the action to be regular.  The 3-row table
+    A table that passes shows an action of the group of p on n points, and
+    so a quotient of that group, its image.  It need not be transitive: the
+    2-row identity table ``((0, 0, 0, 0), (1, 1, 1, 1))`` passes for
+    ``< a, b | a, b >``, the trivial group.  With transitivity, which is
+    not checked here, it shows |G| >= n.  It never certifies ``ORDER n``:
+    the upper bound needs a proof about the kernel of the action, which
+    the image alone does not give (ROADMAP item 5).  The 3-row table
     ``((1, 2), (2, 0), (0, 1))`` passes for ``< a | a^6 >``, a group of
     order 6.
 

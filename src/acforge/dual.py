@@ -23,7 +23,10 @@ reduction removes from the dual, so the trivialization is Q's certificate
 unchanged.
 
 Augmented presentations keep relators as raw (unreduced) letter sequences:
-inserted pairs must stay addressable as occurrences.
+inserted pairs must stay addressable as occurrences.  Their record,
+``AugmentedPresentation``, lives in the ``presentation`` module beside
+``Presentation``; that module also holds ``unchecked_presentation``, the
+build that ``dualize`` uses.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ from .intmatrix import _int, exponent_matrix, invariant_factors
 from .lemma2 import NotUnimodular, presentation_from_matrix
 from .moves import AcCertificate, format_certificate, parse_certificate, replay
 from .presentation import (
+    AugmentedPresentation,
     Presentation,
-    check_generator_names,
     format_presentation,
     parse_presentation,
     parse_raw,
     require_balanced,
+    unchecked_presentation,
 )
-from .record import Record, set_field
-from .words import Word, check_letters
+from .words import free_reduce
 
 
 class Occurrence(NamedTuple):
@@ -60,26 +63,6 @@ class OrderingWitness(NamedTuple):
     """Per generator, an ordering of all its occurrences across relators."""
 
     per_generator: Tuple[Tuple[Occurrence, ...], ...]
-
-
-class AugmentedPresentation(Record):
-    """A presentation whose relators are raw letter sequences.
-
-    Cancelling pairs are preserved (letters pass ``words.check_letters``);
-    ``reduced()`` collapses back to the ordinary presentation.
-    """
-
-    __slots__ = ("generators", "relators")
-
-    def __init__(self, generators: Tuple[str, ...], relators: Tuple[Word, ...]):
-        check_generator_names(generators)
-        for r in relators:
-            check_letters(r, len(generators))
-        set_field(self, "generators", generators)
-        set_field(self, "relators", relators)
-
-    def reduced(self) -> Presentation:
-        return Presentation(self.generators, self.relators)
 
 
 class KnotCertificate(NamedTuple):
@@ -133,15 +116,18 @@ def dualize(p, w: OrderingWitness | None = None) -> Presentation:
     """The dual presentation under the given (default: scan-order) witness.
 
     Dual relator i reads off (dual generator j)^sign per occurrence of
-    generator i, in witness order; stored freely reduced.
+    generator i, in witness order; stored freely reduced.  The dual skips
+    the validating constructor: its names are x1..xn, and its letters are
+    relator indices of the checked p, read off by ``occurrence_lists``
+    or matched to them by ``_check_witness``.
     """
     require_balanced(p)
     if w is None:
         w = default_witness(p)
     else:
         _check_witness(p, w)
-    relators = tuple([occ.sign * occ.relator for occ in occs] for occs in w.per_generator)
-    return Presentation(tuple(f"x{k}" for k in range(1, len(p.generators) + 1)), relators)
+    relators = tuple(free_reduce([occ.sign * occ.relator for occ in occs]) for occs in w.per_generator)
+    return unchecked_presentation(tuple(f"x{k}" for k in range(1, len(p.generators) + 1)), relators)
 
 
 def align(p: Presentation) -> KnotCertificate:

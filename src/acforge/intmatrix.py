@@ -3,6 +3,11 @@
 Everything is arbitrary-precision (Python ints); no floats anywhere.
 Convention: rows = relators, columns = generators, so the exponent matrix
 of an n-relator, m-generator presentation is n x m.
+
+A matrix that comes from one input holds at most ``MAX_LETTERS`` entries,
+the parser's bound on the letters of one text: ``exponent_matrix``,
+``smith_normal_form`` (for U and V) and ``matrix_from_text`` (for its
+header) raise a ValueError naming the sizes before anything is built.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import sys
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
-from .presentation import Presentation
+from .presentation import MAX_LETTERS, Presentation
 from .record import Record, set_field
 from .words import exponent_vector
 
@@ -112,25 +117,37 @@ def _ints(lineno: int, fields: List[str]) -> List[int]:
         raise ValueError(f"line {lineno}: {e}") from None
 
 
+def _check_entries(what: str, n: int, m: int) -> None:
+    """ValueError naming ``what`` and its sizes unless an n x m matrix holds
+    at most ``MAX_LETTERS`` entries and has no side longer than that."""
+    if n * m > MAX_LETTERS or max(n, m) > MAX_LETTERS:
+        raise ValueError(
+            f"{what} would be {n} x {m}; a matrix holds at most {MAX_LETTERS} entries, and no side longer than that"
+        )
+
+
 def matrix_from_text(text: str) -> IntMatrix:
-    """Read the ``matrix_to_text`` format; ``#`` starts a comment in a row."""
-    tokens = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.split("#")[0].strip()]
+    """Read the ``matrix_to_text`` format; ``#`` starts a comment on any
+    line, the header's included."""
+    lines = [(k, ln.split("#", 1)[0]) for k, ln in enumerate(text.splitlines(), 1)]
+    tokens = [(k, ln) for k, ln in lines if ln.strip()]
     if not tokens:
         raise ValueError("empty matrix text")
     k, first = tokens[0]
     header = first.split()
     if len(header) != 2:
-        raise ValueError(f"expected 'n m' header, got {first!r}")
+        raise ValueError(f"expected 'n m' header, got {first.strip()!r}")
     n, m = _ints(k, header)
     if n < 0 or m < 0:
         raise ValueError("negative dimensions")
+    _check_entries("the matrix", n, m)
     if m == 0 and len(tokens) == 1:  # n rows of no entries are n blank lines
         return IntMatrix([[]] * n, ncols=0)
     if len(tokens) - 1 != n:
         raise ValueError(f"expected {n} rows, found {len(tokens) - 1}")
     rows = []
     for k, ln in tokens[1:]:
-        row = _ints(k, ln.split("#")[0].split())
+        row = _ints(k, ln.split())
         if len(row) != m:
             raise ValueError(f"expected {m} entries per row, got {len(row)}")
         rows.append(row)
@@ -140,6 +157,7 @@ def matrix_from_text(text: str) -> IntMatrix:
 def exponent_matrix(p: Presentation) -> IntMatrix:
     """Row i is the exponent vector of relator i (abelianized presentation matrix)."""
     m = len(p.generators)
+    _check_entries("the exponent matrix", len(p.relators), m)
     return IntMatrix([exponent_vector(r, m) for r in p.relators], ncols=m)
 
 
@@ -199,6 +217,8 @@ def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
     column operation on a and V.
     """
     n, m = a.nrows, a.ncols
+    k = max(n, m)
+    _check_entries(f"U or V of a {n} x {m} matrix", k, k)
     B: List[List[int]] = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.rows)]
     B += [[int(i == j) for j in range(m)] for i in range(m)]
     factors = _eliminate(B, n, m)

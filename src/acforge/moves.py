@@ -18,7 +18,8 @@ raises if asked to invert through one.
 Every run of moves (apply_move, replay, inversion, search reconstruction)
 edits one replay state in place: a list of relators, a running letter
 count, and the generator names followed through STAB and DESTAB.  A
-Presentation is built only where a caller keeps one, and without the
+Presentation is built only where a caller keeps one, and by
+``presentation.unchecked_presentation``, the one build that skips the
 validating constructor: every move keeps the relators freely reduced and
 in range (a STAB word passes ``words.check_letters`` unreduced), and a new
 generator takes the first free name x1, x2, ....
@@ -51,7 +52,7 @@ the pair insertion and deletion lines of older files, is rejected as unknown.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .intmatrix import _int
 from .presentation import (
@@ -61,6 +62,7 @@ from .presentation import (
     format_word,
     parse_presentation,
     parse_word,
+    unchecked_presentation,
 )
 from .record import Record, set_field
 from .words import Word, check_letters, concat, free_reduce, invert, power, rotate
@@ -107,8 +109,8 @@ class Stabilize(Record):
 
     __slots__ = ("word",)
 
-    def __init__(self, word: Word = ()):
-        set_field(self, "word", word)
+    def __init__(self, word: Sequence[int] = ()):
+        set_field(self, "word", tuple(word))
 
 
 class Destabilize(Record):
@@ -224,10 +226,7 @@ class _Replay:
 
     def presentation(self) -> Presentation:
         """The state as a Presentation, without the validating constructor (see the module docstring)."""
-        p = object.__new__(Presentation)
-        object.__setattr__(p, "generators", tuple(self.generators))
-        object.__setattr__(p, "relators", tuple(self.relators))
-        return p
+        return unchecked_presentation(tuple(self.generators), tuple(self.relators))
 
     def _follow(self, move: AcMove) -> None:
         if self.names is None:

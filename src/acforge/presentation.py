@@ -17,6 +17,13 @@ Powers are expanded, so one parsed text may expand to at most
 Relators are NOT cyclically reduced on input: cyclic permutation is an
 explicit move, so silently rotating words would corrupt certificates.
 
+Two records hold a presentation: ``Presentation`` stores its relators
+freely reduced, ``AugmentedPresentation`` stores them raw, cancelling
+pairs kept.  Both pass one check of the names and the raw letters and
+store tuples, so records built from lists equal and hash like records
+built from tuples.  ``unchecked_presentation`` is the one build that skips
+the check, for fields that have already passed it.
+
 One compiled regex scans the text on demand, one token ahead of the
 parser; no token list is built, so memory is bounded by what has been
 parsed so far.  Any character outside the grammar (a non-ASCII letter
@@ -49,15 +56,24 @@ class ParseError(ValueError):
         self.col = col
 
 
-def check_generator_names(names: Sequence[str]) -> None:
-    """Raise ValueError on a malformed or repeated generator name."""
+def _set_checked(record, generators: Sequence[str], relators: Sequence[Sequence[int]]) -> None:
+    """Store the names and raw relators on ``record`` as tuples, after the
+    one check of both presentation records: each name matches ``NAME_RE``
+    and is new, and each relator passes ``words.check_letters``.  Raises
+    ValueError."""
+    generators = tuple(generators)
     seen = set()
-    for name in names:
+    for name in generators:
         if not NAME_RE.fullmatch(name):
             raise ValueError(f"bad generator name {name!r}")
         if name in seen:
             raise ValueError(f"duplicate generator name {name!r}")
         seen.add(name)
+    relators = tuple(map(tuple, relators))
+    for r in relators:
+        check_letters(r, len(generators))
+    set_field(record, "generators", generators)
+    set_field(record, "relators", relators)
 
 
 class Presentation(Record):
@@ -65,22 +81,46 @@ class Presentation(Record):
 
     __slots__ = ("generators", "relators")
 
-    def __init__(self, generators: Tuple[str, ...], relators: Tuple[Word, ...]):
+    def __init__(self, generators: Sequence[str], relators: Sequence[Sequence[int]]):
         set_field(self, "generators", generators)
         set_field(self, "relators", relators)
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the names, and each raw relator with ``words.check_letters``,
-        and store the relators reduced; a method of its own, looked up on
-        each construction, so that a profiler can wrap it."""
-        check_generator_names(self.generators)
-        m = len(self.generators)
-        reduced = []
-        for r in self.relators:
-            check_letters(r, m)
-            reduced.append(free_reduce(r))
-        set_field(self, "relators", tuple(reduced))
+        """Check the fields as given and store them as tuples
+        (``_set_checked``), the relators reduced; a method of its own, looked
+        up on each construction, so that a profiler can wrap it."""
+        _set_checked(self, self.generators, self.relators)
+        set_field(self, "relators", tuple(map(free_reduce, self.relators)))
+
+
+def unchecked_presentation(generators: Tuple[str, ...], relators: Tuple[Word, ...]) -> Presentation:
+    """A Presentation built without the validating constructor, for fields
+    already known to pass it: a tuple of good, distinct names and a tuple of
+    freely reduced tuples of letters of that many generators.  Its callers
+    are the replay state of ``moves``, ``AugmentedPresentation.reduced`` and
+    ``dual.dualize``."""
+    p = object.__new__(Presentation)
+    set_field(p, "generators", generators)
+    set_field(p, "relators", relators)
+    return p
+
+
+class AugmentedPresentation(Record):
+    """A presentation whose relators are raw letter sequences.
+
+    Cancelling pairs are preserved, and the fields pass the check of
+    ``Presentation``; ``reduced()`` collapses back to the ordinary
+    presentation.
+    """
+
+    __slots__ = ("generators", "relators")
+
+    def __init__(self, generators: Sequence[str], relators: Sequence[Sequence[int]]):
+        _set_checked(self, generators, relators)
+
+    def reduced(self) -> Presentation:
+        return unchecked_presentation(self.generators, tuple(map(free_reduce, self.relators)))
 
 
 EMPTY_PRESENTATION = Presentation((), ())

@@ -119,3 +119,9 @@ def test_verify_cert_never_escapes_its_exit_codes(tmp_path_factory, text):
         rc = cli.main(["verify-cert", str(path)])
     assert rc in (0, 1, 2)
     assert (rc == 2) == bool(err.getvalue())
+
+
+def test_a_stab_of_an_empty_list_reads_back_equal():
+    start = Presentation(("a",), ((1,),))
+    cert = AcCertificate(start, (Stabilize([]),), Presentation(("a", "x1"), ((1,), (2,))))
+    assert parse_certificate(format_certificate(cert)) == cert

@@ -868,3 +868,32 @@ def test_certificate_is_formatted_only_when_printed_or_written(run, tmp_path, mo
     assert out.endswith(moves.format_certificate(calls[0]))
     rc, _, _ = run(command, path, "-o", tmp_path / "out")
     assert rc == 0 and len(calls) == 2
+
+
+MATRIX_BOUND = f"a matrix holds at most {MAX_LETTERS} entries, and no side longer than that"
+
+
+@pytest.mark.parametrize("command", ["perfect", "matrix", "theorem3"])
+def test_exponent_matrix_past_the_entry_bound_exits_2(run, tmp_path, command):
+    # Higman m = 1001 is 1001 x 1001, just past the bound; m = 800 still runs
+    rc, text, _ = run("corpus", "--family", "higman", "--m", 1001)
+    bundle = tmp_path / "bundle"
+    extra = ["-o", bundle] if command == "theorem3" else []
+    rc, out, err = run(command, write(tmp_path, "h.pres", text), *extra)
+    assert (rc, out) == (2, "")
+    assert err == f"error: the exponent matrix would be 1001 x 1001; {MATRIX_BOUND}\n"
+    assert not bundle.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("snf", "1001 0\n", f"U or V of a 1001 x 0 matrix would be 1001 x 1001; {MATRIX_BOUND}"),
+        ("lemma2", f"{MAX_LETTERS + 1} 0\n", f"the matrix would be {MAX_LETTERS + 1} x 0; {MATRIX_BOUND}"),
+    ],
+    ids=["transform", "header"],
+)
+def test_matrix_past_the_entry_bound_exits_2(run, tmp_path, command, text, message):
+    t0 = time.perf_counter()
+    assert run(command, write(tmp_path, "big.mat", text)) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - t0 < 1

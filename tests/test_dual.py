@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acforge import dual
 from acforge.dual import (
@@ -461,3 +463,33 @@ def test_verify_knot_certificate_names_a_changed_trivialization(tmp_path, old, n
     assert text.count(old) == 1
     path.write_text(text.replace(old, new))
     assert verify_knot_certificate(read_bundle(tmp_path)) == [problem]
+
+
+@st.composite
+def padded_balanced(draw):
+    """Names and raw relators, as lists, of a balanced presentation on 1-3
+    generators; some relators carry cancelling pairs."""
+    m = draw(st.integers(1, 3))
+    letters = st.integers(1, m).flatmap(lambda g: st.sampled_from((g, -g)))
+    relators = []
+    for _ in range(m):
+        r = draw(st.lists(letters, max_size=6))
+        for pos, x in draw(st.lists(st.tuples(st.integers(0, 6), letters), max_size=2)):
+            r[pos:pos] = [x, -x]
+        relators.append(r)
+    return [f"g{i}" for i in range(1, m + 1)], relators
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(padded_balanced(), st.data())
+def test_unchecked_builds_equal_the_validating_constructor(pres, data):
+    names, relators = pres
+    augmented = AugmentedPresentation(names, relators)
+    assert augmented.reduced() == Presentation(names, relators)
+    for p in (augmented, augmented.reduced()):
+        # a witness in scan order, then one with each generator's occurrences shuffled
+        for w in (default_witness(p), OrderingWitness(tuple(data.draw(st.permutations(o)) for o in occurrence_lists(p)))):
+            raw = [[occ.sign * occ.relator for occ in occs] for occs in w.per_generator]
+            expected = Presentation([f"x{k}" for k in range(1, len(names) + 1)], raw)
+            d = dualize(p, w)
+            assert d == expected and hash(d) == hash(expected)

@@ -16,7 +16,7 @@ from acforge.intmatrix import (
     smith_normal_form,
 )
 from acforge.corpus import higman_presentation
-from acforge.presentation import parse_presentation
+from acforge.presentation import MAX_LETTERS, parse_presentation
 
 RAPAPORT = parse_presentation("< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >")
 POINCARE = parse_presentation("< a, b | a b^2 a b^-1, a^4 b a^-1 b >")
@@ -356,3 +356,26 @@ def test_perfect_higman_600_is_fast():
     t0 = time.process_time()
     assert is_perfect_presentation(p)
     assert time.process_time() - t0 < 3.0
+
+
+def test_matrix_header_past_the_entry_bound():
+    for header in (f"{MAX_LETTERS + 1} 0", f"0 {MAX_LETTERS + 1}", "1001 1000"):
+        n, m = header.split()
+        with pytest.raises(ValueError, match=f"^the matrix would be {n} x {m}; a matrix holds at most {MAX_LETTERS} entries"):
+            matrix_from_text(header + "\n")
+    assert matrix_from_text("1000 0\n").nrows == 1000
+
+
+def test_smith_normal_form_refuses_a_transform_past_the_entry_bound():
+    # U of a 1000 x 0 matrix holds exactly the bound's 10^6 entries
+    factors, u, v = smith_normal_form(IntMatrix([[]] * 1000, ncols=0))
+    assert factors == () and u.nrows == 1000 and v.nrows == 0
+    with pytest.raises(ValueError, match="^U or V of a 0 x 1001 matrix would be 1001 x 1001"):
+        smith_normal_form(IntMatrix([], ncols=1001))
+
+
+def test_matrix_text_comments_on_every_line():
+    a = IntMatrix([[1, 2], [3, 4]])
+    assert matrix_from_text("# lead\n2 2 # header\n1 2 # row\n\n3 4#\n") == a
+    with pytest.raises(ValueError, match="^expected 'n m' header, got '2'$"):
+        matrix_from_text("2 # 2\n")

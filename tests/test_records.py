@@ -172,3 +172,27 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("build", [Presentation, AugmentedPresentation], ids=["Presentation", "AugmentedPresentation"])
+def test_presentation_records_from_lists_equal_and_hash_like_from_tuples(build):
+    from_lists = build(["a", "b"], [[1, 2, -2], [2]])
+    from_tuples = build(("a", "b"), ((1, 2, -2), (2,)))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert type(from_lists.generators) is tuple
+    assert type(from_lists.relators) is tuple and all(type(r) is tuple for r in from_lists.relators)
+
+
+def test_stabilize_from_a_list_equals_and_hashes_like_from_a_tuple():
+    assert Stabilize([1, -2]) == Stabilize((1, -2)) and hash(Stabilize([1, -2])) == hash(Stabilize((1, -2)))
+    assert Stabilize([]) == Stabilize()
+
+
+def test_records_do_not_follow_the_callers_lists():
+    names, word = ["a"], [1, 1]
+    p, aug, stab = Presentation(names, [word]), AugmentedPresentation(names, [word]), Stabilize(word)
+    names.append("b")
+    word.append(-1)
+    assert p == Presentation(("a",), ((1, 1),))
+    assert aug == AugmentedPresentation(("a",), ((1, 1),))
+    assert stab == Stabilize((1, 1))
