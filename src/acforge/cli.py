@@ -167,9 +167,9 @@ def cmd_theorem3(args) -> tuple:
 
 def _table_lines(rows) -> list:
     """One text line per coset table row, cosets named 1, 2, ... (the names
-    are freed before the lines are printed)."""
+    are freed before the lines are printed); a row of no columns is ``1:``."""
     names = [str(k + 1) for k in range(len(rows))]
-    return [f"{i}: {' '.join(map(names.__getitem__, row))}" for i, row in zip(names, rows)]
+    return [f"{i}: {' '.join(map(names.__getitem__, row))}".rstrip() for i, row in zip(names, rows)]
 
 
 def cmd_order(args) -> tuple:

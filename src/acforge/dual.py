@@ -47,7 +47,7 @@ from .presentation import (
     require_balanced,
     unchecked_presentation,
 )
-from .words import free_reduce
+from .words import check_letters, free_reduce
 
 
 class Occurrence(NamedTuple):
@@ -99,6 +99,13 @@ def default_witness(p) -> OrderingWitness:
 
 
 def _check_witness(p, w: OrderingWitness):
+    """Raise ValueError unless ``w`` orders the occurrences of the checked
+    ``p``.  A caller's witness is one of the four edges where a word enters
+    and ``words.check_letters`` runs (with the two presentation records and
+    a STAB in replay or in ``format_certificate``): the word each line
+    spells, letters ``sign * relator`` of the ``len(p.relators)`` dual
+    generators, is checked before it is matched with ``==``, under which
+    ``Occurrence(1.0, 0, 1)`` would pass."""
     actual = occurrence_lists(p)
     if len(w.per_generator) != len(actual):
         raise ValueError(
@@ -106,6 +113,7 @@ def _check_witness(p, w: OrderingWitness):
             f"presentation has {len(actual)}"
         )
     for i, (claimed, truth) in enumerate(zip(w.per_generator, actual), start=1):
+        check_letters([o.sign * o.relator for o in claimed], len(p.relators))
         if sorted(claimed) != sorted(truth):
             raise ValueError(
                 f"witness for generator {i} is not a permutation of its occurrence set"

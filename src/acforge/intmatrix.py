@@ -13,7 +13,6 @@ header) raise a ValueError naming the sizes before anything is built.
 from __future__ import annotations
 
 import sys
-from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .presentation import MAX_LETTERS, Presentation
@@ -44,19 +43,9 @@ class IntMatrix(Record):
     def nrows(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def transpose(self) -> "IntMatrix":
         # zip has no columns to give when there are no rows
         return IntMatrix(list(zip(*self.rows)) or [()] * self.ncols, ncols=self.nrows)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = other.transpose().rows
-        return IntMatrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows], ncols=other.ncols)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -208,8 +197,9 @@ def _step(p: int, q: int) -> Tuple[int, int, int, int]:
 def smith_normal_form(a: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatrix]:
     """Diagonalize over the integers: returns ``(factors, U, V)``.
 
-    ``U @ a @ V`` is diagonal with the nonnegative invariant factors on the
-    diagonal, each dividing the next (zeros last); U and V are unimodular.
+    The product U a V is diagonal with the nonnegative invariant factors
+    on the diagonal, each dividing the next (zeros last); U and V are
+    unimodular.
 
     One list of rows carries all three through ``_eliminate``: rows
     ``[a_i | U_i]`` over the m rows of V, so a row operation acts on a and

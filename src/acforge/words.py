@@ -6,7 +6,12 @@ Every constructor returns a freely reduced tuple; free reduction is a
 normal form, so word equality is plain tuple equality.
 
 A letter of m generators is an int x with 1 <= |x| <= m; ``check_letters``
-is the one check of that rule, made on the raw word before any reduction.
+is the one check of that rule, made on the raw word before any reduction,
+once, where a word enters the program.  There are four such edges: the
+two presentation records (``presentation._set_checked``), a STAB word in
+replay (``moves._Replay.apply``), a STAB word in ``moves.format_certificate``,
+and a caller's witness in ``dual.dualize`` (``dual._check_witness``).  Every
+other function here trusts its input to be letters.
 
 The package's tools that index by letter (the AC search's byte words, the
 coset table and the quotient backtrack) use one letter code, ``column``:
@@ -27,13 +32,12 @@ def free_reduce(letters: Iterable[int]) -> Word:
     """Delete adjacent cancelling pairs until none remain.
 
     The result is independent of deletion order, so a single left-to-right
-    stack pass suffices.  Raises ValueError on a zero letter (generator
-    indices are nonzero ints).
+    stack pass suffices.  The letters are trusted: ``check_letters`` ran
+    where the word entered, at a presentation record, a STAB in replay or
+    in ``format_certificate``, or a caller's witness in ``dualize``.
     """
     out: list[int] = []
     for x in letters:
-        if not isinstance(x, int) or x == 0:
-            raise ValueError(f"malformed letter {x!r}: letters are nonzero ints")
         if out and out[-1] == -x:
             out.pop()
         else:
@@ -116,8 +120,11 @@ def check_letters(w: Sequence[int], m: int) -> None:
 
 
 def exponent_vector(w: Sequence[int], n_gens: int) -> Tuple[int, ...]:
-    """Signed occurrence count of each generator, as a length-``n_gens`` tuple."""
-    check_letters(w, n_gens)
+    """Signed occurrence count of each generator, as a length-``n_gens`` tuple.
+
+    ``w`` is trusted to hold letters of ``n_gens`` generators, as the
+    relators of the presentation records, one of the four edges where
+    ``check_letters`` runs, do."""
     vec = [0] * n_gens
     for x in w:
         vec[abs(x) - 1] += 1 if x > 0 else -1

@@ -14,7 +14,7 @@ import pytest
 from acforge import cli, coset, intmatrix, lemma2, moves
 from acforge.cli import build_parser, main
 from acforge.presentation import MAX_LETTERS, parse_presentation
-from test_intmatrix import dense_matrix
+from test_intmatrix import dense_matrix, sympy_matrix
 
 DUAL_POINCARE = "< alpha, beta | alpha^2 beta^3, alpha^-1 beta^-2 >"
 AK2 = "< x, y | x^2 y^-3, x y x y^-1 x^-1 y^-1 >"
@@ -207,6 +207,10 @@ def test_order_table_standard_numbering(run, tmp_path):
         "ORDER 6\n1: 2 2 3 4\n2: 1 1 5 6\n3: 6 6 4 1\n4: 5 5 1 3\n5: 4 4 6 2\n6: 3 3 2 5\n",
         "",
     )
+
+
+def test_order_table_of_no_generators_has_no_trailing_space(run, tmp_path):
+    assert run("order", write(tmp_path, "e.pres", "< | >"), "--table") == (0, "ORDER 1\n1:\n", "")
 
 
 def test_order_table_depends_only_on_the_group(run, tmp_path):
@@ -750,8 +754,9 @@ def test_dense_14_generators(run, tmp_path):
     head, rest = out.split("\nU\n")
     u, v = rest.split("V\n")
     assert head == "FACTORS " + " ".join(map(str, factors))
-    d = intmatrix.matrix_from_text(u) @ e @ intmatrix.matrix_from_text(v)
-    assert d.rows == tuple(tuple(f if i == j else 0 for j in range(14)) for i, f in enumerate(factors))
+    u, v = (sympy_matrix(intmatrix.matrix_from_text(x)) for x in (u, v))
+    d = (u * sympy_matrix(e) * v).to_list()
+    assert d == [[f if i == j else 0 for j in range(14)] for i, f in enumerate(factors)]
 
 
 def test_dense_40_generators(run, tmp_path):

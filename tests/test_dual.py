@@ -132,6 +132,20 @@ def test_dualize_rejects_bad_witness():
         dualize(p, OrderingWitness(()))
 
 
+@pytest.mark.parametrize("x", [0, 3, 1.0], ids=["zero", "out-of-range", "float"])
+def test_a_callers_witness_is_checked_as_letters(x):
+    # Occurrence(1.0, 0, 1) == Occurrence(1, 0, 1), so matching alone passed it
+    kc = align(POINCARE)
+    first, *rest = kc.witness.per_generator
+    o = first[0]
+    witness = OrderingWitness(((o._replace(relator=x),) + first[1:], *rest))
+    message = f"entry 1 of the word, {o.sign * x!r}, is not a letter of 2 generator(s)"
+    with pytest.raises(ValueError) as info:
+        dualize(kc.augmented, witness)
+    assert str(info.value) == message
+    assert verify_knot_certificate(kc._replace(witness=witness)) == [f"witness invalid: {message}"]
+
+
 def test_transpose_identity_examples():
     assert transpose_check(parse_presentation("< a | a >"))
     assert transpose_check(POINCARE)

@@ -38,6 +38,20 @@ def cofactor_det(rows):
     return total
 
 
+def identity(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def sympy_matrix(a):
+    """``a`` as a sympy matrix over ZZ, whose product is an oracle that
+    shares no code with ``acforge``; the shape is given, so empty shapes
+    survive."""
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import ZZ
+
+    return matrices.DomainMatrix([list(map(ZZ, r)) for r in a.rows], (a.nrows, a.ncols), ZZ)
+
+
 def random_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
@@ -45,11 +59,6 @@ def random_matrix(rng, n, lo=-5, hi=5):
 def test_matrix_of_no_rows_has_no_columns():
     a = IntMatrix([])
     assert (a.nrows, a.ncols, a.rows) == (0, 0, ())
-
-
-def test_product_of_mismatched_shapes_is_refused():
-    with pytest.raises(ValueError, match="^dimension mismatch$"):
-        IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
 
 
 def test_exponent_matrix_examples():
@@ -62,7 +71,7 @@ def test_exponent_matrix_examples():
 def test_determinant_examples():
     assert determinant(IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])) == 1
     assert determinant(IntMatrix([[2, 1], [3, 2]])) == 1
-    assert determinant(IntMatrix.identity(4)) == 1
+    assert determinant(identity(4)) == 1
     assert determinant(IntMatrix([], ncols=0)) == 1
     with pytest.raises(ValueError):
         determinant(IntMatrix([[1, 2]]))
@@ -87,11 +96,11 @@ def check_snf(a):
     facs, u, v = smith_normal_form(a)
     assert abs(determinant(u)) == 1
     assert abs(determinant(v)) == 1
-    d = u @ a @ v
-    for i in range(d.nrows):
-        for j in range(d.ncols):
+    d = (sympy_matrix(u) * sympy_matrix(a) * sympy_matrix(v)).to_list()
+    for i in range(a.nrows):
+        for j in range(a.ncols):
             expected = facs[i] if i == j and i < len(facs) else 0
-            assert d.rows[i][j] == expected
+            assert d[i][j] == expected
     assert all(f >= 0 for f in facs)
     nonzero = [f for f in facs if f != 0]
     for x, y in zip(nonzero, nonzero[1:]):
@@ -105,19 +114,13 @@ def check_snf(a):
 def test_transpose_and_product_of_every_shape(n, k, m):
     rng = random.Random(100 * n + 10 * k + m)
     a = IntMatrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)], ncols=k)
-    b = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)], ncols=m)
     t = a.transpose()
     assert (t.nrows, t.ncols) == (k, n) and t.transpose() == a
     assert all(t.rows[j][i] == a.rows[i][j] for i in range(n) for j in range(k))
-    c = a @ b
-    assert (c.nrows, c.ncols) == (n, m)
-    assert c.rows == tuple(
-        tuple(sum(a.rows[i][l] * b.rows[l][j] for l in range(k)) for j in range(m)) for i in range(n)
-    )
 
 
 def test_snf_examples():
-    assert check_snf(IntMatrix.identity(3)) == (1, 1, 1)
+    assert check_snf(identity(3)) == (1, 1, 1)
     assert check_snf(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
     assert check_snf(exponent_matrix(RAPAPORT)) == (1, 1, 1)
 

@@ -19,6 +19,7 @@ from acforge.moves import (
     replay,
 )
 from acforge.presentation import EMPTY_PRESENTATION, format_presentation, total_letters
+from test_intmatrix import identity
 
 
 def apply_ops(moves, n):
@@ -113,14 +114,14 @@ def reference_presentation(a):
 
 
 def test_apply_ops_identity():
-    assert apply_ops([], 3) == IntMatrix.identity(3)
+    assert apply_ops([], 3) == identity(3)
     assert apply_ops([InvertRelator(2)], 2) == IntMatrix([[1, 0], [0, -1]])
     assert apply_ops([MultiplyRight(2, 1)], 2) == IntMatrix([[1, 0], [1, 1]])
     assert apply_ops([MultiplyRight(2, 1, -1)], 2) == IntMatrix([[1, 0], [-1, 1]])
 
 
 def test_decompose_identity():
-    assert decompose_unimodular(IntMatrix.identity(4)) == []
+    assert decompose_unimodular(identity(4)) == []
     assert decompose_unimodular(IntMatrix([], ncols=0)) == []
 
 
@@ -179,7 +180,7 @@ def test_decompose_random_round_trip():
 
 
 def test_presentation_from_identity():
-    p, cert = presentation_from_matrix(IntMatrix.identity(3))
+    p, cert = presentation_from_matrix(identity(3))
     assert p.generators == ("x1", "x2", "x3")
     assert p.relators == ((1,), (2,), (3,))
     assert cert.moves == (Stabilize(()),) * 3

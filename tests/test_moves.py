@@ -154,6 +154,20 @@ def test_format_certificate_names_the_step_of_a_stab_letter_it_cannot_name():
         format_certificate(AcCertificate(p, (Stabilize((0,)),), p))
 
 
+@pytest.mark.parametrize("x", [0, 3, 1.0], ids=["zero", "out-of-range", "float"])
+def test_stab_words_are_checked_in_replay_and_in_certificate_text(x):
+    p = pres("< a, b | a, b >")
+    cert = AcCertificate(p, (Stabilize((1, x)),), p)
+    message = f"STAB word: entry 2 of the word, {x!r}, is not a letter of 2 generator(s)"
+    assert replay_trace(cert) == (False, 0, p)
+    with pytest.raises(MoveError) as info:
+        apply_move(p, cert.moves[0])
+    assert str(info.value) == message
+    with pytest.raises(CertificateError) as info:
+        format_certificate(cert)
+    assert str(info.value) == f"step 0: {message}"
+
+
 def test_unknown_move_is_a_move_error():
     p = pres("< a | a >")
     with pytest.raises(MoveError, match="^unknown move 'INV 1'$"):

@@ -6,6 +6,12 @@ run through ``cli.main`` in a temporary directory, in plan order.  For each
 operation a sha256 of its exit code, stdout, stderr and the files it wrote
 or changed is compared with ``tests/plan_outputs.json``.
 
+The plans' library re-checks of what those operations wrote (the bundle
+re-checks, ``validate_table`` and ``verify_witness``) run in the same
+order, in text mode, through the benchmark's own ``Runner._lib``; each
+must return no problems and raise nothing.  In JSON mode the table and the
+witness are JSON text, which those re-checks do not read.
+
 A change that alters output on purpose regenerates that file with
 
     PYTHONPATH=src python tests/test_plan_outputs.py
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -33,14 +40,18 @@ RUNS = [(w, s, "text") for w in ("search", "certify", "finite") for s in (1, 2, 
 RUNS += [(w, 101, "json") for w in ("search", "certify", "finite")]
 
 
-def _plan(workload: str, seed: int) -> dict:
-    # the benchmark's plan builder, imported read-only; it shares no code with acforge
+def _perfbench(module: str):
+    # a module of the benchmark, imported read-only
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        import inputs
+        return importlib.import_module(module)
     finally:
         sys.path.pop(0)
-    return inputs.build_plan(workload, seed)
+
+
+def _plan(workload: str, seed: int) -> dict:
+    # the benchmark's plan builder shares no code with acforge
+    return _perfbench("inputs").build_plan(workload, seed)
 
 
 def _files(directory: Path) -> dict:
@@ -51,10 +62,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def plan_digests(workload: str, seed: int, mode: str, directory: Path) -> dict:
-    """{operation id: sha256 of (exit code, exception, stdout, stderr, written
-    files)} for the plan's CLI operations, run in ``directory``."""
+def run_plan(workload: str, seed: int, mode: str, directory: Path) -> tuple:
+    """Run the plan in ``directory``.  Returns {operation id: sha256 of (exit
+    code, exception, stdout, stderr, written files)} for its CLI operations,
+    and {operation id: (exception, problems as JSON)} for its library
+    re-checks, which run in text mode only."""
     plan = _plan(workload, seed)
+    runner = _perfbench("measure").Runner(plan)
+    rechecks = {}
     for name, text in plan["files"].items():
         (directory / name).write_text(text)
     extra = ["--format", "json"] if mode == "json" else []
@@ -65,6 +80,9 @@ def plan_digests(workload: str, seed: int, mode: str, directory: Path) -> dict:
         before = _files(directory)
         for op in plan["ops"]:
             if "argv" not in op:
+                if mode == "text":
+                    _, _, error, problems = runner._lib(op)
+                    rechecks[op["id"]] = (error, problems)
                 continue
             out, err = io.StringIO(), io.StringIO()
             rc = error = None
@@ -82,7 +100,7 @@ def plan_digests(workload: str, seed: int, mode: str, directory: Path) -> dict:
             digests[op["id"]] = _sha(json.dumps(record, sort_keys=True).encode())
     finally:
         os.chdir(cwd)
-    return digests
+    return digests, rechecks
 
 
 def _key(workload: str, seed: int, mode: str) -> str:
@@ -92,7 +110,10 @@ def _key(workload: str, seed: int, mode: str) -> str:
 @pytest.mark.parametrize("workload,seed,mode", RUNS, ids=[_key(*r) for r in RUNS])
 def test_plan_outputs_are_unchanged(workload, seed, mode, tmp_path):
     expected = json.loads(DIGESTS.read_text())[_key(workload, seed, mode)]
-    assert plan_digests(workload, seed, mode, tmp_path) == expected
+    digests, rechecks = run_plan(workload, seed, mode, tmp_path)
+    assert digests == expected
+    lib_ops = [op["id"] for op in _plan(workload, seed)["ops"] if "argv" not in op and mode == "text"]
+    assert rechecks == dict.fromkeys(lib_ops, (None, "[]"))
 
 
 def main() -> None:
@@ -102,7 +123,7 @@ def main() -> None:
     table = {}
     for run in RUNS:
         with tempfile.TemporaryDirectory() as d:
-            table[_key(*run)] = plan_digests(*run, Path(d))
+            table[_key(*run)] = run_plan(*run, Path(d))[0]
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
 
 

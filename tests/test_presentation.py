@@ -7,6 +7,7 @@ import pytest
 
 from acforge.presentation import (
     EMPTY_PRESENTATION,
+    AugmentedPresentation,
     ParseError,
     Presentation,
     format_presentation,
@@ -19,6 +20,14 @@ from acforge.presentation import (
 
 RAPAPORT = "< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >"
 POINCARE = "< a, b | a b^2 a b^-1, a^4 b a^-1 b >"
+
+
+@pytest.mark.parametrize("record", [Presentation, AugmentedPresentation])
+@pytest.mark.parametrize("x", [0, 3, 1.0], ids=["zero", "out-of-range", "float"])
+def test_records_check_the_letters_of_their_words(record, x):
+    with pytest.raises(ValueError) as info:
+        record(("a", "b"), ((1, x), (2,)))
+    assert str(info.value) == f"entry 2 of the word, {x!r}, is not a letter of 2 generator(s)"
 
 
 def test_parse_rapaport():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from acforge.quotient import (
     permutation_group_order,
     verify_witness,
 )
+from acforge.words import free_reduce
 from test_coset import perm_closure
 
 POINCARE = parse_presentation("< a, b | a b^2 a b^-1, a^4 b a^-1 b >")
@@ -338,3 +340,63 @@ def test_group_order_of_s10_without_enumeration():
     assert permutation_group_order([transposition, long_cycle], 10) == 3628800
     assert time.perf_counter() - start < 0.5
     assert permutation_group_order([long_cycle], 10) == 10
+
+
+def random_relator(rng):
+    """A freely reduced word of 1 to 7 letters in a and b."""
+    while True:
+        w = free_reduce([rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 7))])
+        if w:
+            return w
+
+
+def sympy_indices(relators, bound):
+    """The indices of the subgroups that sympy's ``low_index_subgroups``
+    lists for ``< a, b | relators >`` up to ``bound``; or None when one of
+    its coset tables fails an independent check: every row complete with
+    entries in range, g then g^-1 the identity on every coset, and every
+    relator fixing every coset.  Columns are read through ``CosetTable.A``.
+    (sympy 1.14 lists subgroups of index 2 and 3 for the trivial group
+    ``< a, b | b, b a >``, so its tables are never trusted unchecked.)"""
+    fp = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+
+    F, a, b = free_group("a, b")
+    power = {1: a, -1: a**-1, 2: b, -2: b**-1}
+    group = fp.FpGroup(F, [math.prod((power[x] for x in r), start=F.identity) for r in relators])
+    indices = []
+    for t in fp.low_index_subgroups(group, bound):
+        rows, n = t.table, len(t.table)
+        col = {x: t.A.index(g) for x, g in power.items()}
+        if any(len(row) != len(t.A) or not all(type(y) is int and 0 <= y < n for y in row) for row in rows):
+            return None
+        if any(rows[rows[c][col[x]]][col[-x]] != c for x in power for c in range(n)):
+            return None
+        for r in relators:
+            for start in range(n):
+                c = start
+                for x in r:
+                    c = rows[c][col[x]]
+                if c != start:
+                    return None
+        indices.append(n)
+    return indices
+
+
+def test_least_degree_matches_sympy_low_index_subgroups():
+    # about 3 s, nearly all of it in sympy; with sympy 1.14, 109 of the 120
+    # presentations are compared and 11 skipped for a table that fails
+    assert sympy_indices(((2,), (2, 1)), 5) is None  # the trivial group's tables fail
+    rng = random.Random(59)
+    compared = skipped = 0
+    for _ in range(120):
+        relators = (random_relator(rng), random_relator(rng))
+        indices = sympy_indices(relators, 5)
+        if indices is None:
+            skipped += 1
+            continue
+        w = find_nontrivial_quotient(Presentation(("a", "b"), relators), 5)
+        least = min((n for n in indices if n >= 2), default=None)
+        assert (w.degree if w else None) == least, relators
+        compared += 1
+    assert compared >= 100, skipped
