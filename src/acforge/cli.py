@@ -1,10 +1,22 @@
 """Command-line interface.
 
+Input has one path.  ``build_parser``'s ``add`` declares each subcommand's
+positional ``file`` with its reader: ``read_presentation`` by default,
+``read_matrix`` for ``snf`` and ``lemma2``, ``read_certificate`` for
+``verify-cert``, and none for ``corpus``.  ``main`` calls the reader inside
+its ``try``, so a missing file or a parse error exits 2, and passes the
+parsed input to the subcommand as ``cmd_*(input, args)``.  The readers are
+module functions that name ``parse_presentation``, ``matrix_from_text`` or
+``parse_certificate`` when called, not stored parser functions: the parser
+is built once and cached, and a caller that replaces these parsers in this
+module later (a timing wrapper, say) must still see every call.
+
 Each ``cmd_*`` returns ``(verdict, lines, data)``; ``main`` prints it and
 exits 0, or 1 for a verdict in ``NEGATIVE`` (a false predicate,
 CAP-EXCEEDED, EXHAUSTED, NOT-FOUND, a failed check, a corpus
 ``regression``), or 2 on usage or parse errors and inputs or results past
-a size cap (``MAX_LETTERS`` letters, ``MAX_ROW_ADDITIONS`` row additions).
+a size cap (``MAX_LETTERS`` letters, ``MAX_ROW_ADDITIONS`` row additions,
+``MAX_TABLE_SLOTS`` letters of relator conjugates in ``quotient``).
 All outputs are deterministic byte-for-byte for identical inputs and
 flags; timings appear in json output only with --timings.
 """
@@ -46,19 +58,28 @@ from .search import SearchLimits, search_trivialization
 NEGATIVE = {"unbalanced", "imperfect", "cap-exceeded", "exhausted", "not-found", "failed", "regression"}
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+# --- readers: a subcommand's input from its file; the docstring is the file's help
 
 
-def _load_presentation(path: str):
-    return parse_presentation(_read(path))
+def read_presentation(path: str):
+    """presentation file"""
+    return parse_presentation(Path(path).read_text())
+
+
+def read_matrix(path: str):
+    """matrix file ('n m' header, then rows)"""
+    return matrix_from_text(Path(path).read_text())
+
+
+def read_certificate(path: str):
+    """certificate file"""
+    return parse_certificate(Path(path).read_text())
 
 
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_parse(args) -> tuple:
-    p = _load_presentation(args.file)
+def cmd_parse(p, args) -> tuple:
     text = format_presentation(p)
     return (
         "ok",
@@ -67,14 +88,13 @@ def cmd_parse(args) -> tuple:
     )
 
 
-def cmd_balanced(args) -> tuple:
-    p = _load_presentation(args.file)
+def cmd_balanced(p, args) -> tuple:
     flag = is_balanced(p)
     return "balanced" if flag else "unbalanced", [f"BALANCED {str(flag).lower()}"], {"balanced": flag}
 
 
-def cmd_matrix(args) -> tuple:
-    a = exponent_matrix(_load_presentation(args.file))
+def cmd_matrix(p, args) -> tuple:
+    a = exponent_matrix(p)
     return (
         "ok",
         [matrix_to_text(a).rstrip("\n")],
@@ -82,8 +102,7 @@ def cmd_matrix(args) -> tuple:
     )
 
 
-def cmd_snf(args) -> tuple:
-    a = matrix_from_text(_read(args.file))
+def cmd_snf(a, args) -> tuple:
     factors, u, v = smith_normal_form(a)
     # built in json mode too: json.dumps writes ints under the same digit
     # limit, and an entry past it is named here
@@ -105,8 +124,7 @@ def cmd_snf(args) -> tuple:
     )
 
 
-def cmd_perfect(args) -> tuple:
-    p = _load_presentation(args.file)
+def cmd_perfect(p, args) -> tuple:
     facs = invariant_factors(exponent_matrix(p))
     flag = trivial_abelianization(facs, len(p.generators))
     return (
@@ -116,8 +134,7 @@ def cmd_perfect(args) -> tuple:
     )
 
 
-def cmd_lemma2(args) -> tuple:
-    a = matrix_from_text(_read(args.file))
+def cmd_lemma2(a, args) -> tuple:
     p, cert = presentation_from_matrix(a)
     pres_text = format_presentation(p)
     letters = total_letters(p)
@@ -137,14 +154,14 @@ def cmd_lemma2(args) -> tuple:
     )
 
 
-def cmd_dualize(args) -> tuple:
-    d = dualize(_load_presentation(args.file))
+def cmd_dualize(p, args) -> tuple:
+    d = dualize(p)
     text = format_presentation(d)
     return "ok", [text], {"dual": text}
 
 
-def cmd_theorem3(args) -> tuple:
-    kc = align(_load_presentation(args.file))
+def cmd_theorem3(p, args) -> tuple:
+    kc = align(p)
     d = Path(args.output)
     write_bundle(kc, d)
     dual_text = format_presentation(kc.dual)
@@ -172,8 +189,7 @@ def _table_lines(rows) -> list:
     return [f"{i}: {' '.join(map(names.__getitem__, row))}".rstrip() for i, row in zip(names, rows)]
 
 
-def cmd_order(args) -> tuple:
-    p = _load_presentation(args.file)
+def cmd_order(p, args) -> tuple:
     result = (coset_table if args.table else enumerate_cosets)(p, args.max_cosets)
     if isinstance(result, CapExceeded):
         return "cap-exceeded", [f"CAP-EXCEEDED {result.cosets}"], {"cosets": result.cosets}
@@ -185,8 +201,7 @@ def cmd_order(args) -> tuple:
     return "order", lines, data
 
 
-def cmd_quotient(args) -> tuple:
-    p = _load_presentation(args.file)
+def cmd_quotient(p, args) -> tuple:
     w = find_nontrivial_quotient(p, args.max_degree)
     if w is None:
         return "exhausted", [f"EXHAUSTED {args.max_degree}"], {"max_degree": args.max_degree}
@@ -196,8 +211,7 @@ def cmd_quotient(args) -> tuple:
     return "found", lines, {"degree": w.degree, "images": images, "image_order": w.image_order}
 
 
-def cmd_acsearch(args) -> tuple:
-    p = _load_presentation(args.file)
+def cmd_acsearch(p, args) -> tuple:
     limits = SearchLimits(
         max_total_letters=args.max_total_letters,
         max_relator_letters=args.max_letters,
@@ -235,8 +249,7 @@ def cmd_acsearch(args) -> tuple:
     return "not-found", lines, stats
 
 
-def cmd_verify_cert(args) -> tuple:
-    cert = parse_certificate(_read(args.file))
+def cmd_verify_cert(cert, args) -> tuple:
     ok, step, final = replay_trace(cert)
     if ok:
         return "verified", ["OK"], {"moves": cert.length}
@@ -247,7 +260,7 @@ def cmd_verify_cert(args) -> tuple:
     )
 
 
-def cmd_corpus(args) -> tuple:
+def cmd_corpus(_, args) -> tuple:
     if args.family:
         variant = (1, 2) if args.family == "higman" else (2, 3)
         text = format_presentation(higman_presentation(args.m, variant))
@@ -281,60 +294,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, **kwargs):
-        s = sub.add_parser(name, help=help_text, **kwargs)
-        s.set_defaults(func=func)
+    def add(name, func, help_text, reader=read_presentation):
+        s = sub.add_parser(name, help=help_text)
+        s.set_defaults(func=func, reader=reader)
+        if reader:
+            s.add_argument("file", help=reader.__doc__)
         s.add_argument("--format", choices=("text", "json"), default="text")
         s.add_argument("--timings", action="store_true", help="include wall time in json output")
         return s
 
-    s = add("parse", cmd_parse, "parse a presentation file and echo its canonical form")
-    s.add_argument("file")
+    add("parse", cmd_parse, "parse a presentation file and echo its canonical form")
+    add("balanced", cmd_balanced, "check generator count == relator count")
+    add("matrix", cmd_matrix, "print the exponent (abelianized presentation) matrix")
+    add("snf", cmd_snf, "Smith normal form of a matrix file (factors, U, V)", read_matrix)
+    add("perfect", cmd_perfect, "check that the abelianization is trivial")
 
-    s = add("balanced", cmd_balanced, "check generator count == relator count")
-    s.add_argument("file")
-
-    s = add("matrix", cmd_matrix, "print the exponent (abelianized presentation) matrix")
-    s.add_argument("file")
-
-    s = add("snf", cmd_snf, "Smith normal form of a matrix file (factors, U, V)")
-    s.add_argument("file")
-
-    s = add("perfect", cmd_perfect, "check that the abelianization is trivial")
-    s.add_argument("file")
-
-    s = add("lemma2", cmd_lemma2, "trivial-group presentation realizing a unimodular matrix")
-    s.add_argument("file", help="matrix file ('n m' header, then rows)")
+    s = add("lemma2", cmd_lemma2, "trivial-group presentation realizing a unimodular matrix", read_matrix)
     s.add_argument("-o", "--output", help="directory for presentation.pres and build.cert")
 
-    s = add("dualize", cmd_dualize, "dual presentation under the scan-order witness")
-    s.add_argument("file")
+    add("dualize", cmd_dualize, "dual presentation under the scan-order witness")
 
     s = add("theorem3", cmd_theorem3, "aligned dual + trivialization certificate bundle")
-    s.add_argument("file")
     s.add_argument("-o", "--output", required=True, help="bundle output directory")
 
     s = add("order", cmd_order, "group order by coset enumeration (HLT)")
-    s.add_argument("file")
     s.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     s.add_argument("--table", action="store_true", help="dump the closed coset table")
 
     s = add("quotient", cmd_quotient, "search for a quotient in a symmetric group")
-    s.add_argument("file")
     s.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
 
     s = add("acsearch", cmd_acsearch, "bounded search for a trivializing move certificate")
-    s.add_argument("file")
     s.add_argument("--max-depth", type=int, default=SearchLimits().max_depth)
     s.add_argument("--max-letters", type=int, default=SearchLimits().max_relator_letters)
     s.add_argument("--max-total-letters", type=int, default=SearchLimits().max_total_letters)
     s.add_argument("--max-states", type=int, default=SearchLimits().max_states)
     s.add_argument("-o", "--output", help="write the certificate to this file")
 
-    s = add("verify-cert", cmd_verify_cert, "replay a certificate file")
-    s.add_argument("file")
+    add("verify-cert", cmd_verify_cert, "replay a certificate file", read_certificate)
 
-    s = add("corpus", cmd_corpus, "run the example corpus, or print a family presentation")
+    s = add("corpus", cmd_corpus, "run the example corpus, or print a family presentation", None)
     s.add_argument("--family", choices=("higman", "higman23"))
     s.add_argument("--m", type=int, default=4, help="family size (with --family)")
 
@@ -359,7 +358,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        verdict, lines, data = args.func(args)
+        verdict, lines, data = args.func(args.reader(args.file) if args.reader else None, args)
         if args.format == "json":
             timings = {"seconds": round(time.monotonic() - t0, 3)} if args.timings else {}
             payload = {"verdict": verdict, "data": data, "timings": timings}

@@ -102,10 +102,12 @@ def _check_witness(p, w: OrderingWitness):
     """Raise ValueError unless ``w`` orders the occurrences of the checked
     ``p``.  A caller's witness is one of the four edges where a word enters
     and ``words.check_letters`` runs (with the two presentation records and
-    a STAB in replay or in ``format_certificate``): the word each line
-    spells, letters ``sign * relator`` of the ``len(p.relators)`` dual
-    generators, is checked before it is matched with ``==``, under which
-    ``Occurrence(1.0, 0, 1)`` would pass."""
+    a STAB in replay or in ``format_certificate``).  Each occurrence must be
+    a tuple of three entries; then the word each line spells, letters
+    ``sign * relator`` of the ``len(p.relators)`` dual generators, is
+    checked; then every entry must be an int, not a bool or a float, before
+    the occurrences are sorted and matched with ``==``, under which
+    ``Occurrence(1.0, 0, 1)`` or a sign ``True`` would pass."""
     actual = occurrence_lists(p)
     if len(w.per_generator) != len(actual):
         raise ValueError(
@@ -113,7 +115,12 @@ def _check_witness(p, w: OrderingWitness):
             f"presentation has {len(actual)}"
         )
     for i, (claimed, truth) in enumerate(zip(w.per_generator, actual), start=1):
-        check_letters([o.sign * o.relator for o in claimed], len(p.relators))
+        odd = [o for o in claimed if not isinstance(o, tuple) or len(o) != 3]
+        if not odd:
+            check_letters([sign * j for j, _, sign in claimed], len(p.relators))
+            odd = [o for o in claimed if not type(o[0]) is type(o[1]) is type(o[2]) is int]
+        if odd:
+            raise ValueError(f"witness for generator {i}: occurrence {odd[0]!r} is not three ints")
         if sorted(claimed) != sorted(truth):
             raise ValueError(
                 f"witness for generator {i} is not a permutation of its occurrence set"

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .coset import CosetTable, _first_moved, _ints, multiply, validate_table
+from .coset import MAX_TABLE_SLOTS, CosetTable, _first_moved, _ints, multiply, validate_table
 from .presentation import Presentation
 from .words import column
 
@@ -179,12 +179,24 @@ Table = List[List[Optional[int]]]
 
 def _words_by_column(p: Presentation, ncols: int) -> List[List[Tuple[int, ...]]]:
     """Per column c, the distinct cyclic conjugates of the relators and of
-    their inverses that start with c, as column words."""
+    their inverses that start with c, as column words.
+
+    Rotation i of a word equals rotation i + k, k its least period (shared
+    by its inverse), so only rotations 0..k-1 are built, in the order of the
+    full build.  A ValueError refuses relators whose rotations built would
+    hold more than ``MAX_TABLE_SLOTS`` letters: 2kL letters for a relator of
+    L letters, so about 3,500 letters for one that is not periodic."""
     words: List[Dict[Tuple[int, ...], None]] = [{} for _ in range(ncols)]
+    budget = MAX_TABLE_SLOTS
     for r in p.relators:
         w = [column(x) for x in r]
+        s = "".join(map(chr, w))
+        k = (s + s).find(s, 1)  # -1 for the empty word, which has no rotation
+        budget -= 2 * k * len(w)
+        if budget < 0:
+            raise ValueError(f"the cyclic conjugates of the relators hold more than {MAX_TABLE_SLOTS} letters")
         for word in (w, [c ^ 1 for c in reversed(w)]):
-            for i in range(len(word)):
+            for i in range(k):
                 words[word[i]][tuple(word[i:] + word[:i])] = None
     return [list(d) for d in words]
 
@@ -280,7 +292,8 @@ def find_nontrivial_quotient(
     p: Presentation, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> Optional[FiniteQuotientWitness]:
     """The action on the cosets of the first subgroup of least index 2..max_degree,
-    or None (exhausted up to max_degree)."""
+    or None (exhausted up to max_degree).  A ValueError refuses relators
+    whose cyclic conjugates would pass ``MAX_TABLE_SLOTS`` letters."""
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     m = len(p.generators)

@@ -5,9 +5,11 @@ errors."""
 import argparse
 import json
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -586,6 +588,35 @@ def test_acsearch_stdout_is_deterministic(run, tmp_path):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_readers_look_up_their_parser_at_call_time(run, tmp_path, monkeypatch, build_cert):
+    # a parser replaced in ``cli`` after the argument parser is cached (as
+    # the traced benchmark run replaces them) still sees every read
+    build_parser()
+    calls = []
+    for name in ("parse_presentation", "matrix_from_text", "parse_certificate"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda text, name=name, f=original: calls.append(name) or f(text))
+    pres, shear = write(tmp_path, "p.pres", POINCARE), write(tmp_path, "shear.mat", SHEAR)
+    for argv in (("parse", pres), ("snf", shear), ("lemma2", shear), ("verify-cert", build_cert)):
+        assert run(*argv)[0] == 0, argv
+    assert calls == ["parse_presentation", "matrix_from_text", "matrix_from_text", "parse_certificate"]
+
+
+def test_python_dash_m_runs_main(tmp_path):
+    def cli_run(*argv):
+        src = str(Path(cli.__file__).parents[1])
+        r = subprocess.run(
+            [sys.executable, "-m", "acforge.cli", *map(str, argv)],
+            capture_output=True, text=True, cwd=tmp_path, env={"PYTHONPATH": src},
+        )
+        return r.returncode, r.stdout, r.stderr
+
+    assert cli_run("parse", write(tmp_path, "p.pres", "< a, b | a^2, b >")) == (0, "< a, b | a^2, b >\n", "")
+    assert cli_run("balanced", write(tmp_path, "u.pres", "< a, b | a^2 >")) == (1, "BALANCED false\n", "")
+    rc, out, err = cli_run("parse", tmp_path / "missing.pres")
+    assert (rc, out) == (2, "") and err.startswith("error: [Errno 2] No such file or directory")
 
 
 # the exit code of each verdict, written out here rather than read from the CLI

@@ -146,6 +146,27 @@ def test_a_callers_witness_is_checked_as_letters(x):
     assert verify_knot_certificate(kc._replace(witness=witness)) == [f"witness invalid: {message}"]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("position", "0"), (None, (1, 0)), ("position", 0.0), ("sign", True)],
+    ids=["str-position", "two-tuple", "float-position", "bool-sign"],
+)
+def test_a_malformed_occurrence_is_a_problem_not_an_exception(field, value):
+    kc = align(POINCARE)
+    first, *rest = kc.witness.per_generator
+    bad = value if field is None else first[0]._replace(**{field: value})
+    witness = OrderingWitness(((bad,) + first[1:], *rest))
+    assert verify_knot_certificate(kc._replace(witness=witness)) == [
+        f"witness invalid: witness for generator 1: occurrence {bad!r} is not three ints"
+    ]
+
+
+def test_align_refuses_a_bundle_that_fails_its_own_check(monkeypatch):
+    monkeypatch.setattr(dual, "verify_knot_certificate", lambda kc: ["dual is wrong"])
+    with pytest.raises(AssertionError, match=r"invalid bundle: \['dual is wrong'\]"):
+        align(POINCARE)
+
+
 def test_transpose_identity_examples():
     assert transpose_check(parse_presentation("< a | a >"))
     assert transpose_check(POINCARE)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acforge import quotient
+from acforge.cli import main
 from acforge.corpus import higman_presentation
 from acforge.presentation import Presentation, parse_presentation
 from acforge.quotient import (
@@ -400,3 +402,48 @@ def test_least_degree_matches_sympy_low_index_subgroups():
         assert (w.degree if w else None) == least, relators
         compared += 1
     assert compared >= 100, skipped
+
+
+def full_words_by_column(p, ncols):
+    """Every rotation of each relator and of its inverse, duplicates
+    dropped in order: ``_words_by_column`` before it stopped at the period."""
+    words = [{} for _ in range(ncols)]
+    for r in p.relators:
+        w = [2 * (abs(x) - 1) + (x < 0) for x in r]
+        for word in (w, [c ^ 1 for c in reversed(w)]):
+            for i in range(len(word)):
+                words[word[i]][tuple(word[i:] + word[:i])] = None
+    return [list(d) for d in words]
+
+
+def test_words_by_column_equals_the_full_build():
+    rng = random.Random(13)
+    for k in range(2000):
+        m = rng.randint(1, 3)
+        letters = [x for x in range(-m, m + 1) if x]
+        relators = []
+        for _ in range(rng.randint(1, 3)):
+            base = free_reduce([rng.choice(letters) for _ in range(rng.randint(0, 6))])
+            relators.append(base * (rng.randint(2, 4) if k % 2 else 1))
+        p = Presentation(tuple(f"g{g}" for g in range(1, m + 1)), relators)
+        assert quotient._words_by_column(p, 2 * m) == full_words_by_column(p, 2 * m), relators
+
+
+def test_one_long_periodic_relator(tmp_path, capsys):
+    path = tmp_path / "a.pres"
+    path.write_text("< a | a^999999 >")
+    t0 = time.monotonic()
+    assert main(["quotient", str(path)]) == 0
+    assert capsys.readouterr() == ("DEGREE 3\na -> (1 2 3)\nIMAGE-ORDER 3\n", "")
+    assert time.monotonic() - t0 < 10
+
+
+def test_a_long_relator_that_is_not_periodic_is_refused(tmp_path, capsys):
+    rng = random.Random(3)
+    path = tmp_path / "long.pres"
+    path.write_text(f"< a, b | {' '.join(rng.choice('ab') for _ in range(4000))} >")
+    assert main(["quotient", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: the cyclic conjugates of the relators hold more than {quotient.MAX_TABLE_SLOTS} letters\n",
+    )
