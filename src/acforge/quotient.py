@@ -31,8 +31,8 @@ Exhaustion means only "no nontrivial quotient of degree <= d", never
 
 Permutations are image tuples over 0..d-1 internally, composed by
 ``coset.multiply`` (one C-level gather); cycle notation is 1-based for
-display.  The order of the image group is computed by
-Schreier-Sims, so it needs no list of the group's elements.
+display.  The order of the image group is computed from a Sims table, so
+it needs no list of the group's elements.
 
 ``verify_witness`` checks the relators with ``coset.validate_table``, on the
 table of the witness's images and their inverses.
@@ -40,19 +40,16 @@ table of the witness's images and their inverses.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .coset import MAX_TABLE_SLOTS, CosetTable, _first_moved, _ints, multiply, validate_table
+from .coset import MAX_TABLE_SLOTS, CosetTable, _ints, multiply, validate_table
 from .presentation import Presentation
 from .words import column
 
 DEFAULT_MAX_DEGREE = 7  # largest subgroup index find_nontrivial_quotient tries
 
 Permutation = Tuple[int, ...]
-
-
-def identity_perm(degree: int) -> Permutation:
-    return tuple(range(degree))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -63,63 +60,53 @@ def inverse(p: Permutation) -> Permutation:
 
 
 def permutation_group_order(gens: Sequence[Permutation], degree: int) -> int:
-    """Order of <gens>: the product of the basic orbit lengths of a base and
-    strong generating set built by deterministic Schreier-Sims (Holt, Eick,
-    O'Brien, "Handbook", sec. 4.4.2)."""
-    identity = identity_perm(degree)
-    base: List[int] = []
-    strong: List[List[Permutation]] = []  # strong[i] fixes base[:i] pointwise
-    orbits: List[Dict[int, Permutation]] = []  # point -> element taking base[i] there
+    """Order of <gens>, from a Sims table (Sims 1970; Knuth, "Efficient
+    representation of perm groups", Combinatorica 11, 1991).
 
-    def add_generator(h: Permutation, top: int, level: int) -> None:
-        """Add h (it fixes base[:top]) to levels level..top and refresh them."""
-        if top == len(base):
-            base.append(_first_moved(h))
-            strong.append([])
-            orbits.append({})
-        for i in range(level, top + 1):
-            strong[i].append(h)
-            u = {base[i]: identity}
-            queue = [base[i]]
-            for x in queue:
-                for s in strong[i]:
-                    if s[x] not in u:
-                        u[s[x]] = multiply(u[x], s)
-                        queue.append(s[x])
-            orbits[i] = u
+    Level i maps each point j != i it holds to u^-1, for an element u that
+    fixes 0..i-1 and takes i to j; ``added`` lists each u with its level.
+    ``sift`` divides h by the u of each level in turn (h . u^-1) and adds
+    what is left at the first level with no match, so h sifts to the
+    identity exactly when h = r_{d-1} ... r_1 r_0 (left to right), r_k the
+    identity or a u of level k.  Every generator is sifted, then every
+    product t . s of added elements with level(t) <= level(s), those added
+    meanwhile included.  The table holds at most d(d-1)/2 elements.
 
-    def sift(h: Permutation, level: int) -> Tuple[Permutation, int]:
-        while level < len(base):
-            u = orbits[level].get(h[base[level]])
-            if u is None:
-                break
-            h = multiply(h, inverse(u))
-            level += 1
-        return h, level
+    Proof, by downward induction over the levels.  Let H_i be the group the
+    elements of levels >= i generate, T_i level i's elements and the
+    identity, and R_i the products r_{d-1} ... r_i; R_d = H_d = 1.  Suppose
+    R_{i+1} = H_{i+1}.  For t in T_i and s of a level >= i, t . s sifts to
+    the identity in the final table, so t . s = r . t' with r in H_{i+1}
+    and t' in T_i (for t = 1 because s is in the table).  So level i holds
+    the orbit of i under H_i, and each Schreier generator t . s . t'^-1
+    lies in H_{i+1}; by Schreier's lemma they generate the stabilizer of i,
+    which is therefore H_{i+1}, so R_i = H_{i+1} T_i = H_i.  Each generator
+    sifts, so it lies in R_0 = H_0, which is then <gens>, of order the
+    product of the (|level i| + 1)."""
+    table: List[Dict[int, Permutation]] = [{} for _ in range(degree)]
+    added: List[Tuple[int, Permutation]] = []
+
+    def sift(h: Permutation, start: int) -> None:
+        """Sift h, which fixes 0..start-1."""
+        for i in range(start, degree):
+            j = h[i]
+            if j != i:
+                u_inv = table[i].get(j)
+                if u_inv is None:
+                    table[i][j] = inverse(h)
+                    added.append((i, h))
+                    return
+                h = multiply(h, u_inv)
 
     for g in gens:
-        h, top = sift(g, 0)
-        if h != identity:
-            add_generator(h, top, 0)
-    level = len(base) - 1
-    while level >= 0:
-        for x, u in list(orbits[level].items()):
-            for s in list(strong[level]):
-                v = orbits[level][s[x]]
-                h, top = sift(multiply(multiply(u, s), inverse(v)), level + 1)
-                if h != identity:
-                    add_generator(h, top, level + 1)
-                    level = top
-                    break
-            else:
-                continue
-            break
-        else:
-            level -= 1
-    order = 1
-    for u in orbits:
-        order *= len(u)
-    return order
+        sift(g, 0)
+    for k, (level, s) in enumerate(added):  # grows while it is read
+        for t_level, t in added[: k + 1]:
+            if t_level <= level:
+                sift(multiply(t, s), t_level)
+            if level <= t_level:
+                sift(multiply(s, t), level)
+    return math.prod(len(level) + 1 for level in table)
 
 
 def cycle_notation(p: Permutation) -> str:
@@ -148,15 +135,16 @@ class FiniteQuotientWitness(NamedTuple):
 
 
 def verify_witness(p: Presentation, w: FiniteQuotientWitness) -> bool:
-    """Re-verify w.  The degree must be an int and the images a tuple of
-    tuples of that length.  ``coset.validate_table`` checks the table whose
-    columns are each image and its inverse (some column, if the image is no
-    permutation): the generator count, entries, permutations and relators,
-    so an entry that is None, a float, a list or out of range gives False,
-    not an exception.  Then the images must not all be the identity, and
+    """Re-verify w.  The degree must be an int, ``image_order`` of type int
+    (a float or a bool may compare equal to the order), and the images a
+    tuple of tuples of that length.  ``coset.validate_table`` checks the
+    table whose columns are each image and its inverse (some column, if the
+    image is no permutation): the generator count, entries, permutations
+    and relators, so an entry that is None, a float, a list or out of range
+    gives False, not an exception.  Then the images must not all be the identity, and
     ``image_order`` must be the order of the group they generate."""
     d, images = w.degree, w.images
-    if not isinstance(d, int) or not isinstance(images, tuple):
+    if not isinstance(d, int) or type(w.image_order) is not int or not isinstance(images, tuple):
         return False
     if not all(isinstance(img, tuple) and len(img) == d for img in images):
         return False
@@ -168,7 +156,7 @@ def verify_witness(p: Presentation, w: FiniteQuotientWitness) -> bool:
         cols += [img, tuple(map(inv.get, range(d)))]
     if validate_table(p, CosetTable(len(images), tuple(zip(*cols)))):
         return False
-    identity = identity_perm(d)
+    identity = tuple(range(d))
     if all(img == identity for img in images):
         return False
     return permutation_group_order(images, d) == w.image_order

@@ -39,6 +39,10 @@ Successors are pruned length first: the canonical length of a product is
 the length of its cyclic reduction, so a candidate over the letter caps is
 dropped before its least rotation is computed.
 
+A start state whose relators' rotations would take ``ROTATION_BYTES``
+(200 MB) or more, 2L^2 bytes for a cyclically reduced relator of L
+letters, is refused with a ValueError before it is normalized.
+
 NotFound only means the limits were exhausted; it is never evidence that
 no trivialization exists.
 """
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from .coset import MAX_TABLE_SLOTS
 from .moves import (
     AcCertificate,
     AcMove,
@@ -87,6 +92,10 @@ MAX_GENERATORS = 127
 
 # a word in the letter code of ``words.column``, one byte per letter
 Code = bytes
+
+# bytes the rotations of the start state's relators may take, the 200 MB
+# that coset tables and ``quotient``'s relator rotations may take too
+ROTATION_BYTES = 8 * MAX_TABLE_SLOTS
 
 # code -> code of the inverse letter
 _FLIP = bytes(y ^ 1 for y in range(256))
@@ -273,6 +282,14 @@ def search_trivialization(
         raise ValueError(
             f"search codes each letter in one byte and takes at most {MAX_GENERATORS} "
             f"generators, got {len(p.generators)}"
+        )
+
+    # _successors builds 2L rotations of L letters, 1 B each, for every
+    # relator; later states are bounded by the letter caps
+    need = 2 * sum(len(cyclic_reduce(r)[0]) ** 2 for r in p.relators)
+    if need >= ROTATION_BYTES:
+        raise ValueError(
+            f"the relators' rotations would take {need} bytes; a search allows fewer than {ROTATION_BYTES}"
         )
 
     state, moves = _Replay(p), []  # from p to the start state, then on in ``finish``

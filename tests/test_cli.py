@@ -558,6 +558,19 @@ def test_acsearch_usage_errors(run, tmp_path, text, flags):
     assert err.startswith("error: ")
 
 
+def test_acsearch_refuses_a_start_state_past_the_rotation_budget(run, tmp_path):
+    # a relator of L letters has 2L rotations of L bytes: a^8000 needs
+    # 128 MB and is searched, a^10000 needs 200 MB and the 19-byte
+    # a^999999 about 2 TB, both refused before they are normalized
+    path = write(tmp_path, "p.pres", "< a, b | a^8000, b >")
+    assert run("acsearch", path) == (1, "NOT-FOUND\nSTATES-SEEN 2\nSTATES-EXPANDED 2\nLIMIT space-exhausted\n", "")
+    for n in (10_000, 999_999):
+        rc, out, err = run("acsearch", write(tmp_path, "p.pres", f"< a | a^{n} >"))
+        assert (rc, out) == (2, "")
+        need, budget = 2 * n * n, 8 * coset.MAX_TABLE_SLOTS
+        assert err == f"error: the relators' rotations would take {need} bytes; a search allows fewer than {budget}\n"
+
+
 @pytest.mark.parametrize("command", ["acsearch", "dualize", "theorem3"])
 def test_unbalanced_input_has_one_message(run, tmp_path, command):
     # one check, presentation.require_balanced, for the search, the dual and align

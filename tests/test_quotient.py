@@ -16,7 +16,6 @@ from acforge.quotient import (
     FiniteQuotientWitness,
     cycle_notation,
     find_nontrivial_quotient,
-    identity_perm,
     inverse,
     multiply,
     permutation_group_order,
@@ -32,7 +31,7 @@ RAPAPORT = parse_presentation("< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-
 def evaluate_word(word, images, degree):
     """The product of the images of word's letters, one letter at a time:
     the reference evaluator (``coset.validate_table`` gathers whole columns)."""
-    acc = identity_perm(degree)
+    acc = tuple(range(degree))
     for x in word:
         g = images[abs(x) - 1]
         acc = multiply(acc, g if x > 0 else inverse(g))
@@ -46,7 +45,7 @@ def reference_verify(p, w):
         return False
     if any(sorted(img) != list(range(w.degree)) for img in w.images):
         return False
-    identity = identity_perm(w.degree)
+    identity = tuple(range(w.degree))
     if all(img == identity for img in w.images):
         return False
     if any(evaluate_word(r, w.images, w.degree) != identity for r in p.relators):
@@ -56,8 +55,8 @@ def reference_verify(p, w):
 
 def test_perm_arithmetic():
     p = (1, 2, 0)
-    assert multiply(p, inverse(p)) == identity_perm(3)
-    assert evaluate_word((1, 1, 1), [p], 3) == identity_perm(3)
+    assert multiply(p, inverse(p)) == tuple(range(3))
+    assert evaluate_word((1, 1, 1), [p], 3) == tuple(range(3))
     assert permutation_group_order([p], 3) == 3
     assert permutation_group_order([], 3) == 1
 
@@ -65,7 +64,7 @@ def test_perm_arithmetic():
 def test_cycle_notation():
     assert cycle_notation((1, 0, 2)) == "(1 2)"
     assert cycle_notation((1, 2, 0)) == "(1 2 3)"
-    assert cycle_notation(identity_perm(4)) == "()"
+    assert cycle_notation(tuple(range(4))) == "()"
     assert cycle_notation((1, 0, 3, 2)) == "(1 2)(3 4)"
 
 
@@ -89,7 +88,7 @@ def test_poincare_witness_order_60():
     assert w.degree == 5
     assert w.image_order == 60
     assert verify_witness(POINCARE, w)
-    identity = identity_perm(5)
+    identity = tuple(range(5))
     for r in POINCARE.relators:
         assert evaluate_word(r, w.images, 5) == identity
 
@@ -148,9 +147,15 @@ def test_witness_soundness_battery():
         assert verify_witness(p, w)
 
 
+@pytest.mark.parametrize("order, ok", [(60, True), (60.0, False), (True, False)])
+def test_verify_witness_requires_an_int_image_order(order, ok):
+    w = find_nontrivial_quotient(POINCARE, 5)
+    assert verify_witness(POINCARE, w._replace(image_order=order)) is ok
+
+
 def test_verify_witness_rejects_junk():
     p = parse_presentation("< a | a^2 >")
-    assert not verify_witness(p, FiniteQuotientWitness(2, (identity_perm(2),), 1))
+    assert not verify_witness(p, FiniteQuotientWitness(2, (tuple(range(2)),), 1))
     assert not verify_witness(p, FiniteQuotientWitness(2, ((1, 0), (0, 1)), 2))
     assert not verify_witness(p, FiniteQuotientWitness(2, ((1, 1),), 2))
     assert not verify_witness(p, FiniteQuotientWitness(2, ((1, 0),), 7))
@@ -187,7 +192,7 @@ def reference_quotient(p, max_degree):
     for r in p.relators:
         by_last[max((abs(x) for x in r), default=0)].append(r)
     for degree in range(2, max_degree + 1):
-        identity = identity_perm(degree)
+        identity = tuple(range(degree))
         images = []
         stack = [itertools.permutations(identity)] if m else []
         while stack:
@@ -320,19 +325,29 @@ def test_no_allocation_by_max_degree():
 
 
 def test_group_order_agrees_with_closure():
+    """Against sympy's order up to degree 12 and the closure up to degree 6,
+    with degree 0, no generators and identity generators among the cases."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
     rng = random.Random(11)
-    for _ in range(200):
-        degree = rng.randint(1, 6)
+    cases = [(0, []), (0, [()]), (12, []), (12, [tuple(range(12))] * 2)]
+    for _ in range(400):
+        degree = rng.randint(0, 12)
         gens = []
         for _ in range(rng.randint(0, 3)):
             img = list(range(degree))
             if rng.random() < 0.7:
                 rng.shuffle(img)
-            else:  # a single transposition or the identity: small groups too
+            elif degree:  # a single transposition or the identity: small groups too
                 i, j = rng.randrange(degree), rng.randrange(degree)
                 img[i], img[j] = img[j], img[i]
             gens.append(tuple(img))
-        assert permutation_group_order(gens, degree) == len(perm_closure(gens)), gens
+        cases.append((degree, gens))
+    for degree, gens in cases:
+        order = permutation_group_order(gens, degree)
+        perms = [combinatorics.Permutation(list(g)) for g in gens]
+        assert order == combinatorics.PermutationGroup(perms).order(), gens
+        if degree <= 6:
+            assert order == len(perm_closure(gens)), gens
 
 
 def test_group_order_of_s10_without_enumeration():
