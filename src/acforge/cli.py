@@ -107,7 +107,7 @@ def cmd_snf(a, args) -> tuple:
     # built in json mode too: json.dumps writes ints under the same digit
     # limit, and an entry past it is named here
     lines = [
-        "FACTORS " + ints_text(factors, "FACTORS"),
+        f"FACTORS {ints_text(factors, 'FACTORS')}".rstrip(),
         "U",
         matrix_to_text(u, "U").rstrip("\n"),
         "V",

@@ -27,21 +27,34 @@ code (``words.column``), one byte per letter, so a search takes at most
 The code preserves the letter order, so bytes comparison is the canonical
 order and a state's visited key is its sorted relator tuple.  Inversion
 runs in C: the reversed word translated through ``_FLIP``, the table of
-``x ^ 1``.  ``_least`` builds only the rotations of the word and of its
-inverse that start with the least letter of either (found with
-``bytes.find``), and takes the least of them.  Words are coded once at the
-start state and decoded only through the signed-word ``canonical_relator``
-used to reconstruct certificates.  Each BFS edge is one int (see
-``_successors``), which ``_edge_moves`` decodes against the relators of its
-source state.  Reconstruction applies and records the primitive moves on
-one replay state (``moves._Replay``), from p through the path to collapse.
-Successors are pruned length first: the canonical length of a product is
-the length of its cyclic reduction, so a candidate over the letter caps is
-dropped before its least rotation is computed.
+``x ^ 1``.
+
+Every rotation of a relator r of n letters and of its inverse is read off
+one ring, ``_ring(r)`` = r r inv inv of 4n bytes: rot_b(r) starts at b and
+rot_b(inv) at 2n + b, for 0 <= b < n.  No window that crosses the middle
+is a rotation of either, since it holds r's last letter next to its
+inverse and so is not cyclically reduced.  ``_least`` slices only the
+windows that start with the least letter (found with ``bytes.find``) and
+takes the least of them; ``_successors`` keeps one ring per relator of a
+state and slices a multiplier only when pruning keeps it;
+``_normalize_relator`` finds the canonical rotation with one ``find``.  No
+list of rotations is built.
+
+Words are coded once at the start state and decoded only through the
+signed-word ``canonical_relator`` used to reconstruct certificates.  Each
+BFS edge is one int (see ``_successors``), which ``_edge_moves`` decodes
+against the relators of its source state.  Reconstruction applies and
+records the primitive moves on one replay state (``moves._Replay``), from
+p through the path to collapse.  Successors are pruned length first: the
+canonical length of a product is the length of its cyclic reduction, so a
+candidate over the letter caps is dropped before its least rotation is
+computed.
 
 A start state whose relators' rotations would take ``ROTATION_BYTES``
 (200 MB) or more, 2L^2 bytes for a cyclically reduced relator of L
-letters, is refused with a ValueError before it is normalized.
+letters, is refused with a ValueError before it is normalized.  The budget
+bounds work, not memory held: ``_least`` and the first expansion copy
+those rotations one after another.
 
 NotFound only means the limits were exhausted; it is never evidence that
 no trivialization exists.
@@ -49,6 +62,7 @@ no trivialization exists.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .coset import MAX_TABLE_SLOTS
@@ -93,8 +107,8 @@ MAX_GENERATORS = 127
 # a word in the letter code of ``words.column``, one byte per letter
 Code = bytes
 
-# bytes the rotations of the start state's relators may take, the 200 MB
-# that coset tables and ``quotient``'s relator rotations may take too
+# bytes of rotations of the start state's relators that a search may copy,
+# the 200 MB that coset tables and ``quotient``'s relator rotations may take
 ROTATION_BYTES = 8 * MAX_TABLE_SLOTS
 
 # code -> code of the inverse letter
@@ -109,34 +123,30 @@ def _signed(c: Code) -> Word:
     return tuple(map(letter, c))
 
 
-def _rotations(r: Code) -> List[Code]:
-    """Every rotation of r, b ascending, then the inverse of each in the same
-    order: rot_b(r)^delta in edge order (delta 1 then -1)."""
-    n = len(r)
-    twice = r + r
-    inv_twice = r[::-1].translate(_FLIP) * 2
-    # the inverse of rot_b(r) is the rotation of inv(r) by n - b
-    return [twice[b : b + n] for b in range(n)] + [inv_twice[n - b : 2 * n - b] for b in range(n)]
+def _ring(r: Code) -> Code:
+    """r r inv inv for inv = r^-1: rot_b(r) is ``ring[b : b + n]`` and
+    rot_b(inv) is ``ring[2n + b : 3n + b]`` for 0 <= b < n letters."""
+    inv = r[::-1].translate(_FLIP)
+    return r + r + inv + inv
 
 
 def _least(r: Code) -> Code:
-    """The least of ``_rotations(r)``: the canonical form of a cyclically
-    reduced r.  Only rotations that start with the least letter of r or of
-    its inverse can be least, so only those are built."""
+    """The least rotation of r or of its inverse: the canonical form of a
+    cyclically reduced r.  Only rotations that start with the least letter
+    of either can be least, so only those are sliced from the ring."""
     if not r:
         return r
     n = len(r)
-    inv = r[::-1].translate(_FLIP)
-    c = min(min(r), min(inv))
+    ring = _ring(r)
+    c = min(ring)
     best = None
-    for w in (r, inv):
-        twice = w + w
-        b = w.find(c)
+    for lo in (0, 2 * n):
+        b = ring.find(c, lo, lo + n)
         while b >= 0:
-            cand = twice[b : b + n]
+            cand = ring[b : b + n]
             if best is None or cand < best:
                 best = cand
-            b = w.find(c, b + 1)
+            b = ring.find(c, b + 1, lo + n)
     return best
 
 
@@ -172,8 +182,10 @@ def _collapsible(rels: _State) -> bool:
 
 def _successors(rels: _State, limits: SearchLimits):
     """(edge, state) pairs in expansion order.  An edge is one int: -1 - idx
-    for destabilizing relator idx, and e n^2 + i n + j for
-    r_i <- r_i . _rotations(r_j)[e] among n relators."""
+    for destabilizing relator idx, and e n^2 + i n + j for r_i <- r_i . v
+    among n relators, 0 <= e < 2L for L = len(r_j): v is the L letters of
+    ``_ring(r_j)`` from e for e < L, which is rot_e(r_j), and from 4L - e
+    otherwise, the inverse of rot_{e - L}(r_j)."""
     n = len(rels)
     nn = n * n
     out = []
@@ -185,33 +197,34 @@ def _successors(rels: _State, limits: SearchLimits):
         ):
             out.append((-1 - idx, rels[:idx] + rels[idx + 1 :]))
     total = sum(map(len, rels))
-    mults = [_rotations(r) for r in rels]
+    rings = [_ring(r) for r in rels]
     for i, u in enumerate(rels):
         lu = len(u)
         # the product's canonical length is that of its cyclic reduction
         cap = min(limits.max_relator_letters, limits.max_total_letters - total + lu)
         # the letters that cancel u's last and first letter (none if u is empty)
         tail, head = (u[-1] ^ 1, u[0] ^ 1) if u else (-1, -1)
-        for j, vs in enumerate(mults):
-            if j == i or not vs:
+        for j, ring in enumerate(rings):
+            if j == i or not ring:
                 continue
-            lv = len(vs) // 2
+            lv = len(ring) // 4
             seam = min(lu, lv)
             ij = i * n + j
             # u . v is over the cap unless its seam or its ends cancel
             far = seam and lu + lv > cap
-            for e, v in enumerate(vs):
-                if v[0] != tail:
-                    if far and v[-1] != head:
+            for e in range(2 * lv):
+                s = e if e < lv else 4 * lv - e  # v is ring[s : s + lv]
+                if ring[s] != tail:
+                    if far and ring[s + lv - 1] != head:
                         continue  # nothing cancels: too long as it is
-                    w = u + v
+                    w = u + ring[s : s + lv]
                 else:
                     k = 1
-                    while k < seam and u[lu - 1 - k] ^ v[k] == 1:
+                    while k < seam and u[lu - 1 - k] ^ ring[s + k] == 1:
                         k += 1
-                    if lu + lv - 2 * k > cap and k < seam and v[-1] != head:
+                    if lu + lv - 2 * k > cap and k < seam and ring[s + lv - 1] != head:
                         continue  # the ends do not cancel either: too long as it is
-                    w = u[: lu - k] + v[k:]
+                    w = u[: lu - k] + ring[s + k : s + lv]
                 lo, hi = 0, len(w)
                 while hi - lo >= 2 and w[lo] ^ w[hi - 1] == 1:
                     lo += 1
@@ -233,11 +246,13 @@ def _normalize_relator(state: _Replay, i: int, moves: List[AcMove]) -> None:
     step: List[AcMove] = [CyclicPermute(i, 1)] * len(conjugator)
     target = canonical_relator(core)
     if core != target:
-        c, t = _code(core), _code(target)
-        k = (c * 2).find(t)  # the first match is the least shift
-        if k < 0:
+        # the first match is the least shift; none spans the ring's middle,
+        # where the last letter of core meets its inverse
+        n2 = 2 * len(core)
+        k = _ring(_code(core)).find(_code(target))
+        if k >= n2:
             step.append(InvertRelator(i))
-            k = (c[::-1].translate(_FLIP) * 2).find(t)
+            k -= n2
         if k:
             step.append(CyclicPermute(i, k))
     for mv in step:
@@ -284,8 +299,9 @@ def search_trivialization(
             f"generators, got {len(p.generators)}"
         )
 
-    # _successors builds 2L rotations of L letters, 1 B each, for every
-    # relator; later states are bounded by the letter caps
+    # _least, then the first expansion, copy up to 2L rotations of L letters,
+    # 1 B each, of every relator, one after another: work, not memory held;
+    # later states are bounded by the letter caps
     need = 2 * sum(len(cyclic_reduce(r)[0]) ** 2 for r in p.relators)
     if need >= ROTATION_BYTES:
         raise ValueError(
@@ -314,8 +330,9 @@ def search_trivialization(
     # visited key (sorted relators) -> (parent's key, edge); None at the start.
     # An edge indexes the relators of the parent state as reached, which is
     # the order that replaying the path from the start state rebuilds.
-    level = [(start, tuple(sorted(start)))]  # (state as reached, its key)
-    parent: Dict[_State, Optional[Tuple[_State, int]]] = {level[0][1]: None}
+    key = tuple(sorted(start))
+    queue = deque([(start, key, 0)])  # (state as reached, its key, depth)
+    parent: Dict[_State, Optional[Tuple[_State, int]]] = {key: None}
     expanded = 0
     frontier = [1]
 
@@ -329,29 +346,27 @@ def search_trivialization(
         edges.reverse()
         return edges
 
-    # breadth first, one depth at a time; each level keeps insertion order
-    for d in range(limits.max_depth):
-        nxt: List[Tuple[_State, _State]] = []
-        for s, key in level:
-            expanded += 1
-            for edge, t in _successors(s, limits):
-                k = tuple(sorted(t))
-                if k in parent:
-                    continue
-                if len(parent) >= limits.max_states:
-                    return SearchResult(
-                        None, None, len(parent), expanded, "states", tuple(frontier)
-                    )
-                parent[k] = (key, edge)
-                if len(frontier) == d + 1:
-                    frontier.append(0)
-                frontier[d + 1] += 1
-                if _collapsible(t):
-                    return finish(path_to(k), d + 1, len(parent), expanded, frontier)
-                nxt.append((t, k))
-        # each level holds the states first reached one depth down, once each
-        assert expanded == sum(frontier[: d + 1]), "a canonical form was expanded twice"
-        if not nxt:
-            return SearchResult(None, None, len(parent), expanded, None, tuple(frontier))
-        level = nxt
-    return SearchResult(None, None, len(parent), expanded, "depth", tuple(frontier))
+    # breadth first: first in, first out, so depths leave the queue in order
+    while queue:
+        s, key, d = queue.popleft()
+        if d == limits.max_depth:
+            # every state above the cap was expanded, once each
+            assert expanded == sum(frontier[:d]), "a canonical form was expanded twice"
+            return SearchResult(None, None, len(parent), expanded, "depth", tuple(frontier))
+        expanded += 1
+        for edge, t in _successors(s, limits):
+            k = tuple(sorted(t))
+            if k in parent:
+                continue
+            if len(parent) >= limits.max_states:
+                return SearchResult(None, None, len(parent), expanded, "states", tuple(frontier))
+            parent[k] = (key, edge)
+            if len(frontier) == d + 1:
+                frontier.append(0)
+            frontier[d + 1] += 1
+            if _collapsible(t):
+                return finish(path_to(k), d + 1, len(parent), expanded, frontier)
+            queue.append((t, k, d + 1))
+    # every state reached was expanded, once each
+    assert expanded == len(parent), "a canonical form was expanded twice"
+    return SearchResult(None, None, len(parent), expanded, None, tuple(frontier))

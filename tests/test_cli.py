@@ -755,6 +755,19 @@ def test_snf(run, tmp_path):
     assert (rc, out) == (2, "") and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0 0\n", "FACTORS\nU\n0 0\nV\n0 0\n"),
+        ("0 3\n", "FACTORS\nU\n0 0\nV\n3 3\n1 0 0\n0 1 0\n0 0 1\n"),
+        ("2 0\n", "FACTORS\nU\n2 2\n1 0\n0 1\nV\n0 0\n"),
+    ],
+    ids=["0x0", "0x3", "2x0"],
+)
+def test_snf_of_an_empty_matrix_has_no_trailing_space(run, tmp_path, text, expected):
+    assert run("snf", write(tmp_path, "e.mat", text)) == (0, expected, "")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_snf_result_past_the_digit_limit(run, tmp_path, fmt):
     # entries of 3,001 digits, which the reader accepts; the second factor has 6,001

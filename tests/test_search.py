@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from acforge.search import (
     SearchLimits,
     _code,
     _least,
-    _rotations,
+    _ring,
     _signed,
     _successors,
     canonical_relator,
@@ -121,8 +122,31 @@ def test_least_is_the_least_rotation():
     ]
     for w in words:
         r = _code(w)
-        assert _least(r) == min(_rotations(r), default=b"")
+        rotations = [_code(rotate(x, b)) for x in (w, invert(w)) for b in range(len(w))]
+        assert _least(r) == min(rotations, default=b"")
         assert _signed(_least(r)) == canonical_relator(w)
+
+
+def test_ring_holds_every_rotation_outside_its_middle():
+    rng = random.Random(131)
+    words = [(1,), (-2,), (1, 2) * 3, (1, -2) * 2, (2, 2, -1)]
+    while len(words) < 300:
+        w = cyclic_reduce(
+            free_reduce([rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(rng.randint(1, 12))])
+        )[0]
+        if w:
+            words.append(w)
+    for w in words:
+        n, ring = len(w), _ring(_code(w))
+        assert len(ring) == 4 * n
+        for x, lo in ((w, 0), (invert(w), 2 * n)):
+            for b in range(n):
+                rot = _code(rotate(x, b))
+                assert ring[lo + b : lo + b + n] == rot
+                hits = [k for k in range(3 * n + 1) if ring[k : k + n] == rot]
+                # no window across the middle matches, and find lands in a half
+                assert not any(n < k < 2 * n for k in hits)
+                assert ring.find(rot) == hits[0] and (hits[0] < n or 2 * n <= hits[0] < 3 * n)
 
 
 def reference_successors(rels, limits):
@@ -210,6 +234,19 @@ def test_search_state_counts_pinned(p, cap, counts):
     r = search_trivialization(p, SearchLimits(max_states=cap))
     assert (r.states_seen, r.states_expanded, r.limit_hit) == counts + ("states",)
     assert sum(r.frontier) == r.states_seen
+
+
+def test_search_on_one_long_relator_holds_no_rotations():
+    # a^8000 has 16,000 rotations of 8,000 letters (128 MB); none is kept
+    p = parse_presentation("< a, b | a^8000, b >")
+    tracemalloc.start()
+    try:
+        r = search_trivialization(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.found, r.states_seen, r.states_expanded, r.limit_hit) == (False, 2, 2, None)
+    assert peak < 8_000_000
 
 
 def test_search_requires_balanced():
