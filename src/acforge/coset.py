@@ -70,7 +70,7 @@ from operator import itemgetter
 from typing import Deque, List, NamedTuple, Tuple, Union
 
 from .presentation import Presentation
-from .words import column
+from .words import column, invert
 
 DEFAULT_MAX_COSETS = 10**6
 # bounds memory whatever the generator count: about 8 B a slot, so 200 MB
@@ -309,8 +309,9 @@ def multiply(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     return itemgetter(*p)(q) if len(p) > 1 else tuple(q[i] for i in p)
 
 
-def _first_moved(perm: Tuple[int, ...]) -> int:
-    return next(c for c, d in enumerate(perm) if d != c)
+def _first_moved(p: Tuple[int, ...], q: Tuple[int, ...]) -> int:
+    """The first coset that p and q send to different cosets."""
+    return next(c for c, (d, e) in enumerate(zip(p, q)) if d != e)
 
 
 def _ints(images: Tuple[int, ...]) -> bool:
@@ -322,15 +323,13 @@ def _ints(images: Tuple[int, ...]) -> bool:
         return False
 
 
-def _in_range(images: Tuple[int, ...], n: int) -> bool:
-    """Whether every entry is an int 0..n-1, bounds first.  A set of the
-    cosets would be faster, but at n = 5040 it is a 512 kB block, and freeing
-    it raises glibc's mmap threshold and with it the peak memory of later,
-    larger work."""
-    try:
-        return min(images, default=0) >= 0 and max(images, default=-1) < n and _ints(images)
-    except TypeError:  # an entry that does not compare with an int
-        return False
+def _trace(cols, word, identity: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The permutation of the cosets that word gives: its first letter's
+    column, then one gather per further letter."""
+    cur = cols[column(word[0])] if word else identity
+    for x in word[1:]:
+        cur = multiply(cur, cols[column(x)])
+    return cur
 
 
 def _row_problem(rows, width: int) -> str:
@@ -361,13 +360,28 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
 
     The kernel is a gather over whole columns: each column is an image
     tuple, and ``multiply`` composes two of them for all n cosets in one
-    C-level ``itemgetter(*cur)(col)``.  A relator of k letters is traced by
-    k - 1 gathers from its first letter's column, and g then g^-1 is one
-    gather of the inverse column through the forward one; with g's column in
-    range, that being the identity makes both columns permutations (the
-    inverse column's entries, then equal to cosets, need only ``_ints``), so
-    the set-based checks run only for a generator that fails it.  Only a
-    check that fails goes on to search for its first coset or entry.
+    C-level ``itemgetter(*cur)(col)``.  g then g^-1 is one gather of the
+    inverse column through the forward one.  With g's entries ints >= 0 (a
+    negative one would wrap) and the gather not raising IndexError (so none
+    is past the table), that being the identity makes both columns
+    permutations, and inverse ones: the inverse column's entries, then
+    equal to cosets, need only ``_ints``.  So the entry and set-based checks
+    run only for a generator that fails it, and the passing path builds no
+    set or dict of the cosets: at n = 5040 one is a 512 kB block, and
+    freeing it raises glibc's mmap threshold and with it the peak memory of
+    later, larger work.
+
+    A relator r of L letters is split as r = x y, x its first ceil(L/2)
+    letters, and checked by comparing two permutations, the ones x and the
+    inverse word y^-1 give, each traced from its first letter's column.
+    Once every generator has passed, each inverse column is the inverse
+    permutation, so y^-1 gives the inverse of y's permutation, and c x y = c
+    exactly when c x = c y^-1: the first coset where the two differ is the
+    first one r moves.  That is L - 2 gathers where the whole word takes
+    L - 1, and none for g^2 (g's column against g^-1's); S7's check takes 46
+    gathers, not 67.  If any generator failed, x is all of r and y is empty,
+    so r is traced whole and compared with the identity.  Only a check that
+    fails goes on to search for its first coset or entry.
 
     A table that passes shows an action of the group of p on n points, and
     so a quotient of that group, its image.  It need not be transitive: the
@@ -396,7 +410,11 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     failed = []  # generators whose two columns are not inverse permutations of ints
     for g in range(1, m + 1):
         fwd, back = cols[column(g)], cols[column(-g)]
-        if not (_in_range(fwd, n) and multiply(fwd, back) == identity and _ints(back)):
+        try:  # the gather raises IndexError on an entry past the table, min TypeError on None
+            ok = min(fwd, default=0) >= 0 and _ints(fwd) and multiply(fwd, back) == identity and _ints(back)
+        except (IndexError, TypeError):
+            ok = False
+        if not ok:
             failed.append(g)
     problems = []
     for col in [column(x) for g in failed for x in (g, -g)]:
@@ -412,12 +430,11 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
         if len(set(fwd)) != n:
             problems.append(f"generator {g} does not act as a permutation")
         else:
-            c = _first_moved(multiply(fwd, cols[column(-g)]))
+            c = _first_moved(multiply(fwd, cols[column(-g)]), identity)
             problems.append(f"g then g^-1 does not return to start (g={g}, coset={c})")
     for k, r in enumerate(p.relators, start=1):
-        cur = cols[column(r[0])] if r else identity  # the identity then the first letter
-        for x in r[1:]:
-            cur = multiply(cur, cols[column(x)])
-        if cur != identity:
-            problems.append(f"relator {k} does not fix coset {_first_moved(cur)}")
+        h = len(r) if failed else (len(r) + 1) // 2  # r = x y with x = r[:h]
+        x, y_inv = _trace(cols, r[:h], identity), _trace(cols, invert(r[h:]), identity)
+        if x != y_inv:
+            problems.append(f"relator {k} does not fix coset {_first_moved(x, y_inv)}")
     return problems

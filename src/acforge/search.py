@@ -174,12 +174,6 @@ class SearchResult(NamedTuple):
 _State = Tuple[Code, ...]
 
 
-def _collapsible(rels: _State) -> bool:
-    return all(len(r) == 1 for r in rels) and sorted(r[0] for r in rels) == list(
-        range(0, 2 * len(rels), 2)
-    )
-
-
 def _successors(rels: _State, limits: SearchLimits):
     """(edge, state) pairs in expansion order.  An edge is one int: -1 - idx
     for destabilizing relator idx, and e n^2 + i n + j for r_i <- r_i . v
@@ -226,6 +220,10 @@ def _successors(rels: _State, limits: SearchLimits):
                         continue  # the ends do not cancel either: too long as it is
                     w = u[: lu - k] + ring[s + k : s + lv]
                 lo, hi = 0, len(w)
+                if hi > 2 * limits.max_relator_letters:  # only a relator kept from the start is this long
+                    t = (hi - cap + 1) // 2  # end pairs that must cancel to fit the cap
+                    if w[:t] != w[-t:][::-1].translate(_FLIP):
+                        continue
                 while hi - lo >= 2 and w[lo] ^ w[hi - 1] == 1:
                     lo += 1
                     hi -= 1
@@ -324,13 +322,15 @@ def search_trivialization(
         assert replay(cert), "reconstructed certificate must replay"
         return SearchResult(cert, depth, seen, expanded, None, tuple(frontier))
 
-    if _collapsible(start):
-        return finish([], 0, 1, 0, (1,))
-
+    # a state collapses when its relators are the positive letters, one per
+    # generator: goals[n] is that key for n relators
+    goals = [tuple(bytes((c,)) for c in range(0, 2 * n, 2)) for n in range(len(start) + 1)]
     # visited key (sorted relators) -> (parent's key, edge); None at the start.
     # An edge indexes the relators of the parent state as reached, which is
     # the order that replaying the path from the start state rebuilds.
     key = tuple(sorted(start))
+    if key == goals[len(key)]:
+        return finish([], 0, 1, 0, (1,))
     queue = deque([(start, key, 0)])  # (state as reached, its key, depth)
     parent: Dict[_State, Optional[Tuple[_State, int]]] = {key: None}
     expanded = 0
@@ -364,7 +364,7 @@ def search_trivialization(
             if len(frontier) == d + 1:
                 frontier.append(0)
             frontier[d + 1] += 1
-            if _collapsible(t):
+            if k == goals[len(k)]:
                 return finish(path_to(k), d + 1, len(parent), expanded, frontier)
             queue.append((t, k, d + 1))
     # every state reached was expanded, once each

@@ -571,6 +571,16 @@ def test_acsearch_refuses_a_start_state_past_the_rotation_budget(run, tmp_path):
         assert err == f"error: the relators' rotations would take {need} bytes; a search allows fewer than {budget}\n"
 
 
+def test_acsearch_drops_long_products_before_cancelling_their_ends(run, tmp_path):
+    # each of about 7,000 multipliers a^-k b a^-(7000-k) leaves a product of
+    # some 14,000 letters whose ends must cancel to fit the cap; cancelling
+    # them a pair at a time took 5.6 s
+    path = write(tmp_path, "p.pres", "< a, b | a^7000 b, b a^-7000 >")
+    t0 = time.perf_counter()
+    assert run("acsearch", path) == (1, "NOT-FOUND\nSTATES-SEEN 1\nSTATES-EXPANDED 1\nLIMIT space-exhausted\n", "")
+    assert time.perf_counter() - t0 < 2.0
+
+
 @pytest.mark.parametrize("command", ["acsearch", "dualize", "theorem3"])
 def test_unbalanced_input_has_one_message(run, tmp_path, command):
     # one check, presentation.require_balanced, for the search, the dual and align

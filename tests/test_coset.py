@@ -617,3 +617,55 @@ def test_a_passing_table_does_not_certify_the_order():
     assert validate_table(pres("< a | a^6 >"), t) == []
     # no generators: the one row has no entries and there is nothing to gather
     assert validate_table(pres("< | >"), CosetTable(0, ((),))) == []
+
+
+def test_relators_that_fail_on_valid_columns_match_the_reference_loop():
+    # closed tables checked against another presentation on as many
+    # generators: every column is a permutation and g^-1's is g's inverse,
+    # so each relator is checked in two halves, and many fail
+    rng = random.Random(71)
+    failing = 0
+    for seed in range(200):
+        p, t = closed_table(seed)
+        q = p
+        while q == p or len(q.generators) != t.n_generators:
+            if rng.random() < 0.3:
+                q = von_dyck(rng.randint(2, 6), rng.randint(2, 6), rng)
+            else:
+                q = random_presentation(rng)
+        problems = validate_table(q, t)
+        assert problems == reference_validate(q, t), (q, t)
+        assert not any(msg.startswith(("generator", "g then")) for msg in problems)
+        failing += bool(problems)
+    assert failing >= 100
+
+
+def test_a_failed_generator_traces_every_relator_whole():
+    # b^-1's column with two entries swapped fails g then g^-1; a^2, b^3 and
+    # a b a b hold on the a and b columns, and a b fails.  Halves through
+    # the b^-1 column would also fail b^3 and a b a b.
+    t = coset_table(pres(S3))
+    col = column(-2)
+    bad = changed(t, [(0, col, t.rows[1][col]), (1, col, t.rows[0][col])])
+    q = pres("< a, b | a^2, b^3, a b a b, a b >")
+    assert validate_table(q, bad) == reference_validate(q, bad) == [
+        "g then g^-1 does not return to start (g=2, coset=3)",
+        "relator 4 does not fix coset 0",
+    ]
+
+
+def test_the_table_check_takes_one_gather_per_letter_less_two(monkeypatch):
+    # S7's Coxeter presentation: 6 generators, one gather each; then 6
+    # relators s_i^2 with none, 5 of 6 letters with 4 each and 10 of 4
+    # letters with 2 each (a whole trace of every relator took 61)
+    p = coxeter_symmetric(7)
+    t = coset_table(p)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(coset, "multiply", counted)
+    assert validate_table(p, t) == []
+    assert len(calls) == 46

@@ -359,3 +359,14 @@ def test_search_frontier_counts_states_by_depth():
     shallow = search_trivialization(TRIVIAL23, SearchLimits(max_depth=2))
     assert shallow.limit_hit == "depth" and len(shallow.frontier) == 3
     assert sum(shallow.frontier) == shallow.states_seen
+
+
+def test_successors_over_the_cap_by_end_cancellation_match_the_reference():
+    # u = x b and v = b x^-1 for a random word x: many products u . v are
+    # more than twice the letter cap long until their ends cancel
+    rng = random.Random(59)
+    for _ in range(200):
+        x = free_reduce([rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(3, 10))])
+        rels = tuple(canonical_relator(free_reduce(w)) for w in (x + (2,), (2,) + invert(x)))
+        limits = SearchLimits(max_relator_letters=rng.randint(1, 4), max_total_letters=40)
+        assert coded_successors(rels, limits) == reference_successors(rels, limits)
