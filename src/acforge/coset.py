@@ -13,14 +13,36 @@ coset first; when the trace completes (a closed scan: 65,519 of S7's
 75,600 scans) it merges only if the trace ended elsewhere.  A scan that
 meets an undefined entry runs the Handbook's two-ended scan instead, with
 the definition inlined and both caps checked in ``define``'s order.  S7
-closes in about 0.06 s (0.08 s scanning every relator from both ends), on
-a 2-CPU x86-64 host under Python 3.11.
+closes in about 25 ms (30 ms before the sink row and the chain below, 80 ms
+scanning every relator from both ends), on a 2-CPU x86-64 host under
+Python 3.11.
 
 The table is one flat list of ints.  A coset is the offset of its row; a
-row holds one slot per column, then the coset's union-find parent, and
-``-1`` marks an undefined entry, so ``table[f + col]`` is the image of
-coset f under col.  There is no object per coset: about 90 B a coset on
-Rapaport's three generators, against 163 B for a list per row.
+row holds one slot per column, then the coset's union-find parent, so
+``table[f + col]`` is the image of coset f under col.  There is no object
+per coset: about 90 B a coset on Rapaport's three generators, against
+163 B for a list per row.  Row 0 is a sink: every slot of it is 0 and
+stays 0, coset 0 is the row at offset ``width``, and 0 marks an undefined
+entry.  A trace that meets an undefined entry lands on the sink and stays
+there, since every column of the sink leads back to it.  So the closed
+scan reads one entry per letter with no test: afterwards the coset it
+started from means nothing to do, another coset a coincidence, and 0 a
+gap.  The sink row is not counted against ``MAX_TABLE_SLOTS``.
+
+When the gap path defines beta = f fwd[i], beta's row is blank but for its
+back-reference at back[i].  The forward end then reads beta's fwd[i+1]
+entry, which is that back-reference only if fwd[i+1] is the inverse column
+of fwd[i]; the backward end reads b's back[j] entry, which the definition
+set only if b is f and back[j] is fwd[i].  When neither holds, neither end
+can move until beta's gap is filled, and the same holds at every later new
+coset, whose row is blank too and differs from b.  So ``run`` defines
+fwd[i+1..j-1] as a chain of new cosets, checking both caps before each, and
+closes with the deduction at j, reading neither end again: the sequence of
+definitions and the table are those of the one-step scan.  The first
+condition is checked once per relator, over its whole column word: it fails
+only for a shared column next to itself (``a a`` inside a longer relator)
+or an unreduced word.  On Rapaport to 2,000 cosets the loop reads 8,113
+entries instead of 10,605.
 
 A generator g with a relator ``g g`` or ``g^-1 g^-1`` gets one column for
 both g and g^-1 (Handbook ch. 5; Havas and Ramsay's ACE does the same).
@@ -53,14 +75,22 @@ removed some.
 Measured and rejected, against an earlier HLT loop: the Felsch strategy
 (S7 0.14 -> 0.09 s, but Rapaport to 10**5 cosets 0.13 -> 0.49 s and Higman
 to 2*10**4 0.024 -> 0.080 s), and storage in ``array('q')`` (5.8 instead
-of 9.1 MB on that Rapaport run, but about twice as slow).  Against this
-loop, a gap path that resumes at the gap instead of tracing again from the
-coset (medians of seven interleaved in-process runs, same host; results
-and final tables equal): with the closed loop keeping the last defined
-coset in a temporary and the gap's index taken from its iterator's
-``__length_hint__``, S7 and S8 were 6-8 % slower for 2-4 % on Rapaport to
-10**5 and 10**6 cosets; with the closed loop as it is and the gap path
-tracing ``fwd[:i]`` again, every case was 0-12 % slower.
+of 9.1 MB on that Rapaport run, but about twice as slow).  Against the
+closed-scan loop, a gap path that resumes at the gap instead of tracing
+again from the coset (medians of seven interleaved in-process runs, same
+host; results and final tables equal): with the closed loop keeping the
+last defined coset in a temporary and the gap's index taken from its
+iterator's ``__length_hint__``, S7 and S8 were 6-8 % slower for 2-4 % on
+Rapaport to 10**5 and 10**6 cosets; with the closed loop as it is and the
+gap path tracing ``fwd[:i]`` again, every case was 0-12 % slower.  Against
+the loop before the sink row: marking the cosets that a closed scan of a
+symmetric relator (w^k, or an involution word) also covers, and skipping
+their scans, skipped 60-70 % of S7's closed scans, yet S7 took 31.8 ms
+either way; batching the cosets that need no work, when only about 800 of
+S7's 5,040 do (777-832 under three relabellings); and ``compressed``
+through ``itemgetter`` on row slices, slower on S7 (4.8 -> 6.6 ms).  In the
+same scan shape, ``quotient._fill`` reading each entry once instead of
+twice was slower: Rapaport at degree 5 went from 9.2 to 10.2 ms.
 """
 
 from __future__ import annotations
@@ -131,17 +161,20 @@ class _Enumerator:
                 self.inv += [c + 1, c]
         self.ncols = len(self.inv)
         self.width = self.ncols + 1
-        # a shared column is an involution by construction, so g^2 needs no scan
+        # a shared column is an involution by construction, so g^2 needs no scan;
+        # a relator whose column word never steps straight back may chain
         self.relators = []
         for r in p.relators:
             if len(r) == 2 and r[0] == r[1]:
                 continue
             fwd = [self.columns[column(x)] for x in r]
-            self.relators.append((fwd, [self.inv[c] for c in fwd]))
+            chain = all(c != self.inv[d] for d, c in zip(fwd, fwd[1:]))
+            self.relators.append((fwd, [self.inv[c] for c in fwd], chain))
         self.max_cosets = max_cosets
-        self.slot_limit = MAX_TABLE_SLOTS - self.width
-        self.blank = [-1] * self.width
-        self.table: List[int] = [-1] * self.ncols + [0]
+        self.slot_limit = MAX_TABLE_SLOTS  # the sink row is not counted
+        self.blank = [0] * self.width
+        self.table: List[int] = self.blank + self.blank  # the sink row, then coset 0
+        self.table[2 * self.width - 1] = self.width
         self.live = 1
 
     # -- union-find ----------------------------------------------------------
@@ -186,15 +219,15 @@ class _Enumerator:
             gamma = queue.popleft()
             for col in range(self.ncols):
                 delta = table[gamma + col]
-                if delta < 0:
+                if not delta:
                     continue
                 icol = inv[col]
                 # drop the back-reference delta --icol--> gamma
-                table[delta + icol] = -1
+                table[delta + icol] = 0
                 mu, nu = rep(gamma), rep(delta)
-                if table[mu + col] >= 0:
+                if table[mu + col]:
                     merge(nu, table[mu + col], queue)
-                elif table[nu + icol] >= 0:
+                elif table[nu + icol]:
                     merge(mu, table[nu + icol], queue)
                 else:
                     table[mu + col] = nu
@@ -204,61 +237,65 @@ class _Enumerator:
         table, pc, width = self.table, self.ncols, self.width
         coincidence, blank = self.coincidence, self.blank
         max_cosets, slot_limit = self.max_cosets, self.slot_limit
-        alpha = 0
+        alpha = width
         while alpha < len(table):
             if table[alpha + pc] == alpha:
-                for fwd, back in self.relators:
+                for fwd, back, chain in self.relators:
                     f = alpha
-                    for c in fwd:  # closed scan: the trace completes
+                    for c in fwd:  # a gap drops the trace into the sink, 0
                         f = table[f + c]
-                        if f < 0:
-                            break
-                    else:
-                        if f != alpha:
-                            coincidence(f, alpha)
-                            if table[alpha + pc] != alpha:
-                                break
+                    if f == alpha:
                         continue
-                    # gap path: scan from both ends, defining cosets in between
-                    f, i = alpha, 0
-                    b, j = alpha, len(fwd) - 1
-                    while True:
-                        while i <= j:
-                            x = table[f + fwd[i]]
-                            if x < 0:
+                    if f:
+                        coincidence(f, alpha)
+                    else:  # gap path: scan from both ends, defining cosets in between
+                        f, i = alpha, 0
+                        b, j = alpha, len(fwd) - 1
+                        while True:
+                            while i <= j:
+                                x = table[f + fwd[i]]
+                                if not x:
+                                    break
+                                f = x
+                                i += 1
+                            if i > j:
+                                if f != b:
+                                    coincidence(f, b)
                                 break
-                            f = x
-                            i += 1
-                        if i > j:
-                            if f != b:
+                            while j >= i:
+                                x = table[b + back[j]]
+                                if not x:
+                                    break
+                                b = x
+                                j -= 1
+                            if j < i:
                                 coincidence(f, b)
-                            break
-                        while j >= i:
-                            x = table[b + back[j]]
-                            if x < 0:
                                 break
-                            b = x
-                            j -= 1
-                        if j < i:
-                            coincidence(f, b)
-                            break
-                        if j == i:  # deduction closes the scan
-                            table[f + fwd[i]] = b
-                            table[b + back[i]] = f
-                            break
-                        beta = len(table)  # define, with the checks of ``define``
-                        if self.live >= max_cosets or beta > slot_limit:
-                            return CapExceeded(self.live)
-                        table.extend(blank)
-                        table[beta + pc] = beta
-                        self.live += 1
-                        table[f + fwd[i]] = beta
-                        table[beta + back[i]] = f
+                            # past both guards (module docstring) neither end
+                            # can move: define on down the chain to j
+                            chained = chain and (b != f or back[j] != fwd[i])
+                            while i < j:  # define, with the checks of ``define``
+                                beta = len(table)
+                                if self.live >= max_cosets or beta > slot_limit:
+                                    return CapExceeded(self.live)
+                                table.extend(blank)
+                                table[beta + pc] = beta
+                                self.live += 1
+                                table[f + fwd[i]] = beta
+                                table[beta + back[i]] = f
+                                f = beta
+                                i += 1
+                                if not chained:
+                                    break
+                            else:  # deduction closes the scan
+                                table[f + fwd[i]] = b
+                                table[b + back[i]] = f
+                                break
                     if table[alpha + pc] != alpha:
                         break
                 else:
                     for col in range(pc):
-                        if table[alpha + col] < 0 and not self.define(alpha, col):
+                        if not table[alpha + col] and not self.define(alpha, col):
                             return CapExceeded(self.live)
             alpha += width
         return Finite(self.live)
@@ -267,8 +304,8 @@ class _Enumerator:
         """The closed table in standard numbering, with all 2m columns."""
         table, columns = self.table, self.columns
         number = [-1] * len(table)  # standard number of a coset offset
-        number[0] = 0
-        order = [0]
+        number[self.width] = 0
+        order = [self.width]
         rows = []
         for f in order:  # order grows as new cosets appear
             row = []

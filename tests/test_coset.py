@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -269,7 +269,7 @@ def test_differential_against_reference_enumerator():
         result = e.run()
         expected, ref_defined = reference_enumerate(p, 300)
         if not has_involutory_relator(p):
-            assert exactly(result, expected) and len(e.table) // e.width == ref_defined, p
+            assert exactly(result, expected) and len(e.table) // e.width - 1 == ref_defined, p
             same_work += 1
         if isinstance(result, Finite):
             assert validate_table(p, e.compressed()) == [], p
@@ -283,7 +283,7 @@ def test_involution_columns_define_fewer_cosets():
     p = pres(COXETER_S4)
     e = _Enumerator(p, 10_000)
     assert exactly(e.run(), Finite(24))
-    assert len(e.table) // e.width < reference_enumerate(p, 10_000)[1]
+    assert len(e.table) // e.width - 1 < reference_enumerate(p, 10_000)[1]
 
 
 def von_dyck(k, l, rng):
@@ -334,8 +334,9 @@ def test_slot_budget_caps_wide_tables(monkeypatch):
     monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", 1000)
     e = _Enumerator(pres("< a, b | >"), 10**6)
     result = e.run()
-    assert isinstance(result, CapExceeded) and len(e.table) <= 1000
-    assert result.cosets == len(e.table) // e.width == 200
+    # the sink row is not counted against the budget
+    assert isinstance(result, CapExceeded) and len(e.table) - e.width <= 1000
+    assert result.cosets == len(e.table) // e.width - 1 == 200
 
 
 def coxeter_symmetric(n):
@@ -350,11 +351,20 @@ RAPAPORT = "< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >"
 
 
 class LoopReference(_Enumerator):
-    """The HLT loop as it was before the closed-scan pass: every scan goes
-    through ``scan_and_fill`` and every definition through ``define``.
-    ``stopped`` records where a cap stopped it: "scan" or "fill"."""
+    """The HLT loop as it was before the closed-scan pass and the chained
+    definitions: every scan goes through ``scan_and_fill``, one step at a
+    time, and every definition through ``define``.  It stops at an undefined
+    entry (0) and so never reads the sink row.  ``stopped`` records where a
+    cap stopped it: "scan" or "fill".  ``guarded`` counts the scan's
+    definitions after which the enumerator may not chain, by the guard that
+    holds: "word" (the relator's column word steps straight back) or "end"
+    (the definition sets the entry the backward end stopped at)."""
 
     stopped = None
+
+    def __init__(self, p, max_cosets):
+        super().__init__(p, max_cosets)
+        self.guarded = Counter()
 
     def define(self, alpha, col):
         table = self.table
@@ -368,14 +378,14 @@ class LoopReference(_Enumerator):
         table[beta + self.inv[col]] = alpha
         return True
 
-    def scan_and_fill(self, alpha, fwd, back):
+    def scan_and_fill(self, alpha, fwd, back, chain):
         table = self.table
         f, i = alpha, 0
         b, j = alpha, len(fwd) - 1
         while True:
             while i <= j:
                 x = table[f + fwd[i]]
-                if x < 0:
+                if not x:
                     break
                 f = x
                 i += 1
@@ -385,7 +395,7 @@ class LoopReference(_Enumerator):
                 return True
             while j >= i:
                 x = table[b + back[j]]
-                if x < 0:
+                if not x:
                     break
                 b = x
                 j -= 1
@@ -398,21 +408,25 @@ class LoopReference(_Enumerator):
                 return True
             if not self.define(f, fwd[i]):
                 return False
+            if not chain:
+                self.guarded["word"] += 1
+            elif b == f and back[j] == fwd[i]:
+                self.guarded["end"] += 1
 
     def run(self):
         table, pc, width = self.table, self.ncols, self.width
-        alpha = 0
+        alpha = width  # coset 0, after the sink row
         while alpha < len(table):
             if table[alpha + pc] == alpha:
-                for fwd, back in self.relators:
-                    if not self.scan_and_fill(alpha, fwd, back):
+                for fwd, back, chain in self.relators:
+                    if not self.scan_and_fill(alpha, fwd, back, chain):
                         self.stopped = "scan"
                         return CapExceeded(self.live)
                     if table[alpha + pc] != alpha:
                         break
                 else:
                     for col in range(self.ncols):
-                        if table[alpha + col] < 0 and not self.define(alpha, col):
+                        if not table[alpha + col] and not self.define(alpha, col):
                             self.stopped = "fill"
                             return CapExceeded(self.live)
             alpha += width
@@ -421,11 +435,12 @@ class LoopReference(_Enumerator):
 
 def assert_same_work(p, max_cosets):
     """Run the enumerator and the reference on p; assert the same result,
-    flat table and live count.  Returns where the reference stopped."""
+    flat table and live count.  Returns the reference, which holds where it
+    stopped and the guard counts."""
     e, ref = _Enumerator(p, max_cosets), LoopReference(p, max_cosets)
     result = e.run()
     assert (result, e.table, e.live) == (ref.run(), ref.table, ref.live), p
-    return ref.stopped
+    return ref
 
 
 def test_run_does_the_work_of_the_reference_loop():
@@ -435,11 +450,11 @@ def test_run_does_the_work_of_the_reference_loop():
     for n in range(600):
         p = random_presentation(rng) if n % 6 else von_dyck(rng.randint(2, 6), rng.randint(2, 6), rng)
         involutory += has_involutory_relator(p)
-        stops.append(assert_same_work(p, rng.choice([5, 40, 300])))
+        stops.append(assert_same_work(p, rng.choice([5, 40, 300])).stopped)
     for n in (4, 5, 6):
-        assert assert_same_work(coxeter_symmetric(n), 10**6) is None
-    stops.append(assert_same_work(pres(RAPAPORT), 2000))
-    stops.append(assert_same_work(pres("< a, b | a >"), 1))
+        assert assert_same_work(coxeter_symmetric(n), 10**6).stopped is None
+    stops.append(assert_same_work(pres(RAPAPORT), 2000).stopped)
+    stops.append(assert_same_work(pres("< a, b | a >"), 1).stopped)
     assert stops[-2:] == ["scan", "fill"]
     assert involutory >= 200 and stops.count("scan") >= 50 and stops.count("fill") >= 20
     assert stops.count(None) >= 200
@@ -450,9 +465,72 @@ def test_run_meets_the_slot_budget_where_the_reference_does(monkeypatch):
     # budget is whole rows (Rapaport's are 7 slots, the other's 5), so the
     # last row that fits exactly is defined
     monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", 7 * 143)
-    assert assert_same_work(pres(RAPAPORT), 10**6) == "scan"
+    assert assert_same_work(pres(RAPAPORT), 10**6).stopped == "scan"
     monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", 5 * 200)
-    assert assert_same_work(pres("< a, b | a^3 >"), 10**6) == "fill"
+    assert assert_same_work(pres("< a, b | a^3 >"), 10**6).stopped == "fill"
+
+
+def test_a_relator_that_steps_straight_back_never_chains():
+    # b a a b^-1 a: a's column is shared (a^2), so a a steps straight back;
+    # a chain from the first a would read a defined entry at the second
+    p = pres("< a, b | a^2, b a^2 b^-1 a >")
+    assert [chain for _, _, chain in _Enumerator(p, 300).relators] == [False]
+    assert assert_same_work(p, 300).guarded == {"word": 298}
+    # chaining through a a anyway deduces a wrong entry: order 3, not 1
+    q = pres("< a, b | a^2, b^3, b a a b a >")
+    assert assert_same_work(q, 300).guarded["word"] > 0
+    assert exactly(enumerate_cosets(q), Finite(1))
+
+
+def test_a_definition_at_the_backward_end_is_scanned_again():
+    # a b a^-1 on a blank coset: the forward end stops at its a entry, and
+    # so does the backward end, reading a^-1 from the right; defining that
+    # entry moves both ends
+    p = pres("< a, b | a b a^-1 >")
+    assert assert_same_work(p, 300).guarded == {"end": 149}
+    # chaining past it anyway runs to the cap instead of closing at order 3
+    q = pres("< a, b | a b a b^-2 a^-1, b^3 >")
+    assert assert_same_work(q, 50).guarded["end"] > 0
+    assert exactly(enumerate_cosets(q, 50), Finite(3))
+
+
+def test_the_sink_row_stays_zero():
+    # every trace through an undefined entry falls into the sink and stays
+    # there only while no slot of the sink row is ever written
+    rng = random.Random(43)
+    cases = [random_presentation(rng) for _ in range(200)]
+    cases += [von_dyck(rng.randint(2, 6), rng.randint(2, 6), rng) for _ in range(40)]
+    cases += [pres(RAPAPORT), coxeter_symmetric(5)]
+    for p in cases:
+        e = _Enumerator(p, 2000)
+        e.run()
+        assert e.table[: e.width] == [0] * e.width, p
+
+
+class CountedReads(list):
+    """A list that counts the entries read through ``table[k]``."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return list.__getitem__(self, k)
+
+
+@pytest.mark.parametrize(
+    "p, max_cosets, reads",
+    [
+        # the loop before the sink row and the chain read 10,605 and 48,148
+        (pres(RAPAPORT), 2000, 8113),
+        (coxeter_symmetric(6), 10**6, 48116),
+    ],
+    ids=["rapaport", "coxeter6"],
+)
+def test_table_reads_are_pinned(p, max_cosets, reads):
+    e = _Enumerator(p, max_cosets)
+    e.table = CountedReads(e.table)
+    e.run()
+    assert e.table.reads == reads
 
 
 def reference_validate(p, t):
