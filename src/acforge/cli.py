@@ -49,6 +49,7 @@ from .presentation import (
     is_balanced,
     parse_presentation,
     total_letters,
+    write_text,
 )
 from .quotient import DEFAULT_MAX_DEGREE, cycle_notation, find_nontrivial_quotient
 from .search import SearchLimits, search_trivialization
@@ -142,8 +143,8 @@ def cmd_lemma2(a, args) -> tuple:
     if args.output:
         d = Path(args.output)
         d.mkdir(parents=True, exist_ok=True)
-        (d / "presentation.pres").write_text(pres_text + "\n")
-        (d / "build.cert").write_text(format_certificate(cert))
+        write_text(d / "presentation.pres", pres_text + "\n")
+        write_text(d / "build.cert", format_certificate(cert))
         lines += [f"WROTE {d / 'presentation.pres'}", f"WROTE {d / 'build.cert'}"]
     elif args.format == "text":  # json prints no certificate, so none is formatted
         lines.append(format_certificate(cert).rstrip("\n"))
@@ -231,7 +232,7 @@ def cmd_acsearch(p, args) -> tuple:
             f"states-seen={r.states_seen} states-expanded={r.states_expanded}"
         ]
         if args.output:
-            Path(args.output).write_text(format_certificate(r.certificate))
+            write_text(args.output, format_certificate(r.certificate))
             lines.append(f"WROTE {args.output}")
         elif args.format == "text":  # json prints no certificate, so none is formatted
             lines.append(format_certificate(r.certificate).rstrip("\n"))

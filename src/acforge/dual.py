@@ -46,6 +46,7 @@ from .presentation import (
     parse_raw,
     require_balanced,
     unchecked_presentation,
+    write_text,
 )
 from .words import check_letters, free_reduce
 
@@ -263,11 +264,11 @@ def parse_witness(text: str) -> OrderingWitness:
 def write_bundle(kc: KnotCertificate, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    (d / "source.pres").write_text(format_presentation(kc.source) + "\n")
-    (d / "augmented.pres").write_text(format_presentation(kc.augmented) + "\n")
-    (d / "witness.txt").write_text(format_witness(kc.witness))
-    (d / "dual.pres").write_text(format_presentation(kc.dual) + "\n")
-    (d / "trivialization.cert").write_text(format_certificate(kc.trivialization))
+    write_text(d / "source.pres", format_presentation(kc.source) + "\n")
+    write_text(d / "augmented.pres", format_presentation(kc.augmented) + "\n")
+    write_text(d / "witness.txt", format_witness(kc.witness))
+    write_text(d / "dual.pres", format_presentation(kc.dual) + "\n")
+    write_text(d / "trivialization.cert", format_certificate(kc.trivialization))
 
 
 def read_bundle(directory) -> KnotCertificate:

@@ -5,6 +5,7 @@ errors."""
 import argparse
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from acforge import cli, coset, intmatrix, lemma2, moves
+from acforge import cli, coset, dual, intmatrix, lemma2, moves, presentation
 from acforge.cli import build_parser, main
+from acforge.dual import read_bundle, verify_knot_certificate
 from acforge.presentation import MAX_LETTERS, parse_presentation
 from test_intmatrix import dense_matrix, sympy_matrix
 
@@ -478,6 +480,82 @@ def test_acsearch_found_writes_a_certificate_that_verifies(run, tmp_path):
     lines = out.splitlines()
     assert lines[0].startswith("FOUND depth=3 ") and lines[1] == f"WROTE {cert}"
     assert run("verify-cert", cert) == (0, "OK\n", "")
+
+
+def test_acsearch_output_to_a_pipe(run, tmp_path):
+    # /dev/stdout is the pipe here; it reports size 0, so it is never cut
+    path = write(tmp_path, "dp.pres", DUAL_POINCARE)
+    src = str(Path(cli.__file__).parents[1])
+    r = subprocess.run(
+        [sys.executable, "-m", "acforge.cli", "acsearch", str(path), "-o", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src},
+    )
+    assert (r.returncode, r.stderr) == (0, "")
+    # the certificate goes straight to the pipe; the buffered lines follow at exit
+    *certificate, found, wrote = r.stdout.splitlines()
+    assert found.startswith("FOUND depth=3 ") and wrote == "WROTE /dev/stdout"
+    expected = tmp_path / "expected.cert"
+    assert run("acsearch", path, "-o", expected)[0] == 0
+    assert certificate == expected.read_text().splitlines()
+
+
+def junk(path, size=20000):
+    """Fill ``path`` with more bytes than any artefact a test here rewrites it with."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("#" * (size - 1) + "\n")
+
+
+def test_rewrites_over_longer_files_hold_exactly_the_new_bytes(run, tmp_path):
+    pres = write(tmp_path, "dp.pres", DUAL_POINCARE)
+    fresh, over = tmp_path / "fresh.cert", tmp_path / "over.cert"
+    junk(over)
+    assert run("acsearch", pres, "-o", fresh)[0] == run("acsearch", pres, "-o", over)[0] == 0
+    assert over.read_bytes() == fresh.read_bytes()
+    assert run("verify-cert", over) == (0, "OK\n", "")
+
+    matrix = write(tmp_path, "shear.mat", SHEAR)
+    for name in ("presentation.pres", "build.cert"):
+        junk(tmp_path / "over" / name)
+    assert run("lemma2", matrix, "-o", tmp_path / "fresh")[0] == run("lemma2", matrix, "-o", tmp_path / "over")[0] == 0
+    for name in ("presentation.pres", "build.cert"):
+        assert (tmp_path / "over" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+    assert run("verify-cert", tmp_path / "over" / "build.cert") == (0, "OK\n", "")
+
+
+def test_theorem3_over_the_bundle_of_a_larger_presentation(run, tmp_path):
+    bundle, fresh = tmp_path / "bundle", tmp_path / "fresh"
+    assert run("theorem3", write(tmp_path, "big.pres", "< a, b | a, b a^40 >"), "-o", bundle)[0] == 0
+    old_sizes = {f.name: f.stat().st_size for f in bundle.iterdir()}
+    small = write(tmp_path, "small.pres", "< a, b | a, b a^3 >")
+    assert run("theorem3", small, "-o", bundle)[0] == run("theorem3", small, "-o", fresh)[0] == 0
+    assert sorted(old_sizes) == sorted(f.name for f in fresh.iterdir())
+    for name, size in old_sizes.items():
+        assert (bundle / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert size > (bundle / name).stat().st_size, name
+    assert verify_knot_certificate(read_bundle(bundle)) == []
+    assert run("verify-cert", bundle / "trivialization.cert") == (0, "OK\n", "")
+
+
+def test_every_artefact_goes_through_write_text(run, tmp_path, monkeypatch):
+    written = []
+
+    def recording(path, text):
+        written.append(Path(path).name)
+        presentation.write_text(path, text)
+
+    monkeypatch.setattr(cli, "write_text", recording)
+    monkeypatch.setattr(dual, "write_text", recording)
+    assert run("theorem3", write(tmp_path, "p.pres", POINCARE), "-o", tmp_path / "bundle")[0] == 0
+    assert written == ["source.pres", "augmented.pres", "witness.txt", "dual.pres", "trivialization.cert"]
+    written.clear()
+    assert run("lemma2", write(tmp_path, "shear.mat", SHEAR), "-o", tmp_path / "out")[0] == 0
+    assert written == ["presentation.pres", "build.cert"]
+    written.clear()
+    assert run("acsearch", write(tmp_path, "dp.pres", DUAL_POINCARE), "-o", tmp_path / "dp.cert")[0] == 0
+    assert written == ["dp.cert"]
+    package = Path(cli.__file__).parent
+    bypasses = [f.name for f in package.glob("*.py") if re.search(r"\.write_(text|bytes)\(", f.read_text())]
+    assert bypasses == []
 
 
 def move_lines(cert):

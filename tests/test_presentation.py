@@ -16,6 +16,7 @@ from acforge.presentation import (
     parse_presentation,
     parse_raw,
     parse_word,
+    write_text,
 )
 
 RAPAPORT = "< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >"
@@ -189,3 +190,14 @@ def test_presentation_validates():
         Presentation(("a", "a"), ())
     with pytest.raises(ValueError):
         Presentation(("1bad",), ())
+
+
+@pytest.mark.parametrize(
+    "old", [None, "", "x" * 5, "0123456789\n", "ä" * 500], ids=["missing", "empty", "shorter", "equal", "longer"]
+)
+def test_write_text_leaves_exactly_the_new_bytes(tmp_path, old):
+    path = tmp_path / "f.txt"
+    if old is not None:
+        path.write_text(old, encoding="utf-8")
+    write_text(path, "< ab | 1 >\n")
+    assert path.read_bytes() == b"< ab | 1 >\n"
