@@ -82,7 +82,6 @@ ENTRIES: Tuple[CorpusEntry, ...] = (
     CorpusEntry(
         name="poincare",
         text=POINCARE_TEXT,
-        order_expectation=EXACT,
         order=120,
         quotient_degree=5,
         quotient_order=60,
@@ -90,14 +89,12 @@ ENTRIES: Tuple[CorpusEntry, ...] = (
     CorpusEntry(
         name="dual_rapaport",
         text=DUAL_RAPAPORT_TEXT,
-        order_expectation=EXACT,
         order=1,
         ac_trivializable=True,
     ),
     CorpusEntry(
         name="dual_poincare",
         text=DUAL_POINCARE_TEXT,
-        order_expectation=EXACT,
         order=1,
         ac_trivializable=True,
     ),

@@ -12,16 +12,12 @@ immediate queue draining).  ``run`` traces each relator forward from the
 coset first; when the trace completes (a closed scan: 65,519 of S7's
 75,600 scans) it merges only if the trace ended elsewhere.  A scan that
 meets an undefined entry runs the Handbook's two-ended scan instead, with
-the definition inlined and both caps checked in ``define``'s order.  S7
-closes in about 25 ms (30 ms before the sink row and the chain below, 80 ms
-scanning every relator from both ends), on a 2-CPU x86-64 host under
-Python 3.11.
+the definition inlined and both caps checked in ``define``'s order.
 
 The table is one flat list of ints.  A coset is the offset of its row; a
 row holds one slot per column, then the coset's union-find parent, so
 ``table[f + col]`` is the image of coset f under col.  There is no object
-per coset: about 90 B a coset on Rapaport's three generators, against
-163 B for a list per row.  Row 0 is a sink: every slot of it is 0 and
+per coset and no list per row.  Row 0 is a sink: every slot of it is 0 and
 stays 0, coset 0 is the row at offset ``width``, and 0 marks an undefined
 entry.  A trace that meets an undefined entry lands on the sink and stays
 there, since every column of the sink leads back to it.  So the closed
@@ -71,26 +67,6 @@ of exhausting memory.  A row has 2m + 1 slots or fewer, so with at most 12
 generators the slot budget binds only after 10**6 cosets have been defined,
 which at the default ``max_cosets`` means coincidences have already
 removed some.
-
-Measured and rejected, against an earlier HLT loop: the Felsch strategy
-(S7 0.14 -> 0.09 s, but Rapaport to 10**5 cosets 0.13 -> 0.49 s and Higman
-to 2*10**4 0.024 -> 0.080 s), and storage in ``array('q')`` (5.8 instead
-of 9.1 MB on that Rapaport run, but about twice as slow).  Against the
-closed-scan loop, a gap path that resumes at the gap instead of tracing
-again from the coset (medians of seven interleaved in-process runs, same
-host; results and final tables equal): with the closed loop keeping the
-last defined coset in a temporary and the gap's index taken from its
-iterator's ``__length_hint__``, S7 and S8 were 6-8 % slower for 2-4 % on
-Rapaport to 10**5 and 10**6 cosets; with the closed loop as it is and the
-gap path tracing ``fwd[:i]`` again, every case was 0-12 % slower.  Against
-the loop before the sink row: marking the cosets that a closed scan of a
-symmetric relator (w^k, or an involution word) also covers, and skipping
-their scans, skipped 60-70 % of S7's closed scans, yet S7 took 31.8 ms
-either way; batching the cosets that need no work, when only about 800 of
-S7's 5,040 do (777-832 under three relabellings); and ``compressed``
-through ``itemgetter`` on row slices, slower on S7 (4.8 -> 6.6 ms).  In the
-same scan shape, ``quotient._fill`` reading each entry once instead of
-twice was slower: Rapaport at degree 5 went from 9.2 to 10.2 ms.
 """
 
 from __future__ import annotations
@@ -426,7 +402,7 @@ def validate_table(p: Presentation, t: CosetTable) -> List[str]:
     ``< a, b | a, b >``, the trivial group.  With transitivity, which is
     not checked here, it shows |G| >= n.  It never certifies ``ORDER n``:
     the upper bound needs a proof about the kernel of the action, which
-    the image alone does not give (ROADMAP item 5).  The 3-row table
+    the image alone does not give (ROADMAP item 8).  The 3-row table
     ``((1, 2), (2, 0), (0, 1))`` passes for ``< a | a^6 >``, a group of
     order 6.
 

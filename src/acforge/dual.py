@@ -35,13 +35,14 @@ from collections import defaultdict, deque
 from pathlib import Path
 from typing import DefaultDict, Deque, List, NamedTuple, Tuple
 
-from .intmatrix import _int, exponent_matrix, invariant_factors
+from .intmatrix import exponent_matrix, invariant_factors
 from .lemma2 import NotUnimodular, presentation_from_matrix
 from .moves import AcCertificate, format_certificate, parse_certificate, replay
 from .presentation import (
     AugmentedPresentation,
     Presentation,
     format_presentation,
+    int_field,
     parse_presentation,
     parse_raw,
     require_balanced,
@@ -254,7 +255,7 @@ def parse_witness(text: str) -> OrderingWitness:
                 j, pos, sign = fields
                 if sign not in ("+", "-"):
                     raise ValueError(f"bad sign {sign!r} in witness triple {triple!r}")
-                occs.append(Occurrence(_int(j), _int(pos), 1 if sign == "+" else -1))
+                occs.append(Occurrence(int_field(j), int_field(pos), 1 if sign == "+" else -1))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
         per_generator.append(tuple(occs))

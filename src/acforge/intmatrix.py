@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, List, Sequence, Tuple
 
-from .presentation import MAX_LETTERS, Presentation
+from .presentation import MAX_LETTERS, Presentation, content_lines, int_field
 from .record import Record, set_field
 from .words import exponent_vector
 
@@ -54,7 +54,7 @@ class IntMatrix(Record):
 def _decimal_digits(x: int) -> int:
     """The number of decimal digits of |x|, counted without writing x out."""
     x = abs(x)
-    d = max(1, int((x.bit_length() - 1) * 0.30102999566398))  # at most the count
+    d = max(1, (x.bit_length() - 1) * 30102 // 100000)  # 30102 / 10**5 < log10(2): at most the count
     while 10**d <= x:
         d += 1
     return d
@@ -63,7 +63,7 @@ def _decimal_digits(x: int) -> int:
 def ints_text(xs: Sequence[int], where: str) -> str:
     """The ints xs joined by spaces.  An int past Python's int-to-text digit
     limit raises a ValueError that names ``where``, the entry and the limit,
-    worded like the reader's (``_ints``)."""
+    worded like the reader's (``presentation.int_field``)."""
     try:
         return " ".join(map(str, xs))
     except ValueError:
@@ -86,22 +86,10 @@ def matrix_to_text(a: IntMatrix, name: str = "matrix") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int(x: str) -> int:
-    """One field of text as an int; one past Python's conversion limit is a
-    ValueError that names its digits and the limit."""
-    try:
-        return int(x)
-    except ValueError:
-        digits = x[1:] if x[:1] in "+-" else x
-        if not digits.isdecimal():  # not a well-formed int
-            raise
-    raise ValueError(f"an entry of {len(digits)} digits is past the limit of {sys.get_int_max_str_digits()} digits")
-
-
 def _ints(lineno: int, fields: List[str]) -> List[int]:
     """The fields of one line of matrix text as ints; a ValueError names the line."""
     try:
-        return list(map(_int, fields))
+        return list(map(int_field, fields))
     except ValueError as e:
         raise ValueError(f"line {lineno}: {e}") from None
 
@@ -116,16 +104,16 @@ def _check_entries(what: str, n: int, m: int) -> None:
 
 
 def matrix_from_text(text: str) -> IntMatrix:
-    """Read the ``matrix_to_text`` format; ``#`` starts a comment on any
-    line, the header's included."""
-    lines = [(k, ln.split("#", 1)[0]) for k, ln in enumerate(text.splitlines(), 1)]
-    tokens = [(k, ln) for k, ln in lines if ln.strip()]
+    """Read the ``matrix_to_text`` format, its lines read by
+    ``content_lines``: ``#`` starts a comment on any line, the header's
+    included."""
+    tokens = content_lines(text)
     if not tokens:
         raise ValueError("empty matrix text")
     k, first = tokens[0]
     header = first.split()
     if len(header) != 2:
-        raise ValueError(f"expected 'n m' header, got {first.strip()!r}")
+        raise ValueError(f"expected 'n m' header, got {first!r}")
     n, m = _ints(k, header)
     if n < 0 or m < 0:
         raise ValueError("negative dimensions")

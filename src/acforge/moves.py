@@ -42,7 +42,9 @@ exponent e is |e| lines, any other move one line.
 
 Certificate files are line-based: ``START <presentation>``, one unit move
 per line (``MULR i j`` for exponent +1, ``MULRI i j`` for -1), ``END
-<presentation>``.  Indices are 1-based.  STAB words are written with
+<presentation>``.  Blank lines and ``#`` comments are skipped by
+``presentation.content_lines``, and each index is read by
+``presentation.int_field``.  Indices are 1-based.  STAB words are written with
 generator names, followed from the START names without replay by one
 rule: STAB appends the first free x-name, a DESTAB of the last generator
 drops it, any other DESTAB changes no name.  Any other keyword, including
@@ -54,12 +56,13 @@ from __future__ import annotations
 from itertools import groupby
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .intmatrix import _int
 from .presentation import (
     MAX_LETTERS,
     Presentation,
+    content_lines,
     format_presentation,
     format_word,
+    int_field,
     parse_presentation,
     parse_word,
     unchecked_presentation,
@@ -412,11 +415,7 @@ def parse_certificate(text: str) -> AcCertificate:
     followed from START without replay (``_Names.follow``: STAB appends a
     fresh x-name, DESTAB of the last generator drops it, no other move
     renames).  A line equal to the one before is the same move, parsed once."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+    lines = content_lines(text)
     if not lines or not lines[0][1].startswith("START"):
         raise CertificateError("certificate must begin with a START line")
     if not lines[-1][1].startswith("END"):
@@ -425,7 +424,7 @@ def parse_certificate(text: str) -> AcCertificate:
     def _fields(op, args, k):
         if len(args) != k:
             raise ValueError(f"{op} takes {k} field{'s' * (k != 1)}, got {len(args)}")
-        return map(_int, args)
+        return map(int_field, args)
 
     start = parse_presentation(lines[0][1][len("START") :].strip())
     end = parse_presentation(lines[-1][1][len("END") :].strip())

@@ -32,14 +32,18 @@ first fault the parser reaches wins, except that a bad character in the
 token right after a faulty one is met first, because that token has
 already been scanned.
 
-``write_text`` writes every artefact file the CLI leaves: presentations,
-certificates and witnesses.
+Certificates and integer matrices are line files, and their readers share
+two rules kept here: ``content_lines`` gives the lines that hold more than
+a ``#`` comment, and ``int_field`` reads one integer field, for the
+witness reader of ``dual`` too.  ``write_text`` writes every artefact file
+the CLI leaves: presentations, certificates and witnesses.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import sys
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .record import Record, set_field
@@ -321,17 +325,41 @@ def format_presentation(p) -> str:
     return left + "|" + right
 
 
+# --- line files ----------------------------------------------------------
+
+
+def content_lines(text: str) -> List[Tuple[int, str]]:
+    """The 1-based number and stripped text of each line of ``text`` that
+    holds more than a ``#`` comment; the comment itself is cut off."""
+    return [(k, s) for k, line in enumerate(text.splitlines(), 1) if (s := line.split("#", 1)[0].strip())]
+
+
+def int_field(x: str) -> int:
+    """One field of text as an int; one past Python's conversion limit is a
+    ValueError that names its digits and the limit."""
+    try:
+        return int(x)
+    except ValueError:
+        digits = x[1:] if x[:1] in "+-" else x
+        if not digits.isdecimal():  # not a well-formed int
+            raise
+    raise ValueError(f"an entry of {len(digits)} digits is past the limit of {sys.get_int_max_str_digits()} digits")
+
+
 def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, creating the file if need be.
 
     The file is opened without ``O_TRUNC``, all of the new bytes are written
     over the old ones from offset 0, and only then is the tail cut.  On ext4
     with ``auto_da_alloc`` (the default), closing a non-empty file that was
-    truncated to zero and written again starts a flush of its data, which
-    cost 79-108 us for a 9 kB certificate on an ext4 root on a virtio disk,
-    against 5-11 us for this write (``BENCH_artefact_write.json``).  The gain is on rewriting a file that exists
-    (a second ``theorem3 -o DIR``); a first write into a fresh directory
-    costs what it did.
+    truncated to zero and written again starts a flush of its data; this
+    write does not, so rewriting a file that exists (a second ``theorem3 -o
+    DIR``) costs about what a first write into a fresh directory does.
+
+    A regular file that standard output is open on is refused with a
+    ValueError naming ``path``, before any byte is written: the lines the
+    CLI prints after it would land over it from offset 0.  A pipe or a
+    terminal as ``/dev/stdout`` is written as any other file.
 
     The cut is guarded by the size ``fstat`` read before the write: only a
     file that held more bytes than ``text`` is truncated.  A pipe or a
@@ -344,11 +372,13 @@ def write_text(path, text: str) -> None:
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        old_size = os.fstat(fd).st_size
+        old = os.fstat(fd)
+        if os.path.samestat(old, os.fstat(1)) and os.path.isfile(path):
+            raise ValueError(f"{path}: standard output is redirected to this file; name another")
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view) :]
-        if old_size > len(data):
+        if old.st_size > len(data):
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)

@@ -499,6 +499,28 @@ def test_acsearch_output_to_a_pipe(run, tmp_path):
     assert certificate == expected.read_text().splitlines()
 
 
+@pytest.mark.parametrize("command", ["acsearch", "lemma2"])
+def test_an_artefact_that_is_standard_output_is_refused(tmp_path, command):
+    # `acforge acsearch F -o out.txt > out.txt`: the certificate would be
+    # written at offset 0, and the lines printed after it over its start
+    if command == "acsearch":
+        source, target = write(tmp_path, "dp.pres", DUAL_POINCARE), tmp_path / "out.txt"
+        argv = [str(source), "-o", str(target)]
+    else:
+        source, target = write(tmp_path, "shear.mat", SHEAR), tmp_path / "d" / "build.cert"
+        target.parent.mkdir()
+        argv = [str(source), "-o", str(target.parent)]
+    src = str(Path(cli.__file__).parents[1])
+    with open(target, "w") as out:
+        r = subprocess.run(
+            [sys.executable, "-m", "acforge.cli", command, *argv],
+            stdout=out, stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src},
+        )
+    assert r.returncode == 2
+    assert r.stderr == f"error: {target}: standard output is redirected to this file; name another\n"
+    assert target.read_text() == ""
+
+
 def junk(path, size=20000):
     """Fill ``path`` with more bytes than any artefact a test here rewrites it with."""
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,7 @@ import pytest
 
 from acforge.intmatrix import (
     IntMatrix,
+    _decimal_digits,
     determinant,
     exponent_matrix,
     invariant_factors,
@@ -382,3 +383,10 @@ def test_matrix_text_comments_on_every_line():
     assert matrix_from_text("# lead\n2 2 # header\n1 2 # row\n\n3 4#\n") == a
     with pytest.raises(ValueError, match="^expected 'n m' header, got '2'$"):
         matrix_from_text("2 # 2\n")
+
+
+def test_decimal_digits_counts_exactly_around_each_power_of_ten():
+    for k in range(1, 400):
+        for x in (10**k - 1, 10**k, 2 ** (k * 10 // 3)):
+            assert _decimal_digits(x) == _decimal_digits(-x) == len(str(x)), x
+    assert _decimal_digits(0) == 1

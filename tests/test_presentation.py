@@ -5,11 +5,14 @@ import tracemalloc
 
 import pytest
 
+from acforge.intmatrix import matrix_from_text
+from acforge.moves import parse_certificate
 from acforge.presentation import (
     EMPTY_PRESENTATION,
     AugmentedPresentation,
     ParseError,
     Presentation,
+    content_lines,
     format_presentation,
     format_word,
     is_balanced,
@@ -201,3 +204,34 @@ def test_write_text_leaves_exactly_the_new_bytes(tmp_path, old):
         path.write_text(old, encoding="utf-8")
     write_text(path, "< ab | 1 >\n")
     assert path.read_bytes() == b"< ab | 1 >\n"
+
+
+# the line files: what ``content_lines`` skips, each reader skips alike
+LINE_FILES = {
+    "certificate": (
+        parse_certificate,
+        "START < a, b | a, b >\nSTAB a b^-1\nMULR 1 2\nMULR 1 2\nMULRI 2 1\nCYC 1 -1\nINV 2\nDESTAB 3 3\nEND < a, b | a b, b >\n",
+    ),
+    "matrix": (matrix_from_text, "3 3\n1 7 0\n0 1 -2\n0 0 1\n"),
+}
+DECORATIONS = {
+    "header-comment": lambda lines: "\n".join([lines[0] + "  # the first line", *lines[1:]]) + "\n",
+    "comment-lines": lambda lines: "# leading\n" + "".join(f"{ln}\n   # between\n" for ln in lines),
+    "blank-lines": lambda lines: "\n \t\n" + "".join(f"{ln}\n\n" for ln in lines) + "  ",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "all": lambda lines: "#\r\n\r\n" + "".join(f"{ln} #{k}\r\n \r\n" for k, ln in enumerate(lines)),
+}
+
+
+@pytest.mark.parametrize("decoration", DECORATIONS)
+@pytest.mark.parametrize("kind", LINE_FILES)
+def test_line_file_readers_skip_the_same_decorations(kind, decoration):
+    read, plain = LINE_FILES[kind]
+    decorated = DECORATIONS[decoration](plain.splitlines())
+    assert decorated != plain
+    assert read(decorated) == read(plain)
+
+
+def test_content_lines_numbers_the_lines_that_hold_more_than_a_comment():
+    assert content_lines("") == []
+    assert content_lines(" # only\n\n  a b # c\r\n#\nd\n") == [(3, "a b"), (5, "d")]
