@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -361,6 +360,8 @@ def main(argv=None) -> int:
     try:
         verdict, lines, data = args.func(args.reader(args.file) if args.reader else None, args)
         if args.format == "json":
+            import json  # only here: a text run never loads it
+
             timings = {"seconds": round(time.monotonic() - t0, 3)} if args.timings else {}
             payload = {"verdict": verdict, "data": data, "timings": timings}
             print(json.dumps(payload, sort_keys=True, indent=2))

@@ -12,10 +12,10 @@ immediate queue draining).  ``run`` traces each relator forward from the
 coset first; when the trace completes (a closed scan: 65,519 of S7's
 75,600 scans) it merges only if the trace ended elsewhere.  A scan that
 meets an undefined entry runs the Handbook's two-ended scan instead, with
-the definition inlined and both caps checked in ``define``'s order.
+the definition inlined and checked by ``define``'s rule.
 
 The table is one flat list of ints.  A coset is the offset of its row; a
-row holds one slot per column, then the coset's union-find parent, so
+row holds one slot per column, then the coset's union-find slot, so
 ``table[f + col]`` is the image of coset f under col.  There is no object
 per coset and no list per row.  Row 0 is a sink: every slot of it is 0 and
 stays 0, coset 0 is the row at offset ``width``, and 0 marks an undefined
@@ -24,6 +24,16 @@ there, since every column of the sink leads back to it.  So the closed
 scan reads one entry per letter with no test: afterwards the coset it
 started from means nothing to do, another coset a coincidence, and 0 a
 gap.  The sink row is not counted against ``MAX_TABLE_SLOTS``.
+
+The union-find slot is 0 for a live coset, so a blank row is a live coset
+and a definition is one ``extend`` and the two entries it sets; a merged
+coset's slot holds the smaller coset it was merged into.  The enumerator
+counts merges, not live cosets: ``live`` is the rows defined less the
+merges.  Both caps are one offset, ``stop``: a new row at offset
+``stop`` or past it would make ``max_cosets`` + 1 live cosets or pass the
+slot budget, so a definition is one comparison with it.  Merges only
+raise ``stop``, so a value read before them is a safe bound; it is read
+again only when it would refuse a definition.
 
 When the gap path defines beta = f fwd[i], beta's row is blank but for its
 back-reference at back[i].  The forward end then reads beta's fwd[i+1]
@@ -60,13 +70,13 @@ then cosets in order of first appearance, reading rows in that order and
 the 2m columns of ``CosetTable`` left to right.  The result depends only on
 the group and its generator order, not on how the enumeration went.
 
-Memory is bounded twice: ``max_cosets`` counts live cosets, and the table
-may hold at most ``MAX_TABLE_SLOTS`` slots (about 200 MB), so that a
-presentation with hundreds of generators stops with ``CapExceeded`` instead
-of exhausting memory.  A row has 2m + 1 slots or fewer, so with at most 12
-generators the slot budget binds only after 10**6 cosets have been defined,
-which at the default ``max_cosets`` means coincidences have already
-removed some.
+Memory is bounded twice, through ``stop``: ``max_cosets`` counts live
+cosets, and the table may hold at most ``MAX_TABLE_SLOTS`` slots (about
+200 MB), so that a presentation with hundreds of generators stops with
+``CapExceeded`` instead of exhausting memory.  A row has 2m + 1 slots or
+fewer, so with at most 12 generators the slot budget binds only after
+10**6 cosets have been defined, which at the default ``max_cosets`` means
+coincidences have already removed some.
 """
 
 from __future__ import annotations
@@ -91,7 +101,8 @@ class Finite(NamedTuple):
 
 class CapExceeded(NamedTuple):
     """Enumeration stopped at the coset cap or the slot budget; says nothing
-    about the group.  ``cosets`` is the live count when it stopped."""
+    about the group.  ``cosets`` is the live count when it stopped: the
+    rows defined less the merges, at most ``max_cosets``."""
 
     cosets: int
 
@@ -150,17 +161,28 @@ class _Enumerator:
         self.slot_limit = MAX_TABLE_SLOTS  # the sink row is not counted
         self.blank = [0] * self.width
         self.table: List[int] = self.blank + self.blank  # the sink row, then coset 0
-        self.table[2 * self.width - 1] = self.width
-        self.live = 1
+        self.dead = 0  # cosets merged into another
+        self.stop = self.budget()
+
+    @property
+    def live(self) -> int:
+        """Live cosets: rows defined (the sink not counted) less merges."""
+        return len(self.table) // self.width - 1 - self.dead
+
+    def budget(self) -> int:
+        """The lowest offset a new row may not take: a row there would make
+        ``max_cosets`` + 1 live cosets or pass ``slot_limit`` slots.  Merges
+        only raise it, so a value read earlier is a safe bound."""
+        return min((self.max_cosets + 1 + self.dead) * self.width, self.slot_limit + 1)
 
     # -- union-find ----------------------------------------------------------
 
     def rep(self, k: int) -> int:
         table, pc = self.table, self.ncols
         lam = k
-        while table[lam + pc] != lam:
+        while table[lam + pc]:
             lam = table[lam + pc]
-        while table[k + pc] != lam:  # path compression
+        while k != lam:  # path compression
             table[k + pc], k = lam, table[k + pc]
         return lam
 
@@ -170,11 +192,11 @@ class _Enumerator:
         """New coset as the image of alpha under col; False at either cap."""
         table = self.table
         beta = len(table)
-        if self.live >= self.max_cosets or beta > self.slot_limit:
-            return False
+        if beta >= self.stop:
+            self.stop = self.budget()
+            if beta >= self.stop:
+                return False
         table.extend(self.blank)
-        table[beta + self.ncols] = beta
-        self.live += 1
         table[alpha + col] = beta
         table[beta + self.inv[col]] = alpha
         return True
@@ -184,7 +206,7 @@ class _Enumerator:
         if phi != psi:
             mu, nu = min(phi, psi), max(phi, psi)
             self.table[nu + self.ncols] = mu
-            self.live -= 1
+            self.dead += 1
             queue.append(nu)
 
     def coincidence(self, alpha: int, beta: int):
@@ -211,11 +233,10 @@ class _Enumerator:
 
     def run(self) -> EnumerationResult:
         table, pc, width = self.table, self.ncols, self.width
-        coincidence, blank = self.coincidence, self.blank
-        max_cosets, slot_limit = self.max_cosets, self.slot_limit
+        coincidence, blank, stop = self.coincidence, self.blank, self.stop
         alpha = width
         while alpha < len(table):
-            if table[alpha + pc] == alpha:
+            if not table[alpha + pc]:
                 for fwd, back, chain in self.relators:
                     f = alpha
                     for c in fwd:  # a gap drops the trace into the sink, 0
@@ -250,13 +271,13 @@ class _Enumerator:
                             # past both guards (module docstring) neither end
                             # can move: define on down the chain to j
                             chained = chain and (b != f or back[j] != fwd[i])
-                            while i < j:  # define, with the checks of ``define``
+                            while i < j:  # define, by ``define``'s rule
                                 beta = len(table)
-                                if self.live >= max_cosets or beta > slot_limit:
-                                    return CapExceeded(self.live)
+                                if beta >= stop:
+                                    stop = self.budget()
+                                    if beta >= stop:
+                                        return CapExceeded(self.live)
                                 table.extend(blank)
-                                table[beta + pc] = beta
-                                self.live += 1
                                 table[f + fwd[i]] = beta
                                 table[beta + back[i]] = f
                                 f = beta
@@ -267,7 +288,7 @@ class _Enumerator:
                                 table[f + fwd[i]] = b
                                 table[b + back[i]] = f
                                 break
-                    if table[alpha + pc] != alpha:
+                    if table[alpha + pc]:
                         break
                 else:
                     for col in range(pc):

@@ -8,8 +8,9 @@ and a record never equals a tuple; the repr is ``Name(field=value, ...)``.
 Records are the classes whose constructor checks its fields, and the five
 AC moves, which check nothing but need that equality: ``CyclicPermute(1, 2)``
 is not ``Destabilize(1, 2)``.  The rest are ``typing.NamedTuple`` classes.
-Both forms are cheap to define, so every CLI process starts quickly:
-neither imports ``inspect`` nor generates code per class.
+Neither form imports ``inspect``.  A Record class generates no code; a
+NamedTuple class does, as ``collections.namedtuple`` evals one ``__new__``
+for each class, about 100 us apiece at import.
 """
 
 from __future__ import annotations

@@ -353,14 +353,18 @@ RAPAPORT = "< a, b, c | b^-1 c^-2 b c^3, c^-1 a^-2 c a^3, a^-1 b^-2 a b^3 >"
 class LoopReference(_Enumerator):
     """The HLT loop as it was before the closed-scan pass and the chained
     definitions: every scan goes through ``scan_and_fill``, one step at a
-    time, and every definition through ``define``.  It stops at an undefined
-    entry (0) and so never reads the sink row.  ``stopped`` records where a
-    cap stopped it: "scan" or "fill".  ``guarded`` counts the scan's
-    definitions after which the enumerator may not chain, by the guard that
-    holds: "word" (the relator's column word steps straight back) or "end"
-    (the definition sets the entry the backward end stopped at)."""
+    time, and every definition through ``define``, which checks both caps
+    on the live count instead of one budget offset.  It stops at an
+    undefined entry (0) and so never reads the sink row.  ``stopped``
+    records where a cap stopped it: "scan" or "fill"; ``mid_chain`` whether
+    that scan had just made a definition the enumerator chains on from.
+    ``guarded`` counts the scan's definitions after which the enumerator may
+    not chain, by the guard that holds: "word" (the relator's column word
+    steps straight back) or "end" (the definition sets the entry the
+    backward end stopped at)."""
 
     stopped = None
+    mid_chain = False
 
     def __init__(self, p, max_cosets):
         super().__init__(p, max_cosets)
@@ -372,8 +376,6 @@ class LoopReference(_Enumerator):
         if self.live >= self.max_cosets or beta > self.slot_limit:
             return False
         table.extend(self.blank)
-        table[beta + self.ncols] = beta
-        self.live += 1
         table[alpha + col] = beta
         table[beta + self.inv[col]] = alpha
         return True
@@ -382,6 +384,7 @@ class LoopReference(_Enumerator):
         table = self.table
         f, i = alpha, 0
         b, j = alpha, len(fwd) - 1
+        chained = False
         while True:
             while i <= j:
                 x = table[f + fwd[i]]
@@ -407,22 +410,24 @@ class LoopReference(_Enumerator):
                 table[b + back[i]] = f
                 return True
             if not self.define(f, fwd[i]):
+                self.mid_chain = chained
                 return False
+            chained = chain and (b != f or back[j] != fwd[i])
             if not chain:
                 self.guarded["word"] += 1
-            elif b == f and back[j] == fwd[i]:
+            elif not chained:
                 self.guarded["end"] += 1
 
     def run(self):
         table, pc, width = self.table, self.ncols, self.width
         alpha = width  # coset 0, after the sink row
         while alpha < len(table):
-            if table[alpha + pc] == alpha:
+            if not table[alpha + pc]:
                 for fwd, back, chain in self.relators:
                     if not self.scan_and_fill(alpha, fwd, back, chain):
                         self.stopped = "scan"
                         return CapExceeded(self.live)
-                    if table[alpha + pc] != alpha:
+                    if table[alpha + pc]:
                         break
                 else:
                     for col in range(self.ncols):
@@ -468,6 +473,25 @@ def test_run_meets_the_slot_budget_where_the_reference_does(monkeypatch):
     assert assert_same_work(pres(RAPAPORT), 10**6).stopped == "scan"
     monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", 5 * 200)
     assert assert_same_work(pres("< a, b | a^3 >"), 10**6).stopped == "fill"
+
+
+def test_caps_after_merges_and_inside_chains_match_the_reference_loop(monkeypatch):
+    # tiny caps and slot budgets, so that many runs stop after merges have
+    # raised the budget offset and many stop partway down a chain
+    rng = random.Random(53)
+    stops = Counter()
+    for n in range(2000):
+        p = random_presentation(rng) if n % 5 else von_dyck(rng.randint(2, 6), rng.randint(2, 6), rng)
+        monkeypatch.setattr(coset, "MAX_TABLE_SLOTS", rng.randint(1, 1000))
+        ref = assert_same_work(p, rng.randint(1, 50))
+        if ref.stopped:
+            stops["capped"] += 1
+            stops["after merges"] += ref.dead > 0
+            stops["mid chain"] += ref.mid_chain
+            stops["both"] += ref.mid_chain and ref.dead > 0
+            stops["slots"] += len(ref.table) > ref.slot_limit
+    assert stops["capped"] >= 700 and stops["slots"] >= 100
+    assert stops["after merges"] >= 150 and stops["mid chain"] >= 200 and stops["both"] >= 20
 
 
 def test_a_relator_that_steps_straight_back_never_chains():
@@ -520,9 +544,10 @@ class CountedReads(list):
 @pytest.mark.parametrize(
     "p, max_cosets, reads",
     [
-        # the loop before the sink row and the chain read 10,605 and 48,148
+        # the loop before the sink row and the chain read 10,605 and 48,148;
+        # before 0 marked a live coset, path compression read 48,116 on S6
         (pres(RAPAPORT), 2000, 8113),
-        (coxeter_symmetric(6), 10**6, 48116),
+        (coxeter_symmetric(6), 10**6, 47700),
     ],
     ids=["rapaport", "coxeter6"],
 )

@@ -168,7 +168,7 @@ def test_a_matrix_counts_its_rows_and_keeps_its_width():
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import acforge.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
