@@ -16,7 +16,11 @@ exits 0, or 1 for a verdict in ``NEGATIVE`` (a false predicate,
 CAP-EXCEEDED, EXHAUSTED, NOT-FOUND, a failed check, a corpus
 ``regression``), or 2 on usage or parse errors and inputs or results past
 a size cap (``MAX_LETTERS`` letters, ``MAX_ROW_ADDITIONS`` row additions,
-``MAX_TABLE_SLOTS`` letters of relator conjugates in ``quotient``).
+``MAX_TABLE_SLOTS`` letters of relator conjugates in ``quotient``; in
+``acsearch``, more than ``search.MAX_GENERATORS`` = 127 generators and
+start-state rotations of ``search.ROTATION_BYTES`` bytes or more; an
+integer past Python's int digit limit read or written by a line-file
+reader or writer).
 All outputs are deterministic byte-for-byte for identical inputs and
 flags; timings appear in json output only with --timings.
 """

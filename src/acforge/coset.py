@@ -158,7 +158,6 @@ class _Enumerator:
             chain = all(c != self.inv[d] for d, c in zip(fwd, fwd[1:]))
             self.relators.append((fwd, [self.inv[c] for c in fwd], chain))
         self.max_cosets = max_cosets
-        self.slot_limit = MAX_TABLE_SLOTS  # the sink row is not counted
         self.blank = [0] * self.width
         self.table: List[int] = self.blank + self.blank  # the sink row, then coset 0
         self.dead = 0  # cosets merged into another
@@ -171,9 +170,10 @@ class _Enumerator:
 
     def budget(self) -> int:
         """The lowest offset a new row may not take: a row there would make
-        ``max_cosets`` + 1 live cosets or pass ``slot_limit`` slots.  Merges
-        only raise it, so a value read earlier is a safe bound."""
-        return min((self.max_cosets + 1 + self.dead) * self.width, self.slot_limit + 1)
+        ``max_cosets`` + 1 live cosets or pass ``MAX_TABLE_SLOTS`` slots, the
+        sink row not counted.  Merges only raise it, so a value read earlier
+        is a safe bound."""
+        return min((self.max_cosets + 1 + self.dead) * self.width, MAX_TABLE_SLOTS + 1)
 
     # -- union-find ----------------------------------------------------------
 

@@ -26,8 +26,11 @@ the check, for fields that have already passed it.
 
 One compiled regex scans the text on demand, one token ahead of the
 parser; no token list is built, so memory is bounded by what has been
-parsed so far.  Any character outside the grammar (a non-ASCII letter
-included) is a ParseError.  Errors are reported in reading order: the
+parsed so far.  Each match skips the blanks and comments before the next
+token and ends with one of its last alternatives: the token, the end of
+the text, or any one character outside the grammar (a non-ASCII letter
+included), which is a ParseError.  So the regex matches at every offset,
+and a token costs one match.  Errors are reported in reading order: the
 first fault the parser reaches wins, except that a bad character in the
 token right after a faulty one is met first, because that token has
 already been scanned.
@@ -154,9 +157,12 @@ def total_letters(p: Presentation) -> int:
 
 # --- parser --------------------------------------------------------------
 
-# Blanks and comments match no named group and are skipped.
+# Blanks and comments are skipped, then exactly one group matches: a token,
+# the end of the text, or one character outside the grammar.
 _TOKEN_RE = re.compile(
-    rf"[ \t\r\n]+|#[^\n]*|(?P<name>{NAME_RE.pattern})|(?P<int>-?\d+)|(?P<punct>[<>|,^])"
+    rf"(?:[ \t\r\n]+|#[^\n]*)*"
+    rf"(?:(?P<name>{NAME_RE.pattern})|(?P<int>-?\d+)|(?P<punct>[<>|,^])|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
 )
 
 
@@ -175,19 +181,11 @@ class _Parser:
         self.advance()
 
     def advance(self) -> None:
-        text, pos = self.text, self.pos
-        while True:
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                self.off = pos
-                if pos < len(text):
-                    self.fail(f"unexpected character {text[pos]!r}")
-                self.kind, self.val = "end", ""
-                return
-            pos = m.end()
-            if m.lastgroup:
-                self.kind, self.val, self.off, self.pos = m.lastgroup, m.group(), m.start(), pos
-                return
+        m = _TOKEN_RE.match(self.text, self.pos)
+        kind = m.lastgroup
+        self.kind, self.val, (self.off, self.pos) = kind, m[kind], m.span(kind)
+        if kind == "bad":
+            self.fail(f"unexpected character {self.val!r}")
 
     def take(self) -> str:
         val = self.val
@@ -199,8 +197,11 @@ class _Parser:
 
     def expect(self, punct: str) -> None:
         if not self.at(punct):
-            self.fail(f"expected {punct!r}, found {self.val or 'end of input'!r}")
+            self.expected(repr(punct))
         self.advance()
+
+    def expected(self, what: str) -> NoReturn:
+        self.fail(f"expected {what}, found {self.val or 'end of input'!r}")
 
     def expect_end(self) -> None:
         if self.kind != "end":
@@ -217,7 +218,7 @@ class _Parser:
             self.advance()
             return ()
         if self.kind != "name":
-            self.fail("expected a word ('1' or terms)")
+            self.expected("a word ('1' or terms)")
         letters: List[int] = []
         while self.kind == "name":
             off = self.off
@@ -229,7 +230,7 @@ class _Parser:
             if self.at("^"):
                 self.advance()
                 if self.kind != "int":
-                    self.fail(f"expected integer exponent, found {self.val!r}")
+                    self.expected("integer exponent")
                 exp_off = self.off
                 digits = self.take()
                 try:
@@ -258,7 +259,7 @@ def _parse_body(text: str) -> Tuple[Tuple[str, ...], Tuple[Word, ...]]:
         if p.at(","):
             p.advance()
             if p.kind != "name":
-                p.fail("expected generator name after ','")
+                p.expected("generator name after ','")
     p.expect("|")
     relators: List[Word] = []
     if not p.at(">"):

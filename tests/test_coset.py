@@ -369,6 +369,7 @@ class LoopReference(_Enumerator):
     def __init__(self, p, max_cosets):
         super().__init__(p, max_cosets)
         self.guarded = Counter()
+        self.slot_limit = coset.MAX_TABLE_SLOTS  # the sink row is not counted
 
     def define(self, alpha, col):
         table = self.table
