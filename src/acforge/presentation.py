@@ -26,14 +26,14 @@ the check, for fields that have already passed it.
 
 One compiled regex scans the text on demand, one token ahead of the
 parser; no token list is built, so memory is bounded by what has been
-parsed so far.  Each match skips the blanks and comments before the next
-token and ends with one of its last alternatives: the token, the end of
-the text, or any one character outside the grammar (a non-ASCII letter
+parsed so far.  Each match skips the blanks before the next piece and
+ends with one of its alternatives: a comment, a token, the end of the
+text, or any one character outside the grammar (a non-ASCII letter
 included), which is a ParseError.  So the regex matches at every offset,
-and a token costs one match.  Errors are reported in reading order: the
-first fault the parser reaches wins, except that a bad character in the
-token right after a faulty one is met first, because that token has
-already been scanned.
+and a token costs one match plus one for each comment before it.  Errors
+are reported in reading order: the first fault the parser reaches wins,
+except that a bad character in the token right after a faulty one is met
+first, because that token has already been scanned.
 
 Certificates and integer matrices are line files, and their readers share
 two rules kept here: ``content_lines`` gives the lines that hold more than
@@ -157,11 +157,14 @@ def total_letters(p: Presentation) -> int:
 
 # --- parser --------------------------------------------------------------
 
-# Blanks and comments are skipped, then exactly one group matches: a token,
-# the end of the text, or one character outside the grammar.
+# Blanks are skipped, then exactly one group matches: a comment, a token,
+# the end of the text, or one character outside the grammar.  Comments are
+# not skipped inside the match: a repeat of a multi-character piece costs the
+# regex engine a frame per piece until the match ends, so one match over a
+# run of comments would take memory in proportion to the run.
 _TOKEN_RE = re.compile(
-    rf"(?:[ \t\r\n]+|#[^\n]*)*"
-    rf"(?:(?P<name>{NAME_RE.pattern})|(?P<int>-?\d+)|(?P<punct>[<>|,^])|(?P<end>\Z)|(?P<bad>.))",
+    rf"[ \t\r\n]*(?:(?P<comment>#[^\n]*)|(?P<name>{NAME_RE.pattern})|(?P<int>-?\d+)|(?P<punct>[<>|,^])"
+    r"|(?P<end>\Z)|(?P<bad>.))",
     re.DOTALL,
 )
 
@@ -182,6 +185,8 @@ class _Parser:
 
     def advance(self) -> None:
         m = _TOKEN_RE.match(self.text, self.pos)
+        while m.lastgroup == "comment":
+            m = _TOKEN_RE.match(self.text, m.end())
         kind = m.lastgroup
         self.kind, self.val, (self.off, self.pos) = kind, m[kind], m.span(kind)
         if kind == "bad":
