@@ -351,7 +351,11 @@ def write_lines(lines) -> None:
     """Write what ``print(*lines, sep="\\n")`` writes, a lone newline for no
     lines, joining blocks of ``LINES_PER_WRITE`` lines: print makes two
     writes a line, and one joined string of every line would double the
-    memory of a long table."""
+    memory of a long table.  With standard output closed (``sys.stdout`` is
+    None) it writes nothing, as print does.  Text and json output both go
+    through it."""
+    if sys.stdout is None:
+        return
     write = sys.stdout.write
     for k in range(0, len(lines) or 1, LINES_PER_WRITE):
         write("\n".join(lines[k : k + LINES_PER_WRITE]))
@@ -368,7 +372,7 @@ def main(argv=None) -> int:
 
             timings = {"seconds": round(time.monotonic() - t0, 3)} if args.timings else {}
             payload = {"verdict": verdict, "data": data, "timings": timings}
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            write_lines([json.dumps(payload, sort_keys=True, indent=2)])
         else:
             write_lines(lines)
     except (ValueError, OSError) as e:  # ParseError and CertificateError are ValueErrors

@@ -11,8 +11,7 @@ Computational Group Theory", ch. 5 (union-find with path compression,
 immediate queue draining).  ``run`` traces each relator forward from the
 coset first; when the trace completes (a closed scan: 65,519 of S7's
 75,600 scans) it merges only if the trace ended elsewhere.  A scan that
-meets an undefined entry runs the Handbook's two-ended scan instead, with
-the definition inlined and checked by ``define``'s rule.
+meets an undefined entry runs the Handbook's two-ended scan instead.
 
 The table is one flat list of ints.  A coset is the offset of its row; a
 row holds one slot per column, then the coset's union-find slot, so
@@ -29,11 +28,14 @@ The union-find slot is 0 for a live coset, so a blank row is a live coset
 and a definition is one ``extend`` and the two entries it sets; a merged
 coset's slot holds the smaller coset it was merged into.  The enumerator
 counts merges, not live cosets: ``live`` is the rows defined less the
-merges.  Both caps are one offset, ``stop``: a new row at offset
-``stop`` or past it would make ``max_cosets`` + 1 live cosets or pass the
-slot budget, so a definition is one comparison with it.  Merges only
-raise ``stop``, so a value read before them is a safe bound; it is read
-again only when it would refuse a definition.
+merges.  Both caps are one offset, ``budget()``, which ``run`` reads
+once into ``stop``: a new row at offset ``stop`` or past it would make
+``max_cosets`` + 1 live cosets or pass the slot budget, so a definition
+is one comparison with it.  Merges only raise the budget, so a value read
+before them is a safe bound; ``run`` reads it again only when it would
+refuse a definition.  ``run`` is the only code that defines cosets, in
+the gap path's chains and in the final fill of missing images, and it
+does so by this one rule.
 
 When the gap path defines beta = f fwd[i], beta's row is blank but for its
 back-reference at back[i].  The forward end then reads beta's fwd[i+1]
@@ -70,7 +72,7 @@ then cosets in order of first appearance, reading rows in that order and
 the 2m columns of ``CosetTable`` left to right.  The result depends only on
 the group and its generator order, not on how the enumeration went.
 
-Memory is bounded twice, through ``stop``: ``max_cosets`` counts live
+Memory is bounded twice, through ``budget()``: ``max_cosets`` counts live
 cosets, and the table may hold at most ``MAX_TABLE_SLOTS`` slots (about
 200 MB), so that a presentation with hundreds of generators stops with
 ``CapExceeded`` instead of exhausting memory.  A row has 2m + 1 slots or
@@ -161,7 +163,6 @@ class _Enumerator:
         self.blank = [0] * self.width
         self.table: List[int] = self.blank + self.blank  # the sink row, then coset 0
         self.dead = 0  # cosets merged into another
-        self.stop = self.budget()
 
     @property
     def live(self) -> int:
@@ -186,20 +187,7 @@ class _Enumerator:
             table[k + pc], k = lam, table[k + pc]
         return lam
 
-    # -- definitions and coincidences -----------------------------------------
-
-    def define(self, alpha: int, col: int) -> bool:
-        """New coset as the image of alpha under col; False at either cap."""
-        table = self.table
-        beta = len(table)
-        if beta >= self.stop:
-            self.stop = self.budget()
-            if beta >= self.stop:
-                return False
-        table.extend(self.blank)
-        table[alpha + col] = beta
-        table[beta + self.inv[col]] = alpha
-        return True
+    # -- coincidences ---------------------------------------------------------
 
     def merge(self, k: int, lam: int, queue: Deque[int]):
         phi, psi = self.rep(k), self.rep(lam)
@@ -232,8 +220,8 @@ class _Enumerator:
                     table[nu + icol] = mu
 
     def run(self) -> EnumerationResult:
-        table, pc, width = self.table, self.ncols, self.width
-        coincidence, blank, stop = self.coincidence, self.blank, self.stop
+        table, pc, width, inv = self.table, self.ncols, self.width, self.inv
+        coincidence, blank, stop = self.coincidence, self.blank, self.budget()
         alpha = width
         while alpha < len(table):
             if not table[alpha + pc]:
@@ -271,7 +259,7 @@ class _Enumerator:
                             # past both guards (module docstring) neither end
                             # can move: define on down the chain to j
                             chained = chain and (b != f or back[j] != fwd[i])
-                            while i < j:  # define, by ``define``'s rule
+                            while i < j:  # define beta = f fwd[i]
                                 beta = len(table)
                                 if beta >= stop:
                                     stop = self.budget()
@@ -290,10 +278,17 @@ class _Enumerator:
                                 break
                     if table[alpha + pc]:
                         break
-                else:
+                else:  # fill the images still missing, by the same rule
                     for col in range(pc):
-                        if not table[alpha + col] and not self.define(alpha, col):
-                            return CapExceeded(self.live)
+                        if not table[alpha + col]:
+                            beta = len(table)
+                            if beta >= stop:
+                                stop = self.budget()
+                                if beta >= stop:
+                                    return CapExceeded(self.live)
+                            table.extend(blank)
+                            table[alpha + col] = beta
+                            table[beta + inv[col]] = alpha
             alpha += width
         return Finite(self.live)
 

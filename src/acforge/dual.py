@@ -102,14 +102,14 @@ def default_witness(p) -> OrderingWitness:
 
 def _check_witness(p, w: OrderingWitness):
     """Raise ValueError unless ``w`` orders the occurrences of the checked
-    ``p``.  A caller's witness is one of the four edges where a word enters
-    and ``words.check_letters`` runs (with the two presentation records and
-    a STAB in replay or in ``format_certificate``).  Each occurrence must be
-    a tuple of three entries; then the word each line spells, letters
-    ``sign * relator`` of the ``len(p.relators)`` dual generators, is
-    checked; then every entry must be an int, not a bool or a float, before
-    the occurrences are sorted and matched with ``==``, under which
-    ``Occurrence(1.0, 0, 1)`` or a sign ``True`` would pass."""
+    ``p``.  A caller's witness is one of the edges where a word enters and
+    ``words.check_letters`` runs (the ``words`` module docstring lists
+    them).  Each occurrence must be a tuple of three entries; then the word
+    each line spells, letters ``sign * relator`` of the ``len(p.relators)``
+    dual generators, is checked; then every entry must be an int, not a
+    bool or a float, before the occurrences are sorted and matched with
+    ``==``, under which ``Occurrence(1.0, 0, 1)`` or a sign ``True`` would
+    pass."""
     actual = occurrence_lists(p)
     if len(w.per_generator) != len(actual):
         raise ValueError(

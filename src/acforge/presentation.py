@@ -365,7 +365,10 @@ def write_text(path, text: str) -> None:
     A regular file that standard output is open on is refused with a
     ValueError naming ``path``, before any byte is written: the lines the
     CLI prints after it would land over it from offset 0.  A pipe or a
-    terminal as ``/dev/stdout`` is written as any other file.
+    terminal as ``/dev/stdout`` is written as any other file.  Standard
+    output is read before the open: with fd 1 closed the open may return
+    fd 1 itself, which is no redirection, so a closed standard output
+    skips the guard.
 
     The cut is guarded by the size ``fstat`` read before the write: only a
     file that held more bytes than ``text`` is truncated.  A pipe or a
@@ -376,10 +379,14 @@ def write_text(path, text: str) -> None:
     call writes every byte; nothing is skipped or cached.
     """
     data = text.encode()
+    try:
+        out = os.fstat(1)
+    except OSError:  # EBADF: standard output is closed, so nothing to guard
+        out = None
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         old = os.fstat(fd)
-        if os.path.samestat(old, os.fstat(1)) and os.path.isfile(path):
+        if out and os.path.samestat(old, out) and os.path.isfile(path):
             raise ValueError(f"{path}: standard output is redirected to this file; name another")
         view = memoryview(data)
         while view:

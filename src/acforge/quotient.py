@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .coset import MAX_TABLE_SLOTS, CosetTable, _ints, multiply, validate_table
+from .coset import MAX_TABLE_SLOTS, CosetTable, multiply, validate_table
 from .presentation import Presentation
 from .words import column
 
@@ -137,23 +137,24 @@ class FiniteQuotientWitness(NamedTuple):
 def verify_witness(p: Presentation, w: FiniteQuotientWitness) -> bool:
     """Re-verify w.  The degree must be an int, ``image_order`` of type int
     (a float or a bool may compare equal to the order), and the images a
-    tuple of tuples of that length.  ``coset.validate_table`` checks the
-    table whose columns are each image and its inverse (some column, if the
-    image is no permutation): the generator count, entries, permutations
-    and relators, so an entry that is None, a float, a list or out of range
-    gives False, not an exception.  Then the images must not all be the identity, and
-    ``image_order`` must be the order of the group they generate."""
+    tuple of tuples of that length.  Each image's inverse column is built
+    by ``inverse``, which raises on an entry past the degree or one that is
+    not an int (None, a float, a list); that gives False, not an exception.
+    ``coset.validate_table`` then checks the table whose columns are each
+    image and its inverse: the generator count, entries, permutations and
+    relators, so a negative or a repeated entry, which ``inverse`` lets
+    through, gives False too.  Then the images must not all be the
+    identity, and ``image_order`` must be the order of the group they
+    generate."""
     d, images = w.degree, w.images
     if not isinstance(d, int) or type(w.image_order) is not int or not isinstance(images, tuple):
         return False
     if not all(isinstance(img, tuple) and len(img) == d for img in images):
         return False
-    cols = []
-    for img in images:
-        # an image with an entry that is no int gets a column of Nones,
-        # which validate_table names; its entries may not be hashable
-        inv = dict(zip(img, range(d))) if _ints(img) else {}
-        cols += [img, tuple(map(inv.get, range(d)))]
+    try:
+        cols = [col for img in images for col in (img, inverse(img))]
+    except (IndexError, TypeError):
+        return False
     if validate_table(p, CosetTable(len(images), tuple(zip(*cols)))):
         return False
     identity = tuple(range(d))

@@ -33,8 +33,7 @@ def free_reduce(letters: Iterable[int]) -> Word:
 
     The result is independent of deletion order, so a single left-to-right
     stack pass suffices.  The letters are trusted: ``check_letters`` ran
-    where the word entered, at a presentation record, a STAB in replay or
-    in ``format_certificate``, or a caller's witness in ``dualize``.
+    where the word entered (module docstring).
     """
     out: list[int] = []
     for x in letters:
@@ -123,8 +122,8 @@ def exponent_vector(w: Sequence[int], n_gens: int) -> Tuple[int, ...]:
     """Signed occurrence count of each generator, as a length-``n_gens`` tuple.
 
     ``w`` is trusted to hold letters of ``n_gens`` generators, as the
-    relators of the presentation records, one of the four edges where
-    ``check_letters`` runs, do."""
+    relators of the presentation records do: ``check_letters`` ran where
+    they entered (module docstring)."""
     vec = [0] * n_gens
     for x in w:
         vec[abs(x) - 1] += 1 if x > 0 else -1

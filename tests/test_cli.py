@@ -4,6 +4,7 @@ errors."""
 
 import argparse
 import json
+import os
 import random
 import re
 import subprocess
@@ -519,6 +520,50 @@ def test_an_artefact_that_is_standard_output_is_refused(tmp_path, command):
     assert r.returncode == 2
     assert r.stderr == f"error: {target}: standard output is redirected to this file; name another\n"
     assert target.read_text() == ""
+
+
+def run_with_closed(fds, *argv):
+    """Exit code and stderr of ``python -m acforge.cli *argv`` in a child
+    whose ``fds`` are closed before it starts, as by ``>&-`` in a shell."""
+    src = str(Path(cli.__file__).parents[1])
+    r = subprocess.run(
+        [sys.executable, "-m", "acforge.cli", *map(str, argv)],
+        preexec_fn=lambda: [os.close(fd) for fd in fds],
+        stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src},
+    )
+    return r.returncode, r.stderr
+
+
+@pytest.mark.parametrize("fds", [(1,), (0, 1)])
+@pytest.mark.parametrize("command", ["acsearch", "lemma2", "theorem3"])
+def test_artefacts_are_written_with_standard_output_closed(run, tmp_path, fds, command):
+    # `acforge lemma2 M -o d >&-`: the artefact opens as fd 1 (fd 0 with
+    # fds 0 and 1 closed), which is no redirection of standard output
+    name, text = {"acsearch": ("dp.pres", DUAL_POINCARE), "lemma2": ("shear.mat", SHEAR)}.get(command, ("p.pres", POINCARE))
+    source = write(tmp_path, name, text)
+    target = {"acsearch": "out.cert"}.get(command, "out")
+    opened, closed = tmp_path / "open", tmp_path / "closed"
+    for d in (opened, closed):
+        d.mkdir()
+    assert run(command, source, "-o", opened / target)[0] == 0
+    assert run_with_closed(fds, command, source, "-o", closed / target) == (0, "")
+    files = sorted(p.relative_to(opened) for p in opened.rglob("*") if p.is_file())
+    assert files and files == sorted(p.relative_to(closed) for p in closed.rglob("*") if p.is_file())
+    for f in files:
+        assert (closed / f).read_bytes() == (opened / f).read_bytes(), f
+        if f.suffix == ".cert":
+            assert run("verify-cert", closed / f) == (0, "OK\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, text, code", [("parse", POINCARE, 0), ("order", "< a, b | a b a^-1 b^-1 >", 1)], ids=["parse", "order"]
+)
+def test_verdicts_keep_their_exit_codes_with_standard_output_closed(tmp_path, command, text, code):
+    # `acforge parse F >&-`: sys.stdout is None, so nothing is written, as print does
+    path = write(tmp_path, "p.pres", text)
+    extra = ("--max-cosets", "10") if command == "order" else ()
+    for mode in ("text", "json"):
+        assert run_with_closed((1,), command, path, *extra, "--format", mode) == (code, ""), mode
 
 
 def junk(path, size=20000):
